@@ -7,6 +7,16 @@ order; for each it grows a direct weight range from the recipe's lower limit,
 and if the predicted throughput still misses the target, grows a trim range
 above the upper limit on lanes that can trim. Assigned bins become unavailable
 to later recipes. Unassigned bins fall through to the default recipe.
+
+What depends only on the recipes and the bin width is built once, as a recipe
+ladder shared by every controller of a scenario (`recipe_ladder`): the
+priority order and, per recipe, its direct bins, its trim bins with their
+trim amounts, and the `BinAssignment` objects that strategies hand out. Each
+controller adds the design's half once, at construction: per recipe, the
+lanes that reach its destination and those of them that can trim. A
+recompute then builds only what the live windows decide: one rate divisor
+per lane and the fresh strategy dicts, filled by a walk up the ladder that
+reads each window's bin counts directly.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,94 @@ class LaneWindow:
         return self.samples[-1][0] - self.samples[0][0]
 
 
+@dataclass(frozen=True)
+class Rung:
+    """One non-default recipe's place on the ladder: the bins it may claim.
+
+    direct: bins wholly inside [min, max], lightest first; they all share the
+        one `direct_assignment`. A range, so a wide band costs no memory.
+    trim: (bin, assignment with its trim amount) for the bins above the band,
+        lightest first, while the cut stays within the recipe's allowance.
+        Empty when the post-trim interval [max - bin width, max) pokes below
+        the lower limit. A float quirk can put the last direct bin first here
+        (e.g. max 0.5 g at bin width 0.1 g).
+    """
+
+    target: float
+    direct: range
+    direct_assignment: BinAssignment
+    trim: tuple[tuple[int, BinAssignment], ...]
+
+
+@dataclass(frozen=True)
+class RecipeLadder:
+    """Everything a strategy recompute needs that depends only on the recipes
+    and the bin width: default recipe, priority order and one rung per
+    non-default recipe, in priority order."""
+
+    default_index: int
+    default_assignment: BinAssignment
+    priority_order: tuple[int, ...]
+    rungs: tuple[Rung, ...]
+
+
+@lru_cache(maxsize=64, typed=True)
+def recipe_ladder(recipes: tuple, bin_width_g: float) -> RecipeLadder:
+    """Build (or fetch) the ladder for one scenario's recipes and bin width.
+
+    The bin arithmetic is exactly the loop conditions of a strategy walk, so a
+    walk over the ladder visits the same bins with the same trim amounts.
+    """
+    defaults = [i for i, r in enumerate(recipes) if r.is_default]
+    if len(defaults) != 1:
+        raise ValueError(f"expected exactly one default recipe, found {len(defaults)}")
+    default_index = defaults[0]
+    # priority order: smaller number first, declaration order breaks ties
+    priority_order = tuple(
+        sorted(
+            (i for i in range(len(recipes)) if i != default_index),
+            key=lambda i: (recipes[i].priority, i),
+        )
+    )
+    binw = bin_width_g
+    rungs = []
+    for idx in priority_order:
+        recipe = recipes[idx]
+        # direct bins: from the first one at or above the lower limit up to,
+        # not including, the first whose upper edge passes the upper limit.
+        # That edge test holds for a prefix of bins only, so the end is found
+        # by stepping from its estimate instead of walking every bin.
+        first = math.ceil(recipe.min_weight_g / binw)
+        end = max(first, int(recipe.max_weight_g // binw))
+        while end > first and not end * binw <= recipe.max_weight_g:
+            end -= 1
+        while (end + 1) * binw <= recipe.max_weight_g:
+            end += 1
+        trim = []
+        if recipe.max_weight_g - binw >= recipe.min_weight_g:
+            b = int(recipe.max_weight_g // binw)
+            while True:
+                cut = (b + 1) * binw - recipe.max_weight_g
+                if cut > recipe.max_trim_g:
+                    break
+                trim.append((b, BinAssignment(idx, recipe.destination, cut)))
+                b += 1
+        rungs.append(
+            Rung(
+                recipe.target_per_min,
+                range(first, end),
+                BinAssignment(idx, recipe.destination, None),
+                tuple(trim),
+            )
+        )
+    return RecipeLadder(
+        default_index,
+        BinAssignment(default_index, recipes[default_index].destination, None),
+        priority_order,
+        tuple(rungs),
+    )
+
+
 class ProductionController:
     """Per-replication control state: one window per lane, one strategy per lane."""
 
@@ -110,20 +209,27 @@ class ProductionController:
         self.config = config
         self.routes = routes
         self.recipes = list(recipes)
-        defaults = [i for i, r in enumerate(self.recipes) if r.is_default]
-        if len(defaults) != 1:
-            raise ValueError(f"expected exactly one default recipe, found {len(defaults)}")
-        self.default_index = defaults[0]
-        self.default_destination = self.recipes[self.default_index].destination
-        # priority order: smaller number first, declaration order breaks ties
-        self.priority_order = sorted(
-            (i for i in range(len(self.recipes)) if i != self.default_index),
-            key=lambda i: (self.recipes[i].priority, i),
-        )
+        ladder = recipe_ladder(tuple(self.recipes), config.bin_width_g)
+        self.default_index = ladder.default_index
+        self.priority_order = ladder.priority_order
+        self._default_assignment = ladder.default_assignment
         self.windows = {
             lane: LaneWindow(lane, config.window_size, config.bin_width_g)
             for lane in routes.lanes
         }
+        # the design-dependent half of the ladder: per rung, the positions (in
+        # window order) of the lanes that reach its destination, and of those
+        # that can also trim; rungs no lane can serve are left out
+        names = list(self.windows)
+        self._rungs: list[tuple[Rung, tuple[int, ...], tuple[int, ...]]] = []
+        for rung in ladder.rungs:
+            destination = rung.direct_assignment.destination
+            lanes = tuple(
+                i for i, lane in enumerate(names) if destination in routes.reachable[lane]
+            )
+            if lanes:
+                trim_lanes = tuple(i for i in lanes if routes.has_trimmer[names[i]])
+                self._rungs.append((rung, lanes, trim_lanes))
         self.strategies: dict[str, dict[int, BinAssignment]] = {}
         self.recomputes = 0
         self.last_computed_s: float | None = None
@@ -154,77 +260,63 @@ class ProductionController:
         self.last_computed_s = time_s
 
     def compute_strategies(self) -> dict[str, dict[int, BinAssignment]]:
-        binw = self.config.bin_width_g
-        available: dict[str, set[int]] = {}
+        """One walk up the ladder over the live bin counts.
+
+        A bin is available on a lane while the lane's window holds it and no
+        recipe has claimed it yet. A bin's pooled rate is `sum` over the lanes
+        where it is available, in lane order, of count / divisor with one
+        divisor per lane (what `predict_throughput` gives for that one bin),
+        so every `predicted < target` test sees the same float as a call per
+        lane and bin would.
+        """
+        t_s = self.config.recompute_interval_s
+        strategies: dict[str, dict[int, BinAssignment]] = {}
+        states = []  # per lane, in window order: (counts, strategy, divisor)
         for lane, window in self.windows.items():
-            available[lane] = set(window.counts)
-        strategies: dict[str, dict[int, BinAssignment]] = {
-            lane: {} for lane in self.windows
-        }
+            strategy: dict[int, BinAssignment] = {}
+            strategies[lane] = strategy
+            states.append((window.counts, strategy, max(window.span_s(), t_s) / 60.0))
 
-        for idx in self.priority_order:
-            recipe = self.recipes[idx]
-            lanes = [
-                lane
-                for lane in self.windows
-                if recipe.destination in self.routes.reachable[lane]
-            ]
-            if not lanes:
-                continue  # unservable here; attainment stays 0
-
-            target = recipe.target_per_min
-            chosen_direct: list[int] = []
+        for rung, lane_positions, trim_positions in self._rungs:
+            target = rung.target
             predicted = 0.0
 
-            # direct phase: grow the range one bin at a time from the lower limit;
-            # a bin qualifies only if it lies wholly inside [min, max]
-            b = math.ceil(recipe.min_weight_g / binw)
-            while (b + 1) * binw <= recipe.max_weight_g and predicted < target:
-                predicted += self._pooled_rate(lanes, b, available)
-                chosen_direct.append(b)
-                b += 1
+            # direct phase: grow the range one bin at a time from the lower
+            # limit; every bin walked is claimed where it is available
+            claim = rung.direct_assignment
+            views = [states[i] for i in lane_positions]
+            for b in rung.direct:
+                if not predicted < target:
+                    break
+                rates = []
+                for counts, strategy, divisor in views:
+                    count = counts.get(b)
+                    if count and b not in strategy:
+                        strategy[b] = claim
+                        rates.append(count / divisor)
+                predicted += sum(rates)
 
-            # trim phase: only lanes that can physically trim, starting at the
-            # first bin holding weights above the upper limit. Every trim bin's
-            # post-trim weights land in [max - bin width, max), so the phase is
-            # skipped entirely when that interval pokes below the lower limit.
-            trim_lanes = [lane for lane in lanes if self.routes.has_trimmer[lane]]
-            chosen_trim: list[tuple[int, float]] = []
-            if (
-                predicted < target
-                and trim_lanes
-                and recipe.max_weight_g - binw >= recipe.min_weight_g
-            ):
-                b = int(recipe.max_weight_g // binw)
-                while predicted < target:
-                    trim = (b + 1) * binw - recipe.max_weight_g
-                    if trim > recipe.max_trim_g:
+            # trim phase: only lanes that can physically trim. A bin this
+            # recipe's direct phase just claimed still counts as available
+            # here, as it did before the direct claims were written.
+            if predicted < target and trim_positions and rung.trim:
+                views = [states[i] for i in trim_positions]
+                for b, assignment in rung.trim:
+                    if not predicted < target:
                         break
-                    predicted += self._pooled_rate(trim_lanes, b, available)
-                    chosen_trim.append((b, trim))
-                    b += 1
-
-            for b in chosen_direct:
-                assignment = BinAssignment(idx, recipe.destination, None)
-                for lane in lanes:
-                    if b in available[lane]:
-                        available[lane].discard(b)
-                        strategies[lane][b] = assignment
-            for b, trim in chosen_trim:
-                assignment = BinAssignment(idx, recipe.destination, trim)
-                for lane in trim_lanes:
-                    if b in available[lane]:
-                        available[lane].discard(b)
-                        strategies[lane][b] = assignment
+                    rates = []
+                    for counts, strategy, divisor in views:
+                        count = counts.get(b)
+                        if count:
+                            held = strategy.get(b)
+                            if held is None:
+                                strategy[b] = assignment
+                                rates.append(count / divisor)
+                            elif held is claim:
+                                rates.append(count / divisor)
+                    predicted += sum(rates)
 
         return strategies
-
-    def _pooled_rate(self, lanes, b: int, available) -> float:
-        return sum(
-            self.predict_throughput(lane, (b,))
-            for lane in lanes
-            if b in available[lane]
-        )
 
     def lookup(self, lane: str, weight_g: float) -> BinAssignment:
         """Bin lookup for one fillet; unassigned bins fall to the default recipe."""
@@ -233,4 +325,4 @@ class ProductionController:
             hit = strategy.get(int(weight_g // self.config.bin_width_g))
             if hit is not None:
                 return hit
-        return BinAssignment(self.default_index, self.default_destination, None)
+        return self._default_assignment

@@ -69,6 +69,10 @@ class Kernel:
     def pending(self) -> int:
         return len(self._heap)
 
+    def discard_pending(self) -> None:
+        """Drop every event still on the calendar; they will never run."""
+        self._heap.clear()
+
 
 def derive_seed(base_seed: int, *labels: Any) -> int:
     """Pure 64-bit seed derivation from a base seed and a label path.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from flowdse.controller import ProductionController
+from flowdse.controller import ProductionController, RouteCatalog
 from flowdse.designspace import (
     DesignConfiguration,
     DesignSpace,
@@ -114,17 +114,18 @@ def _trunk_walk(space: DesignSpace, config: DesignConfiguration, origin_id: str)
 
 
 def resolve_routes(
-    space: DesignSpace, config: DesignConfiguration
+    space: DesignSpace, config: DesignConfiguration, catalog: RouteCatalog
 ) -> dict[str, dict[str, ResolvedRoute]]:
     """Per lane, per reachable destination tag: the unique resolved path.
 
     At a distributor, the out-port whose downstream set contains the target
     tag is taken; if several qualify, the smaller reachable set wins (the more
-    specific branch), then port declaration order.
+    specific branch), then port declaration order. `catalog` is
+    `derive_routes(space, config)`, handed in so that a plant build derives it
+    once for both its controller and its routes.
     """
     owner = space.port_owner
     edge_map = config.edge_map
-    catalog = derive_routes(space, config)
 
     reach_of: dict[str, frozenset[str]] = {}
 
@@ -224,7 +225,7 @@ class PlantSimulation:
         self.controller = ProductionController(
             scenario.controller, self.catalog, scenario.recipes
         )
-        self.routes = resolve_routes(space, config)
+        self.routes = resolve_routes(space, config, self.catalog)
         self.default_tag = scenario.default_recipe.destination
         for lane, lane_routes in self.routes.items():
             if self.default_tag not in lane_routes:
@@ -392,6 +393,12 @@ class PlantSimulation:
 
     def run(self) -> RunTallies:
         self.kernel.run()
+        # What is left on the calendar belongs to fillets still in flight at the
+        # horizon (tallied from `live`) and never runs. Those events hold this
+        # plant's bound handlers, a reference cycle that would keep a finished
+        # plant and its controller's windows alive until the next full garbage
+        # collection; dropping them lets the caller free it at once.
+        self.kernel.discard_pending()
         t = self.tallies
         t.in_flight = len(self.live)
         t.in_flight_mass_g = sum(self.live.values())

@@ -157,30 +157,48 @@ def _check_compatibility(space: DesignSpace, scenarios: list[Scenario]) -> None:
 # -- batch driver ------------------------------------------------------------
 
 
-def _load_journal(path: Path, fingerprint: dict) -> dict[tuple[int, int, int], dict]:
+def _load_journal(
+    path: Path, fingerprint: dict
+) -> tuple[dict[tuple[int, int, int], dict], int]:
+    """The cells a journal records, and the byte length of its intact part.
+
+    Every record is written as one line and flushed, so a kill mid-write can
+    only tear the last line. A last line that is torn (no newline) or does
+    not parse is dropped: its cell runs again, and the caller truncates the
+    file to the intact length before appending. A header that is torn before
+    its newline leaves nothing to keep (length 0). Any other bad line is
+    corruption and a `PlanError`.
+    """
     completed: dict[tuple[int, int, int], dict] = {}
     if not path.exists():
-        return completed
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            return completed
+        return completed, 0
+    lines = path.read_bytes().split(b"\n")
+    torn = lines.pop()  # the bytes after the last newline; empty when intact
+    if not lines:
+        return completed, 0
+    try:
+        head = json.loads(lines[0])
+    except ValueError:
+        head = None
+    if not isinstance(head, dict):
+        raise PlanError(f"{path} is corrupt (bad header line)")
+    if head.get("plan") != fingerprint:
+        raise PlanError(
+            f"{path} was written by a different plan; "
+            f"use a fresh --out directory or matching inputs"
+        )
+    intact = len(lines[0]) + 1
+    for number, line in enumerate(lines[1:], start=2):
         try:
-            head = json.loads(header)
-        except json.JSONDecodeError:
-            raise PlanError(f"{path} is corrupt (bad header line)") from None
-        if head.get("plan") != fingerprint:
-            raise PlanError(
-                f"{path} was written by a different plan; "
-                f"use a fresh --out directory or matching inputs"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            completed[tuple(entry["cell"])] = entry["result"]
-    return completed
+            if line.strip():
+                entry = json.loads(line)
+                completed[tuple(entry["cell"])] = entry["result"]
+        except (ValueError, KeyError, TypeError):
+            if number == len(lines) and not torn:
+                break  # an unparsable last line: drop it like a torn one
+            raise PlanError(f"{path} is corrupt (bad line {number})") from None
+        intact += len(line) + 1
+    return completed, intact
 
 
 def explore(plan: RunPlan, echo=None) -> ExplorationReport:
@@ -202,6 +220,8 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         raise PlanError(f"thresholds reference unknown scenarios: {sorted(unknown)}")
     if plan.stop_first and not thresholds:
         raise PlanError("--stop-first needs at least one --min-attainment threshold")
+    if plan.replications < 1:
+        raise PlanError(f"--replications must be at least 1, got {plan.replications}")
 
     configs = list(enumerate_configurations(space))
     say(f"{space.space_id}: {len(configs)} configurations")
@@ -218,7 +238,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     journal_path = out_dir / "journal.jsonl"
     fingerprint = plan.fingerprint()
-    completed = _load_journal(journal_path, fingerprint)
+    completed, intact = _load_journal(journal_path, fingerprint)
     if completed:
         say(f"journal: {len(completed)} cells already done")
 
@@ -230,9 +250,9 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     ]
     pending = [c for c in cells if c[:3] not in completed]
 
-    fresh = journal_path if not journal_path.exists() else None
     journal = open(journal_path, "a", encoding="utf-8")
-    if fresh:
+    journal.truncate(intact)  # drop a torn last line so the next record starts clean
+    if not intact:
         journal.write(json.dumps({"plan": fingerprint}) + "\n")
         journal.flush()
 

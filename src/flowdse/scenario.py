@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,10 +131,10 @@ def _parse_recipe(raw: dict, pos: int) -> Recipe:
         if target <= 0:
             raise ScenarioError(f"{where}: target throughput must be positive")
 
-    if not (0 <= min_w < max_w):
-        raise ScenarioError(f"{where}: need 0 <= min < max, got [{min_w}, {max_w}]")
-    if max_trim < 0:
-        raise ScenarioError(f"{where}: max trim weight must be >= 0")
+    if not (0 <= min_w < max_w < math.inf):
+        raise ScenarioError(f"{where}: need 0 <= min < max < inf, got [{min_w}, {max_w}]")
+    if not 0 <= max_trim < math.inf:
+        raise ScenarioError(f"{where}: max trim weight must be >= 0 and finite, got {max_trim}")
     return Recipe(destination, priority, target, min_w, max_w, max_trim)
 
 
@@ -227,9 +228,16 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
         if lane in seen_lanes:
             raise ScenarioError(f"{where}: duplicate lane id {lane!r}")
         seen_lanes.add(lane)
-        rate = float(lane_raw["rate_per_min"])
-        if rate <= 0:
-            raise ScenarioError(f"{where}: rate_per_min must be positive")
+        if "rate_per_min" not in lane_raw:
+            raise ScenarioError(f"{where}.rate_per_min: missing")
+        try:
+            rate = float(lane_raw["rate_per_min"])
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"{where}.rate_per_min: not a number: {lane_raw['rate_per_min']!r}"
+            ) from None
+        if not 0 < rate < math.inf:  # an infinite rate would never advance the clock
+            raise ScenarioError(f"{where}.rate_per_min: must be positive and finite, got {rate}")
         process = lane_raw.get("process", "deterministic")
         if process not in ("deterministic", "poisson"):
             raise ScenarioError(f"{where}: unknown arrival process {process!r}")

@@ -13,6 +13,7 @@ from flowdse.controller import (
     RouteCatalog,
 )
 from flowdse.scenario import Recipe
+from strategy_oracle import LegacyStrategies
 
 
 def recipe(dest, prio, target, lo, hi, trim):
@@ -511,3 +512,114 @@ class TestAgainstReference:
             }
             for b, entry in surviving.items():
                 assert slim[lane][b] == entry
+
+
+# -- differential test against the strategy build the ladder replaced ---------
+
+def in_order(strategies):
+    """Strategies with their insertion order, which the ladder must also keep."""
+    return [(lane, list(by_bin.items())) for lane, by_bin in strategies.items()]
+
+
+@st.composite
+def ladder_instances(draw):
+    """Small random controllers aimed at the ladder's edges.
+
+    Bin widths include 0.1 g, where a limit that is a multiple of the width
+    can put one bin on both the direct and the trim side. In exact mode every
+    window lies within one recompute interval, so each rate is count / 0.5,
+    count / 1 or count / 2 and targets are halves: `predicted == target` ties
+    are common. Windows may be empty, hold one sample, or evict.
+    """
+    binw = draw(st.sampled_from([0.1, 2.5, 7.3, 10.0]))
+    exact = draw(st.booleans())
+    if exact:
+        t_s = draw(st.sampled_from([30.0, 60.0, 120.0]))
+        horizon = t_s
+    else:
+        t_s = draw(st.floats(0.1, 100.0))
+        horizon = draw(st.floats(0.0, 1000.0))
+    # a position on the weight axis, in bins: whole (a limit on a bin edge) or not
+    position = st.integers(0, 12).map(float) | st.floats(0.0, 12.0)
+
+    recipes = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(position)
+        hi = lo + draw(st.integers(1, 6).map(float) | st.floats(0.05, 6.0))
+        if exact:
+            target = draw(st.integers(1, 16)) / 2
+        else:
+            target = draw(st.floats(0.01, 300.0))
+        recipes.append(
+            recipe(
+                draw(st.sampled_from(TAGS)),
+                draw(st.integers(1, 3)),
+                target,
+                lo * binw,
+                hi * binw,
+                draw(st.just(0.0) | position.map(lambda k: k / 4)) * binw,
+            )
+        )
+    recipes.insert(draw(st.integers(0, len(recipes))), DEFAULT)
+
+    lanes = [f"l{i}" for i in range(draw(st.integers(1, 4)))]
+    reachable = {
+        ln: {"strips"} | {t for t in TAGS if draw(st.booleans())} for ln in lanes
+    }
+    has_trimmer = {ln: draw(st.booleans()) for ln in lanes}
+    weight = (st.integers(0, 15).map(float) | st.floats(0.0, 16.0)).map(lambda k: k * binw)
+    sample = st.tuples(st.floats(0.0, horizon), weight)
+    batches = [
+        {ln: sorted(draw(st.lists(sample, max_size=40))) for ln in lanes}
+        for _ in range(2)
+    ]
+    window = draw(st.integers(1, 40))
+    return binw, t_s, window, recipes, reachable, has_trimmer, batches
+
+
+class TestLadderMatchesLegacy:
+    @given(ladder_instances())
+    def test_same_strategies_as_the_legacy_build(self, instance):
+        binw, t_s, window, recipes, reachable, has_trimmer, batches = instance
+        first, second = batches
+        ctrl = make_controller(
+            first,
+            recipes,
+            reachable=reachable,
+            has_trimmer=has_trimmer,
+            binw=binw,
+            t_s=t_s,
+            window=window,
+        )
+        legacy = LegacyStrategies(ctrl)
+        assert in_order(ctrl.compute_strategies()) == in_order(legacy.compute_strategies())
+        # a second recompute on moved windows: nothing may carry over
+        for lane, samples in second.items():
+            for t, w in samples:
+                ctrl.record_weight(lane, w, t + 1000.0)
+        assert in_order(ctrl.compute_strategies()) == in_order(legacy.compute_strategies())
+
+    def test_tie_at_the_target_stops_the_walk(self):
+        # two lanes, 5 per minute each in bins 10 and 11: bin 10 alone meets 10/min
+        lane = [(0.0, 105.0)] * 5 + [(0.0, 115.0)] * 5 + [(60.0, 9000.0)]
+        ctrl = make_controller(
+            {"a": lane, "b": lane}, [recipe("d0", 1, 10, 100, 200, 0), DEFAULT]
+        )
+        strategies = ctrl.compute_strategies()
+        assert in_order(strategies) == in_order(LegacyStrategies(ctrl).compute_strategies())
+        assert set(strategies["a"]) == set(strategies["b"]) == {10}
+
+    def test_bin_on_both_sides_of_the_upper_limit(self):
+        # at 0.1 g bins a 0.5 g upper limit makes bin 4 the last direct bin
+        # (5 * 0.1 == 0.5) and the first trim bin, with a 0.0 g cut. Its rate
+        # counts twice towards the target and the direct claim wins: bins
+        # 2, 3, 4 give 3/min, then trim bins 4 and 5 reach 5 >= 4.5/min.
+        weights = [0.25, 0.35, 0.45, 0.55, 0.65]
+        lane = [(0.0, w) for w in weights] + [(60.0, 9.05)]
+        recipes = [recipe("d0", 1, 4.5, 0.2, 0.5, 0.3), DEFAULT]
+        ctrl = make_controller({"a": lane}, recipes, binw=0.1, t_s=60.0)
+        strategies = ctrl.compute_strategies()
+        assert in_order(strategies) == in_order(LegacyStrategies(ctrl).compute_strategies())
+        assert [(b, a.trim_g) for b, a in strategies["a"].items()] == [
+            (2, None), (3, None), (4, None), (5, pytest.approx(0.1)),
+        ]

@@ -123,6 +123,15 @@ class TestHorizon:
         assert log == ["in", "edge"]
         assert k.pending() == 1
 
+    def test_discard_pending_empties_the_calendar(self):
+        k = Kernel(horizon=10.0)
+        log = []
+        k.schedule(10.0001, record(log), "out")
+        k.run()
+        k.discard_pending()
+        assert k.pending() == 0
+        assert log == []
+
     def test_run_until_partial_then_resume(self):
         k = Kernel(horizon=100.0)
         log = []

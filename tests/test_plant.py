@@ -1,11 +1,18 @@
 import dataclasses
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from flowdse.controller import BinAssignment, ControllerConfig
-from flowdse.designspace import enumerate_configurations, load_design_space, parse_design_space
+from flowdse.designspace import (
+    derive_routes,
+    enumerate_configurations,
+    load_design_space,
+    parse_design_space,
+)
 from flowdse.plant import PlantBuildError, PlantSimulation, RoutingFault, resolve_routes
 from flowdse.scenario import (
     EmpiricalWeights,
@@ -15,6 +22,7 @@ from flowdse.scenario import (
     TruncatedNormalWeights,
     load_scenario,
 )
+from strategy_oracle import LegacyStrategies
 
 DATA = Path(__file__).parent.parent / "src" / "flowdse" / "data"
 
@@ -383,10 +391,31 @@ class TestDeterminism:
         assert a.injected_mass_g != b.injected_mass_g
 
 
+class TestLifetime:
+    def test_finished_plant_is_freed_without_a_garbage_collection(self):
+        # fillets still in flight at the horizon leave events on the calendar
+        space = one_lane_space()
+        scenario = make_scenario(
+            [BAND, STRIPS], [LaneInflow("lane", 60.0, narrow(280.0))], horizon=120.0
+        )
+        sim = PlantSimulation(space, only_config(space), scenario, seed=1)
+        tallies = sim.run()
+        assert tallies.in_flight > 0
+        plant, controller = weakref.ref(sim), weakref.ref(sim.controller)
+        gc.disable()
+        try:
+            del sim
+            assert plant() is None
+            assert controller() is None
+        finally:
+            gc.enable()
+
+
 class TestRouteResolution:
     def test_single_tag_per_destination_offsets(self):
         space = one_lane_space(with_trimmer=False)
-        routes = resolve_routes(space, only_config(space))
+        config = only_config(space)
+        routes = resolve_routes(space, config, derive_routes(space, config))
         lane = routes["origin1"]
         assert set(lane) == {"batching2", "fillet_strips"}
         # assignment latency + distributor latency
@@ -396,7 +425,8 @@ class TestRouteResolution:
 
     def test_trimmer_route_records_the_cut_point(self):
         space = one_lane_space()
-        routes = resolve_routes(space, only_config(space))
+        config = only_config(space)
+        routes = resolve_routes(space, config, derive_routes(space, config))
         lane = routes["origin1"]
         assert lane["batching2"].trimmer_id == "trim1"
         assert lane["batching2"].trim_offset_s == 1.0
@@ -404,8 +434,42 @@ class TestRouteResolution:
 
     def test_every_case_study_lane_resolves_all_tags(self, case_space, case_configs):
         for config in case_configs[::97]:
-            routes = resolve_routes(case_space, config)
+            routes = resolve_routes(case_space, config, derive_routes(case_space, config))
             for lane, lane_routes in routes.items():
                 for tag, route in lane_routes.items():
                     assert route.hops[-1][0] == route.destination_id
                     assert route.destination_offset_s >= 2.0
+
+
+class TestControllerInThePlant:
+    @pytest.mark.parametrize("scenario_file", ["scenario1.json", "scenario2.json"])
+    def test_every_recompute_matches_the_legacy_strategy_build(
+        self, case_space, case_configs, scenario_file
+    ):
+        scenario = dataclasses.replace(load_scenario(DATA / scenario_file), horizon_s=1215.0)
+        # design 37: two lanes trim, two cannot, and trim bins get claimed
+        config = case_configs[37]
+        assert sorted(derive_routes(case_space, config).has_trimmer.values()) == [
+            False, False, True, True,
+        ]
+        sim = PlantSimulation(case_space, config, scenario, seed=11)
+        controller = sim.controller
+        legacy = LegacyStrategies(controller)
+        recompute = controller.recompute
+        checked = []
+
+        def checked_recompute(time_s):
+            recompute(time_s)
+            expected = legacy.compute_strategies()
+            got = controller.strategies
+            assert [(lane, list(s.items())) for lane, s in got.items()] == [
+                (lane, list(s.items())) for lane, s in expected.items()
+            ]
+            checked.append(
+                any(a.trim_g is not None for s in expected.values() for a in s.values())
+            )
+
+        controller.recompute = checked_recompute
+        sim.run()
+        assert len(checked) == controller.recomputes == 116
+        assert any(checked)  # the trim phase took part

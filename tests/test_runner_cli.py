@@ -200,6 +200,51 @@ class TestExplore:
         with pytest.raises(PlanError, match="corrupt"):
             run_explore(mini, out)
 
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            pytest.param(lambda last: last[: len(last) // 2], id="torn"),
+            pytest.param(lambda last: last, id="no-newline"),
+            pytest.param(lambda last: b"{not json\n", id="unparsable"),
+        ],
+    )
+    def test_bad_last_journal_line_is_dropped_and_its_cell_rerun(
+        self, mini, tmp_path, tail
+    ):
+        first = run_explore(mini, tmp_path / "a")
+        intact = first.files["journal"].read_bytes()
+        *kept, last, _ = intact.split(b"\n")
+
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "journal.jsonl").write_bytes(b"\n".join(kept) + b"\n" + tail(last))
+        resumed = run_explore(mini, out)
+        assert resumed.cells_resumed == 1
+        assert resumed.cells_executed == 1
+        # the fragment was cut away, so the re-run record starts on its own line
+        assert resumed.files["journal"].read_bytes() == intact
+        for name in ("results", "plot", "pareto"):
+            assert resumed.files[name].read_bytes() == first.files[name].read_bytes()
+
+    def test_bad_journal_line_before_the_last_is_refused(self, mini, tmp_path):
+        first = run_explore(mini, tmp_path / "a")
+        head, _, last = first.files["journal"].read_text().splitlines()
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "journal.jsonl").write_text(f"{head}\n{{not json\n{last}\n")
+        with pytest.raises(PlanError, match="corrupt \\(bad line 2\\)"):
+            run_explore(mini, out)
+
+    def test_torn_journal_header_starts_afresh(self, mini, tmp_path):
+        first = run_explore(mini, tmp_path / "a")
+        header = first.files["journal"].read_bytes().split(b"\n")[0]
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "journal.jsonl").write_bytes(header[:10])
+        resumed = run_explore(mini, out)
+        assert resumed.cells_executed == 2
+        assert resumed.files["journal"].read_bytes() == first.files["journal"].read_bytes()
+
     def test_stop_first_halts_at_the_qualifying_design(self, mini, tmp_path):
         report = run_explore(
             mini,
@@ -405,6 +450,52 @@ class TestCli:
         )
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_replications_below_one_is_an_input_error(
+        self, mini, tmp_path, capsys, replications
+    ):
+        code = main(
+            [
+                "explore",
+                "--space", str(mini["space"]),
+                "--scenario", str(mini["scenario"]),
+                "--replications", replications,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: --replications must be at least 1, got {replications}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            (None, "inflow[0].rate_per_min: missing"),
+            ("fast", "inflow[0].rate_per_min: not a number: 'fast'"),
+            ([60], "inflow[0].rate_per_min: not a number: [60]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "explore"])
+    def test_bad_inflow_rate_is_an_input_error(
+        self, mini, tmp_path, capsys, rate, message, command
+    ):
+        lane = dict(MINI_SCENARIO["inflow"][0])
+        if rate is None:
+            del lane["rate_per_min"]
+        else:
+            lane["rate_per_min"] = rate
+        scen_path = tmp_path / "scen.json"
+        scen_path.write_text(json.dumps(dict(MINI_SCENARIO, inflow=[lane])))
+        argv = [command, "--space", str(mini["space"]), "--scenario", str(scen_path)]
+        if command == "explore":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.out + captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("bad", ["-1", "18446744073709551616", "1.5"])
     def test_seed_must_be_a_64_bit_integer(self, bad, capsys):

@@ -176,6 +176,21 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             parse_scenario(raw, base_dir=Path("."))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_fillet_weight_g", float("inf"), "min < max < inf"),
+            ("max_trim_weight_g", float("inf"), "max trim weight"),
+            ("max_trim_weight_g", float("nan"), "max trim weight"),
+        ],
+    )
+    def test_non_finite_weight_limits_rejected(self, field, value, message):
+        # an unbounded band or trim allowance has no last bin for the controller
+        raw = minimal_raw()
+        raw["recipes"][0][field] = value
+        with pytest.raises(ScenarioError, match=f"recipes\\[0\\]: .*{message}"):
+            parse_scenario(raw, base_dir=Path("."))
+
     def test_zero_target_rejected(self):
         raw = minimal_raw()
         raw["recipes"][0]["target_throughput_per_min"] = 0
