@@ -296,9 +296,10 @@ class ProductionController:
                         rates.append(count / divisor)
                 predicted += sum(rates)
 
-            # trim phase: only lanes that can physically trim. A bin this
-            # recipe's direct phase just claimed still counts as available
-            # here, as it did before the direct claims were written.
+            # trim phase: only lanes that can physically trim. Availability is
+            # as it stood before this recipe's own claims: a bin its direct
+            # phase just claimed (see `Rung.trim`) adds its rate again but
+            # keeps its direct claim.
             if predicted < target and trim_positions and rung.trim:
                 views = [states[i] for i in trim_positions]
                 for b, assignment in rung.trim:
