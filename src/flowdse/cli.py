@@ -18,7 +18,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from flowdse.designspace import DesignSpaceError
+from flowdse.designspace import DesignSpaceError, PlantBuildError
 from flowdse.runner import (
     JOBS_ENV_VAR,
     PlanError,
@@ -30,7 +30,15 @@ from flowdse.runner import (
 )
 from flowdse.scenario import ScenarioError
 
-INPUT_ERRORS = (DesignSpaceError, ScenarioError, PlanError, FileNotFoundError, OSError)
+# a design that cannot be built cannot serve the scenario: bad inputs, not a bug
+INPUT_ERRORS = (
+    DesignSpaceError,
+    ScenarioError,
+    PlanError,
+    PlantBuildError,
+    FileNotFoundError,
+    OSError,
+)
 
 
 def _seed(text: str) -> int:

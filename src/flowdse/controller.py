@@ -56,16 +56,15 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class RouteCatalog:
-    """Static routing facts derived from one design's wiring.
+    """The controller's view of one design's wiring (see `compile_design`).
 
     reachable: lane id -> destination tags reachable from its assignment stage.
-    has_trimmer: lane id -> whether a trimming module lies on the lane's path.
-    distributor_ports: distributor id -> (out port -> reachable tag frozenset).
+    has_trimmer: lane id -> whether every route of the lane passes a trimming
+        module, i.e. one sits after the assignment and before any branch.
     """
 
     reachable: dict[str, frozenset[str]]
     has_trimmer: dict[str, bool]
-    distributor_ports: dict[str, dict[str, frozenset[str]]]
 
     @property
     def lanes(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Design spaces: module declarations, allowed-connection matrix, enumeration, dedup.
+"""Design spaces: module declarations, connection matrix, enumeration, dedup, compiling.
 
 A design space is a set of module declarations plus a boolean matrix saying
 which out-port may feed which in-port. Enumeration expands a frontier of
@@ -20,6 +20,11 @@ interchangeable module instances. Two modules are interchangeable when their
 declarations match and swapping them (ports mapped positionally) maps the
 allowed-connection set onto itself; the canonical key is the smallest edge
 list over all relabelings within those classes.
+
+Compiling a configuration (`compile_design`) walks its wiring once and gives
+every routing fact a plant and its controller need: per lane, the weighing
+and assignment modules with their offsets, the reachable destination tags,
+whether the lane can trim, and one route per tag.
 """
 
 from __future__ import annotations
@@ -153,10 +158,14 @@ def load_design_space(path: str | Path) -> DesignSpace:
 
 
 def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
+    if not isinstance(raw, dict):
+        raise DesignSpaceError(f"{fallback_id}: must be a JSON object, got {raw!r:.40}")
     space_id = raw.get("id", fallback_id)
     modules = []
     for i, m in enumerate(raw.get("modules", [])):
         where = f"modules[{i}]"
+        if not isinstance(m, dict):
+            raise DesignSpaceError(f"{where}: must be a JSON object, got {m!r:.40}")
         try:
             kind = ModuleKind(m["kind"])
             module_id = m["id"]
@@ -164,19 +173,33 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
             raise DesignSpaceError(f"{where}: missing field {missing}") from None
         except ValueError:
             raise DesignSpaceError(f"{where}: unknown kind {m.get('kind')!r}") from None
+        try:
+            latency_s = float(m.get("latency_s", 1.0))
+        except (TypeError, ValueError):
+            raise DesignSpaceError(
+                f"{where}.latency_s: not a number: {m['latency_s']!r}"
+            ) from None
         tag = m.get("destination_tag")
         spec = ModuleSpec(
             module_id=module_id,
             kind=kind,
             in_ports=tuple(m.get("in_ports", ())),
             out_ports=tuple(m.get("out_ports", ())),
-            latency_s=float(m.get("latency_s", 1.0)),
+            latency_s=latency_s,
             destination_tag=tag,
             required=bool(m.get("required", False)),
             merge_allowed=bool(m.get("merge_allowed", tag == "fillet_strips")),
         )
         modules.append(spec)
-    allowed = [tuple(pair) for pair in raw.get("allowed", [])]
+    allowed = []
+    for i, pair in enumerate(raw.get("allowed", [])):
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+        ):
+            raise DesignSpaceError(
+                f"allowed[{i}]: must be an [out-port, in-port] pair, got {pair!r:.60}"
+            )
+        allowed.append(tuple(pair))
     space = DesignSpace(space_id, tuple(modules), tuple(allowed))
     problems = space_problems(space)
     if problems:
@@ -480,76 +503,148 @@ def deduplicate(
     return [(table[key][0], table[key][1]) for key in order]
 
 
-# -- route derivation --------------------------------------------------------
+# -- compiling a design --------------------------------------------------------
 
 
-def derive_routes(space: DesignSpace, config: DesignConfiguration) -> RouteCatalog:
-    """Static routing facts for the controller, from one configuration's wiring.
+class PlantBuildError(RuntimeError):
+    """The configuration cannot serve the scenario (construction-time)."""
 
-    A lane "has trimming" only when a trimming module sits on the trunk between
-    its assignment stage and the first distributor, i.e. before any branching:
-    only then is a trim instruction guaranteed to be executed whatever the
-    destination.
+
+@dataclass(frozen=True)
+class ResolvedRoute:
+    """Path facts from a lane's assignment module to one destination tag."""
+
+    destination_offset_s: float  # assignment arrival -> destination arrival
+    trim_offset_s: float | None  # assignment arrival -> trimmer arrival
+    trimmer_id: str | None
+    destination_id: str
+    hops: tuple[tuple[str, float], ...]  # (module id, arrival offset), dest included
+
+
+@dataclass(frozen=True)
+class CompiledLane:
+    """Everything a plant needs to know about one lane's wiring."""
+
+    weigh_module: str
+    weigh_offset_s: float  # origin arrival -> weighing arrival
+    assign_module: str
+    assign_offset_s: float  # weighing arrival -> assignment arrival
+    reachable: frozenset[str]  # destination tags reachable from the assignment
+    has_trimmer: bool  # a trimmer sits after the assignment, before any branch
+    routes: dict[str, ResolvedRoute]  # per reachable tag
+
+
+@dataclass(frozen=True)
+class CompiledDesign:
+    lanes: dict[str, CompiledLane]  # per origin, in declaration order
+
+    @property
+    def catalog(self) -> RouteCatalog:
+        return RouteCatalog(
+            {lane: c.reachable for lane, c in self.lanes.items()},
+            {lane: c.has_trimmer for lane, c in self.lanes.items()},
+        )
+
+    @property
+    def routes(self) -> dict[str, dict[str, ResolvedRoute]]:
+        return {lane: c.routes for lane, c in self.lanes.items()}
+
+
+def compile_design(space: DesignSpace, config: DesignConfiguration) -> CompiledDesign:
+    """Walk one configuration's wiring once, lane by lane, for every routing fact.
+
+    A lane's trunk is its single path from the origin: it must pass a weighing
+    module and then an assignment module, or the design cannot be built. From
+    the assignment on, the walk follows every branch. At a distributor each
+    destination tag takes the out-port whose downstream reaches it; if several
+    do, the smallest reachable set wins (the more specific branch), then the
+    smaller downstream module id. Offsets are cumulative latencies, measured
+    from the origin on the trunk and from the assignment on a route.
+
+    A lane "has a trimmer" only when a trimming module sits after the
+    assignment and before the first module with more than one successor: only
+    then is a trim instruction executed whatever the destination. A route may
+    still pass a trimmer behind a distributor; it records that trimmer.
     """
     owner = space.port_owner
     edge_map = config.edge_map
+    by_id = space.by_id
+    reach_of: dict[str, frozenset[str]] = {}
 
-    def successors(module_id: str) -> list[str]:
-        m = space.by_id[module_id]
-        out = []
-        for p in m.out_ports:
-            in_port = edge_map.get(m.port_key(p))
-            if in_port is not None:
-                out.append(owner[in_port].module_id)
-        return out
+    def successors(m: ModuleSpec) -> list[ModuleSpec]:
+        return [owner[edge_map[m.port_key(p)]] for p in m.out_ports if m.port_key(p) in edge_map]
 
-    reach_memo: dict[str, frozenset[str]] = {}
+    def reach(m: ModuleSpec) -> frozenset[str]:
+        found = reach_of.get(m.module_id)
+        if found is None:
+            if m.kind == ModuleKind.DESTINATION:
+                found = frozenset({m.destination_tag})
+            else:
+                found = frozenset().union(*[reach(s) for s in successors(m)])
+            reach_of[m.module_id] = found
+        return found
 
-    def reach(module_id: str) -> frozenset[str]:
-        cached = reach_memo.get(module_id)
-        if cached is not None:
-            return cached
-        m = space.by_id[module_id]
+    def follow(m, offset, hops, trim, tags, on_trunk, routes) -> bool:
+        """Route `tags` on from module m, entered `offset` s after the assignment.
+
+        Fills `routes`; returns whether a trimmer sits on the trunk.
+        """
+        hops += ((m.module_id, offset),)
+        trims = m.kind == ModuleKind.TRIMMING
+        if trims and trim is None:
+            trim = (offset, m.module_id)
         if m.kind == ModuleKind.DESTINATION:
-            tags = frozenset({m.destination_tag})
-        else:
-            tags = frozenset().union(*[reach(s) for s in successors(module_id)])
-        reach_memo[module_id] = tags
-        return tags
+            trim_offset, trimmer_id = trim or (None, None)
+            routes[m.destination_tag] = ResolvedRoute(
+                offset, trim_offset, trimmer_id, m.module_id, hops
+            )
+            return False
+        trunk_trims = branch(m, offset + m.latency_s, hops, trim, tags, on_trunk, routes)
+        return trunk_trims or (trims and on_trunk)
 
-    reachable: dict[str, frozenset[str]] = {}
-    has_trimmer: dict[str, bool] = {}
+    def branch(m, offset, hops, trim, tags, on_trunk, routes) -> bool:
+        nxt = successors(m)
+        on_trunk = on_trunk and len(nxt) == 1
+        if len(m.out_ports) == 1:
+            return follow(nxt[0], offset, hops, trim, tags, on_trunk, routes)
+        by_module: dict[str, set[str]] = {}
+        for tag in tags:
+            _, chosen = min((len(reach(s)), s.module_id) for s in nxt if tag in reach(s))
+            by_module.setdefault(chosen, set()).add(tag)
+        return any(
+            [
+                follow(by_id[module_id], offset, hops, trim, sub, on_trunk, routes)
+                for module_id, sub in by_module.items()
+            ]
+        )
+
+    lanes: dict[str, CompiledLane] = {}
     for origin in space.origins:
-        if origin.module_id not in config.connected:
-            continue
-        # walk the trunk to the assignment stage, then on to the first branch
-        node = origin.module_id
-        assignment_seen = False
-        trimmer_on_trunk = False
-        while True:
-            m = space.by_id[node]
-            if m.kind == ModuleKind.ASSIGNMENT:
-                assignment_seen = True
-                reachable[origin.module_id] = reach(node)
-            if m.kind == ModuleKind.TRIMMING and assignment_seen:
-                trimmer_on_trunk = True
+        lane = origin.module_id
+        node, offset, weigh = origin, 0.0, None
+        # bounded, so that a hand-built cyclic wiring cannot loop forever
+        for _ in range(len(space.modules)):
+            if node.kind == ModuleKind.WEIGHING and weigh is None:
+                weigh = (node.module_id, offset)
             nxt = successors(node)
-            if len(nxt) != 1 or m.kind == ModuleKind.DESTINATION:
+            if node.kind in (ModuleKind.ASSIGNMENT, ModuleKind.DESTINATION) or len(nxt) != 1:
                 break
+            offset += node.latency_s
             node = nxt[0]
-        if origin.module_id not in reachable:
-            reachable[origin.module_id] = reach(origin.module_id)
-        has_trimmer[origin.module_id] = trimmer_on_trunk
-
-    distributor_ports: dict[str, dict[str, frozenset[str]]] = {}
-    for m in space.modules:
-        if m.kind != ModuleKind.DISTRIBUTION or m.module_id not in config.connected:
-            continue
-        ports = {}
-        for p in m.out_ports:
-            in_port = edge_map.get(m.port_key(p))
-            if in_port is not None:
-                ports[p] = reach(owner[in_port].module_id)
-        distributor_ports[m.module_id] = ports
-
-    return RouteCatalog(reachable, has_trimmer, distributor_ports)
+        if weigh is None or node.kind != ModuleKind.ASSIGNMENT:
+            raise PlantBuildError(
+                f"lane {lane}: trunk must pass a weighing then an assignment module"
+            )
+        reachable = reach(node)
+        routes: dict[str, ResolvedRoute] = {}
+        has_trimmer = branch(node, node.latency_s, (), None, reachable, True, routes)
+        lanes[lane] = CompiledLane(
+            weigh_module=weigh[0],
+            weigh_offset_s=weigh[1],
+            assign_module=node.module_id,
+            assign_offset_s=offset - weigh[1],
+            reachable=reachable,
+            has_trimmer=has_trimmer,
+            routes=routes,
+        )
+    return CompiledDesign(lanes)

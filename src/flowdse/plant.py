@@ -1,13 +1,15 @@
 """Executable plant model: one design configuration run under one scenario.
 
-Construction resolves the configuration's wiring into per-(lane, destination)
-routes: the module path from the lane's assignment stage to the destination,
-its cumulative latency, and the trimmer passage time if the lane trims. At
-run time each fillet then needs only a handful of calendar events - arrival
-at the origin, weight measurement, assignment lookup, optional trim, and
-absorption - while the intermediate conveyor hops contribute latency without
-their own events. Trace mode reconstructs the per-hop rows from the resolved
-route so the fused events stay observable.
+Construction compiles the configuration once (`designspace.compile_design`):
+per lane, the weighing and assignment modules with their offsets on the
+trunk, and per reachable destination tag a route from the assignment module
+with its cumulative latency, the first trimmer it passes and the hops. The
+controller reads the same result as its route catalog. At run time each
+fillet then needs only a handful of calendar events - arrival at the origin,
+weight measurement, assignment lookup, optional trim, and absorption - while
+the intermediate conveyor hops contribute latency without their own events.
+Trace mode reconstructs the per-hop rows from the route so the fused events
+stay observable.
 
 Flow semantics: modules never block (in-line conveyors, unbounded occupancy),
 so a fillet arriving at module M at time t arrives at M's successor at
@@ -18,19 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from flowdse.controller import ProductionController, RouteCatalog
+from flowdse.controller import ProductionController
 from flowdse.designspace import (
     DesignConfiguration,
     DesignSpace,
-    ModuleKind,
-    derive_routes,
+    PlantBuildError,
+    compile_design,
 )
 from flowdse.kernel import Kernel, RandomStream
 from flowdse.scenario import Scenario
-
-
-class PlantBuildError(RuntimeError):
-    """The configuration cannot serve the scenario (construction-time)."""
 
 
 class RoutingFault(RuntimeError):
@@ -47,17 +45,6 @@ class Fillet:
     recipe_index: int | None = None
     pending_trim_g: float | None = None
     trimmed_g: float = 0.0
-
-
-@dataclass(frozen=True)
-class ResolvedRoute:
-    """Path facts from a lane's assignment module to one destination tag."""
-
-    destination_offset_s: float  # assignment arrival -> destination arrival
-    trim_offset_s: float | None  # assignment arrival -> trimmer arrival
-    trimmer_id: str | None
-    destination_id: str
-    hops: tuple[tuple[str, float], ...]  # (module id, arrival offset), dest included
 
 
 @dataclass(slots=True)
@@ -92,114 +79,6 @@ class RunTallies:
     recomputes: int = 0
 
 
-def _trunk_walk(space: DesignSpace, config: DesignConfiguration, origin_id: str):
-    """Yield (module, arrival offset from origin) along the lane's single path."""
-    owner = space.port_owner
-    edge_map = config.edge_map
-    node = space.by_id[origin_id]
-    offset = 0.0
-    for _ in range(len(space.modules) + 1):
-        yield node, offset
-        if node.kind == ModuleKind.DESTINATION:
-            return
-        nxt = [
-            owner[edge_map[node.port_key(p)]].module_id
-            for p in node.out_ports
-            if node.port_key(p) in edge_map
-        ]
-        if len(nxt) != 1:
-            return
-        offset += node.latency_s
-        node = space.by_id[nxt[0]]
-
-
-def resolve_routes(
-    space: DesignSpace, config: DesignConfiguration, catalog: RouteCatalog
-) -> dict[str, dict[str, ResolvedRoute]]:
-    """Per lane, per reachable destination tag: the unique resolved path.
-
-    At a distributor, the out-port whose downstream set contains the target
-    tag is taken; if several qualify, the smaller reachable set wins (the more
-    specific branch), then port declaration order. `catalog` is
-    `derive_routes(space, config)`, handed in so that a plant build derives it
-    once for both its controller and its routes.
-    """
-    owner = space.port_owner
-    edge_map = config.edge_map
-
-    reach_of: dict[str, frozenset[str]] = {}
-
-    def tags_from(module_id: str) -> frozenset[str]:
-        cached = reach_of.get(module_id)
-        if cached is not None:
-            return cached
-        m = space.by_id[module_id]
-        if m.kind == ModuleKind.DESTINATION:
-            result = frozenset({m.destination_tag})
-        else:
-            parts = []
-            for p in m.out_ports:
-                in_port = edge_map.get(m.port_key(p))
-                if in_port is not None:
-                    parts.append(tags_from(owner[in_port].module_id))
-            result = frozenset().union(*parts)
-        reach_of[module_id] = result
-        return result
-
-    routes: dict[str, dict[str, ResolvedRoute]] = {}
-    for origin in space.origins:
-        if origin.module_id not in config.connected:
-            continue
-        assignment = None
-        for module, _ in _trunk_walk(space, config, origin.module_id):
-            if module.kind == ModuleKind.ASSIGNMENT:
-                assignment = module
-                break
-        if assignment is None:
-            raise PlantBuildError(
-                f"lane {origin.module_id}: no single-path trunk to an assignment module"
-            )
-
-        lane_routes: dict[str, ResolvedRoute] = {}
-        for tag in catalog.reachable[origin.module_id]:
-            hops: list[tuple[str, float]] = []
-            offset = assignment.latency_s
-            trim_offset = None
-            trimmer_id = None
-            m = assignment
-            while m.kind != ModuleKind.DESTINATION:
-                if len(m.out_ports) == 1:
-                    in_port = edge_map[m.port_key(m.out_ports[0])]
-                    nxt_id = owner[in_port].module_id
-                else:
-                    candidates = []
-                    for p in m.out_ports:
-                        in_port = edge_map.get(m.port_key(p))
-                        if in_port is None:
-                            continue
-                        downstream = owner[in_port].module_id
-                        down_tags = tags_from(downstream)
-                        if tag in down_tags:
-                            candidates.append((len(down_tags), downstream))
-                    if not candidates:
-                        raise PlantBuildError(
-                            f"lane {origin.module_id}: {tag} unreachable past {m.module_id}"
-                        )
-                    nxt_id = min(candidates)[1]
-                m = space.by_id[nxt_id]
-                hops.append((m.module_id, offset))
-                if m.kind == ModuleKind.TRIMMING and trim_offset is None:
-                    trim_offset = offset
-                    trimmer_id = m.module_id
-                if m.kind != ModuleKind.DESTINATION:
-                    offset += m.latency_s
-            lane_routes[tag] = ResolvedRoute(
-                offset, trim_offset, trimmer_id, m.module_id, tuple(hops)
-            )
-        routes[origin.module_id] = lane_routes
-    return routes
-
-
 class PlantSimulation:
     """One replication: kernel + controller + resolved routes + tallies."""
 
@@ -221,11 +100,12 @@ class PlantSimulation:
         self.scenario = scenario
         self.seed = seed
         self.kernel = Kernel(horizon=scenario.horizon_s)
-        self.catalog = derive_routes(space, config)
+        design = compile_design(space, config)
+        self.catalog = design.catalog
         self.controller = ProductionController(
             scenario.controller, self.catalog, scenario.recipes
         )
-        self.routes = resolve_routes(space, config, self.catalog)
+        self.routes = design.routes
         self.default_tag = scenario.default_recipe.destination
         for lane, lane_routes in self.routes.items():
             if self.default_tag not in lane_routes:
@@ -239,19 +119,7 @@ class PlantSimulation:
 
         # scenario inflow entries feed origins positionally
         self.lane_runtimes: dict[str, LaneRuntime] = {}
-        for origin, inflow in zip(space.origins, scenario.inflow):
-            lane = origin.module_id
-            weigh = assign = None
-            for module, offset in _trunk_walk(space, config, lane):
-                if module.kind == ModuleKind.WEIGHING and weigh is None:
-                    weigh = (module.module_id, offset)
-                elif module.kind == ModuleKind.ASSIGNMENT and assign is None:
-                    assign = (module.module_id, offset)
-                    break
-            if weigh is None or assign is None:
-                raise PlantBuildError(
-                    f"lane {lane}: trunk must pass a weighing then an assignment module"
-                )
+        for (lane, compiled), inflow in zip(design.lanes.items(), scenario.inflow):
             runtime = LaneRuntime(
                 lane=lane,
                 rate_per_min=inflow.rate_per_min,
@@ -262,10 +130,10 @@ class PlantSimulation:
                     if inflow.process == "poisson"
                     else None
                 ),
-                weigh_offset_s=weigh[1],
-                assign_offset_s=assign[1] - weigh[1],
-                weigh_module=weigh[0],
-                assign_module=assign[0],
+                weigh_offset_s=compiled.weigh_offset_s,
+                assign_offset_s=compiled.assign_offset_s,
+                weigh_module=compiled.weigh_module,
+                assign_module=compiled.assign_module,
             )
             self.lane_runtimes[lane] = runtime
             if runtime.arrivals_rng is None:
@@ -335,8 +203,10 @@ class PlantSimulation:
             self.kernel.schedule(now + route.trim_offset_s, self._trim, (fillet, route))
         if self.trace_rows is not None:
             self._trace(now, self.lane_runtimes[fillet.lane].assign_module, fillet, "assign")
+            # a fillet cut at the trimmer gets a trim row there instead of an enter row
+            cut_at = route.trimmer_id if assignment.trim_g is not None else None
             for module_id, offset in route.hops:
-                if module_id != route.trimmer_id:
+                if module_id != cut_at:
                     self._trace(now + offset, module_id, fillet, "enter")
         self.kernel.schedule(now + route.destination_offset_s, self._absorb, (fillet, route))
 

@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -131,14 +132,15 @@ def simulate_single(
 ):
     """One replication with its exact cell inputs; optionally with a trace."""
     space = load_design_space(space_path)
-    configs = list(enumerate_configurations(space))
-    if not 0 <= design_index < len(configs):
-        raise PlanError(
-            f"design index {design_index} out of range 0..{len(configs) - 1}"
-        )
+    config = None
+    if design_index >= 0:  # enumeration order is fixed, so the index is a position
+        config = next(islice(enumerate_configurations(space), design_index, None), None)
+    if config is None:
+        count = sum(1 for _ in enumerate_configurations(space))
+        raise PlanError(f"design index {design_index} out of range 0..{count - 1}")
     scenario = load_scenario(scenario_path)
     _check_compatibility(space, [scenario])
-    sim = PlantSimulation(space, configs[design_index], scenario, seed, trace=trace)
+    sim = PlantSimulation(space, config, scenario, seed, trace=trace)
     tallies = sim.run()
     result = score(tallies, scenario, design_index, seed, clamp=clamp)
     return result, sim.trace_rows
@@ -276,11 +278,11 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         return True
 
     executed = 0
+    pool = None
     try:
         if plan.jobs <= 1 or not pending:
             _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
             stream = map(_run_cell, pending)
-            pool = None
         else:
             pool = Pool(
                 processes=plan.jobs,
@@ -305,14 +307,12 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
                 if design_done(d) and meets_thresholds(d):
                     stopped_at = d
                     break
-        if pool is not None:
-            if stopped_at is None:
-                pool.close()
-            else:
-                pool.terminate()
-            pool.join()
     finally:
         journal.close()
+        if pool is not None:
+            # every cell wanted is in, or stop-first stopped, or a cell raised
+            pool.terminate()
+            pool.join()
 
     if plan.stop_first and stopped_at is None:
         # honor journal-resumed qualifiers from an interrupted earlier run

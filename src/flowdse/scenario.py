@@ -25,6 +25,11 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; message names the offending field."""
 
 
+# smallest share of a truncated normal's mass its bounds may keep (1 in 1000
+# draws accepted); below it, sampling would all but hang
+MIN_TRUNCATED_MASS = 1e-3
+
+
 @dataclass(frozen=True)
 class Recipe:
     destination: str
@@ -151,6 +156,18 @@ def _parse_weights(raw: dict, base_dir: Path, where: str):
             raise ScenarioError(f"{where}: stddev_g must be positive")
         if not (0 <= source.lower_g < source.upper_g):
             raise ScenarioError(f"{where}: truncation bounds must satisfy 0 <= lower < upper")
+        # rejection sampling draws 1 / mass normals per weight: refuse bounds
+        # that hold (almost) none of the distribution instead of hanging
+        lower_z, upper_z = (
+            (bound - source.mean_g) / (source.stddev_g * math.sqrt(2.0))
+            for bound in (source.lower_g, source.upper_g)
+        )
+        mass = 0.5 * (math.erf(upper_z) - math.erf(lower_z))
+        if not mass >= MIN_TRUNCATED_MASS:
+            raise ScenarioError(
+                f"{where}.weights: bounds [{source.lower_g}, {source.upper_g}] hold "
+                f"{mass:.3g} of the normal distribution, below {MIN_TRUNCATED_MASS}"
+            )
         return source
     if kind == "empirical":
         name = raw["file"]
@@ -194,6 +211,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{fallback_id}: must be a JSON object, got {raw!r:.40}")
     scenario_id = raw.get("id", fallback_id)
     recipes_raw = raw.get("recipes", [])
     if not recipes_raw:
@@ -222,6 +241,8 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
     seen_lanes = set()
     for i, lane_raw in enumerate(inflow_raw):
         where = f"inflow[{i}]"
+        if not isinstance(lane_raw, dict):
+            raise ScenarioError(f"{where}: must be a JSON object, got {lane_raw!r:.40}")
         lane = lane_raw.get("lane")
         if not lane:
             raise ScenarioError(f"{where}: missing lane id")

@@ -39,7 +39,6 @@ def make_controller(
             lane: frozenset((reachable or {}).get(lane, tags)) for lane in lanes
         },
         has_trimmer={lane: (has_trimmer or {}).get(lane, True) for lane in lanes},
-        distributor_ports={},
     )
     config = ControllerConfig(
         window_size=window, recompute_interval_s=t_s, bin_width_g=binw, warmup_s=0.0
@@ -298,7 +297,6 @@ class TestLookup:
         routes = RouteCatalog(
             reachable={"l": frozenset({"strips"})},
             has_trimmer={"l": False},
-            distributor_ports={},
         )
         with pytest.raises(ValueError, match="default"):
             ProductionController(ControllerConfig(), routes, [DEFAULT, DEFAULT])

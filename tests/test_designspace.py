@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -8,9 +9,10 @@ from flowdse.designspace import (
     DesignConfiguration,
     DesignSpaceError,
     ModuleKind,
+    PlantBuildError,
     canonical_key,
+    compile_design,
     deduplicate,
-    derive_routes,
     enumerate_configurations,
     interchangeable_classes,
     load_design_space,
@@ -18,6 +20,7 @@ from flowdse.designspace import (
     space_problems,
     validate_configuration,
 )
+import route_oracle
 
 DATA = Path(__file__).parent.parent / "src" / "flowdse" / "data"
 
@@ -259,13 +262,13 @@ class TestCaseStudySpace:
 
     def test_all_destinations_served_in_every_configuration(self, case_space, case_configs):
         for c in case_configs[::53]:
-            catalog = derive_routes(case_space, c)
+            catalog = compile_design(case_space, c).catalog
             served = set().union(*catalog.reachable.values())
             assert served == {"batching1", "batching2", "burger", "schnitzel", "fillet_strips"}
 
     def test_exactly_two_lanes_trim_in_every_configuration(self, case_space, case_configs):
         for c in case_configs[::53]:
-            catalog = derive_routes(case_space, c)
+            catalog = compile_design(case_space, c).catalog
             assert sum(catalog.has_trimmer.values()) == 2
 
 
@@ -527,18 +530,15 @@ class TestRouteDerivation:
     def test_linear_lane_reaches_both_branches(self):
         space = linear_space()
         config = next(iter(enumerate_configurations(space)))
-        catalog = derive_routes(space, config)
+        catalog = compile_design(space, config).catalog
         assert catalog.reachable == {"o": frozenset({"burger", "fillet_strips"})}
         assert catalog.has_trimmer == {"o": False}
-        assert catalog.distributor_ports == {
-            "d": {"out1": frozenset({"burger"}), "out2": frozenset({"fillet_strips"})}
-        }
 
     def test_matches_bfs_oracle_on_case_study(self, case_space, case_configs):
         owner = case_space.port_owner
         for config in case_configs[::111]:
             edge_map = config.edge_map
-            catalog = derive_routes(case_space, config)
+            catalog = compile_design(case_space, config).catalog
             for origin in case_space.origins:
                 # plain BFS over module successors, written independently
                 seen, frontier, tags = set(), [origin.module_id], set()
@@ -581,7 +581,155 @@ class TestRouteDerivation:
             }
         )
         config = next(iter(enumerate_configurations(space)))
-        catalog = derive_routes(space, config)
+        catalog = compile_design(space, config).catalog
         # the trimmer only covers one branch, so the lane must not promise trimming
         assert catalog.has_trimmer == {"o": False}
         assert catalog.reachable["o"] == {"burger", "fillet_strips"}
+
+
+def assert_compile_matches_oracle(space, config):
+    """compile_design against the four walks it replaced, field by field."""
+    compiled = compile_design(space, config)
+    catalog = route_oracle.derive_routes(space, config)
+    routes = route_oracle.resolve_routes(space, config, catalog)
+    lanes = route_oracle.legacy_lanes(space, config)
+    assert list(compiled.lanes) == list(catalog.reachable) == list(lanes)
+    for lane, got in compiled.lanes.items():
+        assert got.reachable == catalog.reachable[lane]
+        assert got.has_trimmer == catalog.has_trimmer[lane]
+        assert (
+            got.weigh_module, got.weigh_offset_s, got.assign_module, got.assign_offset_s
+        ) == lanes[lane]
+        assert got.routes.keys() == routes[lane].keys()
+        for tag, route in got.routes.items():
+            assert dataclasses.asdict(route) == dataclasses.asdict(routes[lane][tag])
+    return compiled
+
+
+def tie_space(out1_trimmer, out2_trimmer):
+    """Both distributor ports reach the merge destination through one trimmer."""
+    return parse_design_space(
+        {
+            "id": "tie",
+            "modules": [
+                module("o", "origin"),
+                module("w", "weighing"),
+                module("a", "assignment"),
+                module("d", "distribution"),
+                module(out1_trimmer, "trimming", latency_s=3.0),
+                module(out2_trimmer, "trimming", latency_s=5.0),
+                module("strips", "destination", destination_tag="fillet_strips"),
+            ],
+            "allowed": [
+                ["o.out", "w.in"],
+                ["w.out", "a.in"],
+                ["a.out", "d.in"],
+                ["d.out1", f"{out1_trimmer}.in"],
+                ["d.out2", f"{out2_trimmer}.in"],
+                [f"{out1_trimmer}.out", "strips.in"],
+                [f"{out2_trimmer}.out", "strips.in"],
+            ],
+        }
+    )
+
+
+class TestCompileDesign:
+    def test_matches_the_legacy_walks_on_every_case_study_configuration(
+        self, case_space, case_configs
+    ):
+        assert len(case_configs) == 1152
+        for config in case_configs:
+            assert_compile_matches_oracle(case_space, config)
+
+    def test_trimmer_behind_a_distributor_is_on_the_route_only(self):
+        space = parse_design_space(
+            {
+                "id": "latetrim",
+                "modules": [
+                    module("o", "origin"),
+                    module("w", "weighing"),
+                    module("a", "assignment"),
+                    module("d", "distribution", latency_s=2.0),
+                    module("t", "trimming"),
+                    module("burger", "destination", destination_tag="burger"),
+                    module("strips", "destination", destination_tag="fillet_strips"),
+                ],
+                "allowed": [
+                    ["o.out", "w.in"],
+                    ["w.out", "a.in"],
+                    ["a.out", "d.in"],
+                    ["d.out1", "t.in"],
+                    ["t.out", "burger.in"],
+                    ["d.out2", "strips.in"],
+                ],
+            }
+        )
+        config = next(iter(enumerate_configurations(space)))
+        lane = assert_compile_matches_oracle(space, config).lanes["o"]
+        assert lane.has_trimmer is False
+        assert lane.routes["burger"].trimmer_id == "t"
+        assert lane.routes["burger"].trim_offset_s == 3.0  # assignment + distributor
+        assert lane.routes["fillet_strips"].trimmer_id is None
+
+    def test_the_first_of_two_trunk_trimmers_cuts(self):
+        space = parse_design_space(
+            {
+                "id": "twotrims",
+                "modules": [
+                    module("o", "origin"),
+                    module("w", "weighing", latency_s=2.0),
+                    module("a", "assignment"),
+                    module("t2", "trimming"),
+                    module("t1", "trimming"),
+                    module("d", "distribution"),
+                    module("burger", "destination", destination_tag="burger"),
+                    module("strips", "destination", destination_tag="fillet_strips"),
+                ],
+                "allowed": [
+                    ["o.out", "w.in"],
+                    ["w.out", "a.in"],
+                    ["a.out", "t2.in"],
+                    ["t2.out", "t1.in"],
+                    ["t1.out", "d.in"],
+                    ["d.out1", "burger.in"],
+                    ["d.out2", "strips.in"],
+                ],
+            }
+        )
+        config = next(iter(enumerate_configurations(space)))
+        lane = assert_compile_matches_oracle(space, config).lanes["o"]
+        assert (lane.weigh_module, lane.weigh_offset_s) == ("w", 1.0)
+        assert (lane.assign_module, lane.assign_offset_s) == ("a", 2.0)
+        assert lane.has_trimmer is True
+        for route in lane.routes.values():
+            assert (route.trimmer_id, route.trim_offset_s) == ("t2", 1.0)
+            assert route.destination_offset_s == 4.0
+
+    @pytest.mark.parametrize("out1, out2", [("tb", "ta"), ("ta", "tb")])
+    def test_equal_reach_ties_go_to_the_smaller_module_id(self, out1, out2):
+        space = tie_space(out1, out2)
+        config = next(iter(enumerate_configurations(space)))
+        lane = assert_compile_matches_oracle(space, config).lanes["o"]
+        route = lane.routes["fillet_strips"]
+        assert route.trimmer_id == "ta"  # whichever port it hangs on
+        assert [hop for hop, _ in route.hops] == ["d", "ta", "strips"]
+        latency = 3.0 if out1 == "ta" else 5.0
+        assert route.destination_offset_s == 1.0 + 1.0 + latency
+        assert lane.has_trimmer is False
+
+    def test_lane_without_weighing_cannot_be_compiled(self):
+        space = parse_design_space(
+            {
+                "id": "noweigh",
+                "modules": [
+                    module("o", "origin"),
+                    module("a", "assignment"),
+                    module("strips", "destination", destination_tag="fillet_strips"),
+                ],
+                "allowed": [["o.out", "a.in"], ["a.out", "strips.in"]],
+            }
+        )
+        config = next(iter(enumerate_configurations(space)))
+        with pytest.raises(PlantBuildError, match="weighing"):
+            compile_design(space, config)
+

@@ -8,12 +8,12 @@ import pytest
 
 from flowdse.controller import BinAssignment, ControllerConfig
 from flowdse.designspace import (
-    derive_routes,
+    compile_design,
     enumerate_configurations,
     load_design_space,
     parse_design_space,
 )
-from flowdse.plant import PlantBuildError, PlantSimulation, RoutingFault, resolve_routes
+from flowdse.plant import PlantBuildError, PlantSimulation, RoutingFault
 from flowdse.scenario import (
     EmpiricalWeights,
     LaneInflow,
@@ -207,6 +207,36 @@ class TestLatencyAndTrace:
             pre = [w for tt, _, f, w, a in sim.trace_rows if f == fid and a == "assign"]
             assert pre and post_weight < pre[0]
             assert 150.0 <= post_weight < 200.0
+
+    def test_every_module_passed_has_an_enter_or_a_trim_row(self):
+        space = one_lane_space()
+        scenario = make_scenario(
+            [BAND, STRIPS],
+            [LaneInflow("lane", 60.0, narrow(280.0))],
+            horizon=120.0,
+            controller=ControllerConfig(warmup_s=10.0),
+        )
+        sim = PlantSimulation(space, only_config(space), scenario, seed=4, trace=True)
+        sim.run()
+        first = [row for row in sim.trace_rows if row[2] == 1]
+        t0 = first[0][0]
+        # before warm-up: default destination, passes the trimmer uncut
+        assert [(t - t0, module, action) for t, module, _, _, action in first] == [
+            (0.0, "origin1", "arrive"),
+            (1.0, "weigh1", "weigh"),
+            (2.0, "assign1", "assign"),
+            (3.0, "trim1", "enter"),
+            (4.0, "dist1", "enter"),
+            (5.0, "dest_strips", "enter"),
+            (5.0, "dest_strips", "absorb"),
+        ]
+        at_trimmer: dict[int, list[str]] = {}
+        for _, module, fid, _, action in sim.trace_rows:
+            if module == "trim1":
+                at_trimmer.setdefault(fid, []).append(action)
+        absorbed = {fid for _, _, fid, _, action in sim.trace_rows if action == "absorb"}
+        assert absorbed <= set(at_trimmer)
+        assert set(map(tuple, at_trimmer.values())) == {("enter",), ("trim",)}
 
     def test_trace_rows_sorted_by_time_then_fillet(self):
         space = one_lane_space()
@@ -415,7 +445,7 @@ class TestRouteResolution:
     def test_single_tag_per_destination_offsets(self):
         space = one_lane_space(with_trimmer=False)
         config = only_config(space)
-        routes = resolve_routes(space, config, derive_routes(space, config))
+        routes = compile_design(space, config).routes
         lane = routes["origin1"]
         assert set(lane) == {"batching2", "fillet_strips"}
         # assignment latency + distributor latency
@@ -426,7 +456,7 @@ class TestRouteResolution:
     def test_trimmer_route_records_the_cut_point(self):
         space = one_lane_space()
         config = only_config(space)
-        routes = resolve_routes(space, config, derive_routes(space, config))
+        routes = compile_design(space, config).routes
         lane = routes["origin1"]
         assert lane["batching2"].trimmer_id == "trim1"
         assert lane["batching2"].trim_offset_s == 1.0
@@ -434,7 +464,7 @@ class TestRouteResolution:
 
     def test_every_case_study_lane_resolves_all_tags(self, case_space, case_configs):
         for config in case_configs[::97]:
-            routes = resolve_routes(case_space, config, derive_routes(case_space, config))
+            routes = compile_design(case_space, config).routes
             for lane, lane_routes in routes.items():
                 for tag, route in lane_routes.items():
                     assert route.hops[-1][0] == route.destination_id
@@ -449,7 +479,7 @@ class TestControllerInThePlant:
         scenario = dataclasses.replace(load_scenario(DATA / scenario_file), horizon_s=1215.0)
         # design 37: two lanes trim, two cannot, and trim bins get claimed
         config = case_configs[37]
-        assert sorted(derive_routes(case_space, config).has_trimmer.values()) == [
+        assert sorted(compile_design(case_space, config).catalog.has_trimmer.values()) == [
             False, False, True, True,
         ]
         sim = PlantSimulation(case_space, config, scenario, seed=11)

@@ -10,6 +10,7 @@ import pytest
 
 from flowdse.cli import main
 from flowdse.kernel import derive_seed
+from flowdse.plant import PlantSimulation, RoutingFault
 from flowdse.runner import (
     JOBS_ENV_VAR,
     PlanError,
@@ -413,43 +414,79 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_construction_bug_is_a_runtime_failure(self, tmp_path, capsys):
-        # parses and enumerates fine, but the trunk has no weighing module
-        space = {
-            "id": "noweigh",
-            "modules": [
-                {"id": "o", "kind": "origin", "out_ports": ["out"]},
-                {"id": "a", "kind": "assignment", "in_ports": ["in"], "out_ports": ["out"]},
-                {"id": "d", "kind": "distribution", "in_ports": ["in"],
-                 "out_ports": ["out1", "out2"]},
-                {"id": "b", "kind": "destination", "in_ports": ["in"],
-                 "destination_tag": "batching2"},
-                {"id": "s", "kind": "destination", "in_ports": ["in"],
-                 "destination_tag": "fillet_strips"},
-            ],
-            "allowed": [
-                ["o.out", "a.in"],
-                ["a.out", "d.in"],
-                ["d.out1", "b.in"],
-                ["d.out2", "s.in"],
-            ],
-        }
-        space_path = tmp_path / "noweigh.json"
-        space_path.write_text(json.dumps(space))
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            pytest.param(
+                "no_weighing",
+                "error: lane o: trunk must pass a weighing then an assignment",
+                id="no_weighing",
+            ),
+            pytest.param(
+                "no_default",
+                "error: lane o cannot reach the default destination",
+                id="no_default",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "explore-jobs1", "explore-jobs2"])
+    def test_unbuildable_design_is_an_input_error(
+        self, tmp_path, capsys, fault, message, command
+    ):
+        # parses and enumerates fine, but the lane cannot serve the scenario
+        modules = [
+            {"id": "o", "kind": "origin", "out_ports": ["out"]},
+            {"id": "w", "kind": "weighing", "in_ports": ["in"], "out_ports": ["out"]},
+            {"id": "a", "kind": "assignment", "in_ports": ["in"], "out_ports": ["out"]},
+            {"id": "d", "kind": "distribution", "in_ports": ["in"],
+             "out_ports": ["out1", "out2"]},
+            {"id": "b", "kind": "destination", "in_ports": ["in"],
+             "destination_tag": "batching2"},
+            {"id": "s", "kind": "destination", "in_ports": ["in"],
+             "destination_tag": "fillet_strips"},
+        ]
+        if fault == "no_weighing":
+            del modules[1]
+            allowed = [["o.out", "a.in"], ["a.out", "d.in"],
+                       ["d.out1", "b.in"], ["d.out2", "s.in"]]
+        else:  # the default recipe's fillet_strips is declared but never wired
+            del modules[3]
+            allowed = [["o.out", "w.in"], ["w.out", "a.in"], ["a.out", "b.in"]]
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"id": fault, "modules": modules, "allowed": allowed}))
         scen = dict(MINI_SCENARIO)
         scen["inflow"] = [dict(MINI_SCENARIO["inflow"][0], lane="o")]
         scen_path = tmp_path / "scen.json"
         scen_path.write_text(json.dumps(scen))
+        argv = ["--space", str(space_path), "--scenario", str(scen_path)]
+        if command == "simulate":
+            argv = ["simulate", *argv, "--design", "0"]
+        else:
+            argv = ["explore", *argv, "--out", str(tmp_path / "out"),
+                    "--jobs", command[-1]]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_simulation_bug_is_a_runtime_failure(self, mini, capsys, monkeypatch):
+        def run(self):
+            raise RoutingFault("impossible routing")
+
+        monkeypatch.setattr(PlantSimulation, "run", run)
         code = main(
             [
                 "simulate",
-                "--space", str(space_path),
+                "--space", str(mini["space"]),
                 "--design", "0",
-                "--scenario", str(scen_path),
+                "--scenario", str(mini["scenario"]),
             ]
         )
         assert code == 2
-        assert "runtime failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime failure: impossible routing" in err
+        assert "Traceback" in err
 
     @pytest.mark.parametrize("replications", ["0", "-3"])
     def test_replications_below_one_is_an_input_error(
@@ -496,6 +533,80 @@ class TestCli:
         assert code == 1
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                ("space", "modules", 1, "latency_s", "x"),
+                "modules[1].latency_s: not a number: 'x'",
+                id="latency-not-a-number",
+            ),
+            pytest.param(
+                ("space", "allowed", 0, None, ["origin1.out"]),
+                "allowed[0]: must be an [out-port, in-port] pair, got ['origin1.out']",
+                id="one-element-pair",
+            ),
+            pytest.param(
+                ("space", None, None, None, [MINI_SPACE]),
+                "space: must be a JSON object",
+                id="space-is-a-list",
+            ),
+            pytest.param(
+                ("scenario", "inflow", 0, None, 5),
+                "inflow[0]: must be a JSON object, got 5",
+                id="inflow-entry-not-an-object",
+            ),
+            pytest.param(
+                ("space", "modules", 0, None, "origin1"),
+                "modules[0]: must be a JSON object, got 'origin1'",
+                id="module-not-an-object",
+            ),
+            pytest.param(
+                ("scenario", None, None, None, []),
+                "scenario: must be a JSON object, got []",
+                id="scenario-is-a-list",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "explore"])
+    def test_malformed_input_names_the_field(self, tmp_path, capsys, edit, message, command):
+        which, key, index, field, value = edit
+        docs = {"space": json.loads(json.dumps(MINI_SPACE)),
+                "scenario": json.loads(json.dumps(MINI_SCENARIO))}
+        if key is None:
+            docs[which] = value
+        elif field is None:
+            docs[which][key][index] = value
+        else:
+            docs[which][key][index][field] = value
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [command, "--space", str(tmp_path / "space.json"),
+                "--scenario", str(tmp_path / "scenario.json")]
+        if command == "explore":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+    def test_near_empty_truncated_normal_is_refused_not_sampled(self, mini, tmp_path):
+        # bounds 380 standard deviations above the mean: sampling would never end
+        scen = json.loads(json.dumps(MINI_SCENARIO))
+        scen["inflow"][0]["weights"].update(mean_g=220, stddev_g=1, lower_g=600, upper_g=650)
+        scen_path = tmp_path / "scen.json"
+        scen_path.write_text(json.dumps(scen))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowdse.cli", "simulate", "--space", str(mini["space"]),
+             "--design", "0", "--scenario", str(scen_path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 1
+        assert "inflow[0].weights: bounds [600.0, 650.0]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("bad", ["-1", "18446744073709551616", "1.5"])
     def test_seed_must_be_a_64_bit_integer(self, bad, capsys):

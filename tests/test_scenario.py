@@ -296,6 +296,23 @@ class TestTruncatedNormal:
         assert math.isclose(mean, 300, rel_tol=0.01)
 
 
+    @pytest.mark.parametrize(
+        "lower_z, upper_z, accepted",
+        [(2.9, 10.0, True), (3.3, 10.0, False), (380.0, 430.0, False), (-430.0, -380.0, False)],
+    )
+    def test_bounds_must_hold_a_thousandth_of_the_mass(self, lower_z, upper_z, accepted):
+        # mass of [2.9, 10] sd is 1.9e-3, of [3.3, 10] sd 4.8e-4, far tails 0
+        raw = minimal_raw()
+        raw["inflow"][0]["weights"].update(
+            mean_g=500.0, stddev_g=1.0, lower_g=500.0 + lower_z, upper_g=500.0 + upper_z
+        )
+        if accepted:
+            parse_scenario(raw, base_dir=Path("."))
+        else:
+            with pytest.raises(ScenarioError, match=r"inflow\[0\]\.weights: bounds"):
+                parse_scenario(raw, base_dir=Path("."))
+
+
 class TestCompatibility:
     def test_unknown_destination_reported(self):
         scenario = parse_scenario(minimal_raw(), base_dir=Path("."))
