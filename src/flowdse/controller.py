@@ -120,7 +120,8 @@ class Rung:
     direct: bins wholly inside [min, max], lightest first; they all share the
         one `direct_assignment`. A range, so a wide band costs no memory.
     trim: (bin, assignment with its trim amount) for the bins above the band,
-        lightest first, while the cut stays within the recipe's allowance.
+        lightest first, while the cut stays within the recipe's allowance and
+        the bin can hold a weight (see `recipe_ladder`).
         Empty when the post-trim interval [max - bin width, max) pokes below
         the lower limit. A float quirk can put the last direct bin first here
         (e.g. max 0.5 g at bin width 0.1 g).
@@ -145,11 +146,16 @@ class RecipeLadder:
 
 
 @lru_cache(maxsize=64, typed=True)
-def recipe_ladder(recipes: tuple, bin_width_g: float) -> RecipeLadder:
+def recipe_ladder(
+    recipes: tuple, bin_width_g: float, heaviest_g: float = math.inf
+) -> RecipeLadder:
     """Build (or fetch) the ladder for one scenario's recipes and bin width.
 
     The bin arithmetic is exactly the loop conditions of a strategy walk, so a
     walk over the ladder visits the same bins with the same trim amounts.
+    Trim bins stop at the bin of `heaviest_g`, the heaviest weight a window
+    can ever hold: bins above it never hold counts, so a walk over them could
+    claim nothing, and a huge trim allowance costs no more than a small one.
     """
     defaults = [i for i, r in enumerate(recipes) if r.is_default]
     if len(defaults) != 1:
@@ -179,7 +185,8 @@ def recipe_ladder(recipes: tuple, bin_width_g: float) -> RecipeLadder:
         trim = []
         if recipe.max_weight_g - binw >= recipe.min_weight_g:
             b = int(recipe.max_weight_g // binw)
-            while True:
+            last = math.inf if heaviest_g == math.inf else int(heaviest_g // binw)
+            while b <= last:
                 cut = (b + 1) * binw - recipe.max_weight_g
                 if cut > recipe.max_trim_g:
                     break
@@ -204,11 +211,14 @@ def recipe_ladder(recipes: tuple, bin_width_g: float) -> RecipeLadder:
 class ProductionController:
     """Per-replication control state: one window per lane, one strategy per lane."""
 
-    def __init__(self, config: ControllerConfig, routes: RouteCatalog, recipes) -> None:
+    def __init__(
+        self, config: ControllerConfig, routes: RouteCatalog, recipes, heaviest_g=math.inf
+    ) -> None:
+        """`heaviest_g` bounds every weight this controller will record."""
         self.config = config
         self.routes = routes
         self.recipes = list(recipes)
-        ladder = recipe_ladder(tuple(self.recipes), config.bin_width_g)
+        ladder = recipe_ladder(tuple(self.recipes), config.bin_width_g, heaviest_g)
         self.default_index = ladder.default_index
         self.priority_order = ladder.priority_order
         self._default_assignment = ladder.default_assignment

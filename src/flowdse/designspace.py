@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -212,7 +213,7 @@ def space_problems(space: DesignSpace) -> list[str]:
     problems = []
     seen_ids = set()
     seen_tags = set()
-    for m in space.modules:
+    for i, m in enumerate(space.modules):
         if m.module_id in seen_ids:
             problems.append(f"duplicate module id {m.module_id!r}")
         seen_ids.add(m.module_id)
@@ -222,8 +223,11 @@ def space_problems(space: DesignSpace) -> list[str]:
                 f"{m.module_id}: {m.kind.value} needs {n_in} in / {n_out} out ports, "
                 f"has {len(m.in_ports)}/{len(m.out_ports)}"
             )
-        if m.latency_s < 0:
-            problems.append(f"{m.module_id}: negative latency")
+        # NaN would pass a `< 0` test and leave event times incomparable
+        if not 0 <= m.latency_s < math.inf:
+            problems.append(
+                f"modules[{i}].latency_s: must be finite and non-negative, got {m.latency_s}"
+            )
         if m.kind == ModuleKind.DESTINATION:
             if not m.destination_tag:
                 problems.append(f"{m.module_id}: destination without a tag")

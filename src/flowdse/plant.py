@@ -4,20 +4,33 @@ Construction compiles the configuration once (`designspace.compile_design`):
 per lane, the weighing and assignment modules with their offsets on the
 trunk, and per reachable destination tag a route from the assignment module
 with its cumulative latency, the first trimmer it passes and the hops. The
-controller reads the same result as its route catalog. At run time each
-fillet then needs only a handful of calendar events - arrival at the origin,
-weight measurement, assignment lookup, optional trim, and absorption - while
-the intermediate conveyor hops contribute latency without their own events.
-Trace mode reconstructs the per-hop rows from the route so the fused events
-stay observable.
+controller reads the same result as its route catalog.
 
-Flow semantics: modules never block (in-line conveyors, unbounded occupancy),
-so a fillet arriving at module M at time t arrives at M's successor at
-t + M.latency. Destinations absorb on arrival.
+Modules never block (in-line conveyors, unbounded occupancy) and destinations
+absorb on arrival, so a fillet's times are fixed when it arrives: weigh at
+arrival + weigh offset, assign at weigh + assign offset, trim and absorb at
+assign + the route's offsets. Its fate depends only on its weight and on the
+strategy in force at its assignment. `run` is therefore no event calendar but
+a streaming sweep that reproduces one bit for bit: a calendar that runs
+events by time, then in the order they were scheduled. Only arrivals (one
+chain per lane) and recomputes schedule their own successors, so a heap of at
+most lanes + 1 chain heads, keyed (time, rank of the scheduling event), gives
+them in calendar order; that order numbers the fillets. Before recompute j at
+e_j, each lane weighs, then assigns, the fillets whose weigh or assign comes
+first, and the trims and absorptions timed before e_j are applied, sorted by
+(time, assign time, weigh time, fillet id), their calendar order. At e_j
+itself, a weigh comes first iff its fillet arrived before recompute j-1 ran
+(recompute 0 is scheduled at construction, after every first arrival); an
+assign iff its weigh ran before recompute j-1. Working memory is bounded by
+the fillets in flight. Trace mode writes each fillet's rows as it goes,
+including an `enter` row per hop, so the fused conveyor hops stay observable.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from flowdse.controller import ProductionController
@@ -27,8 +40,12 @@ from flowdse.designspace import (
     PlantBuildError,
     compile_design,
 )
-from flowdse.kernel import Kernel, RandomStream
+from flowdse.kernel import RandomStream
 from flowdse.scenario import Scenario
+
+# a sweep weighs and assigns what it can at least this often, in arrivals, so
+# fillets do not pile up when recomputes are rare or absent
+DRAIN_EVERY = 1024
 
 
 class RoutingFault(RuntimeError):
@@ -36,20 +53,8 @@ class RoutingFault(RuntimeError):
 
 
 @dataclass(slots=True)
-class Fillet:
-    fillet_id: int
-    lane: str
-    weight_g: float
-    arrived_at: float
-    assigned_tag: str | None = None
-    recipe_index: int | None = None
-    pending_trim_g: float | None = None
-    trimmed_g: float = 0.0
-
-
-@dataclass(slots=True)
 class LaneRuntime:
-    """Per-lane constants resolved at build time, consulted on every event."""
+    """Per-lane constants resolved at build time, consulted for every fillet."""
 
     lane: str
     rate_per_min: float
@@ -80,7 +85,7 @@ class RunTallies:
 
 
 class PlantSimulation:
-    """One replication: kernel + controller + resolved routes + tallies."""
+    """One replication: controller + resolved routes + tallies."""
 
     def __init__(
         self,
@@ -99,11 +104,10 @@ class PlantSimulation:
         self.config = config
         self.scenario = scenario
         self.seed = seed
-        self.kernel = Kernel(horizon=scenario.horizon_s)
         design = compile_design(space, config)
         self.catalog = design.catalog
         self.controller = ProductionController(
-            scenario.controller, self.catalog, scenario.recipes
+            scenario.controller, self.catalog, scenario.recipes, scenario.heaviest_g
         )
         self.routes = design.routes
         self.default_tag = scenario.default_recipe.destination
@@ -114,13 +118,12 @@ class PlantSimulation:
                 )
 
         self.tallies = RunTallies(recipe_counts=[0] * len(scenario.recipes))
-        self.live: dict[int, float] = {}  # fillet id -> current weight
         self.trace_rows: list[tuple] | None = [] if trace else None
 
         # scenario inflow entries feed origins positionally
         self.lane_runtimes: dict[str, LaneRuntime] = {}
         for (lane, compiled), inflow in zip(design.lanes.items(), scenario.inflow):
-            runtime = LaneRuntime(
+            self.lane_runtimes[lane] = LaneRuntime(
                 lane=lane,
                 rate_per_min=inflow.rate_per_min,
                 sampler=inflow.weights,
@@ -135,145 +138,192 @@ class PlantSimulation:
                 weigh_module=compiled.weigh_module,
                 assign_module=compiled.assign_module,
             )
-            self.lane_runtimes[lane] = runtime
-            if runtime.arrivals_rng is None:
-                first = 60.0 / runtime.rate_per_min
-            else:
-                first = runtime.arrivals_rng.expovariate(runtime.rate_per_min / 60.0)
-            if first <= scenario.horizon_s:
-                self.kernel.schedule(first, self._arrive, (runtime, 1))
-
-        if scenario.controller.warmup_s <= scenario.horizon_s:
-            self.kernel.schedule(scenario.controller.warmup_s, self._recompute)
-
-    # -- fillet lifecycle ---------------------------------------------------
-
-    def _arrive(self, payload) -> None:
-        runtime, k = payload
-        now = self.kernel.now
-        fillet = Fillet(
-            fillet_id=self.kernel.next_entity_id(),
-            lane=runtime.lane,
-            weight_g=runtime.sampler.sample(runtime.weights_rng),
-            arrived_at=now,
-        )
-        t = self.tallies
-        t.injected += 1
-        t.injected_mass_g += fillet.weight_g
-        self.live[fillet.fillet_id] = fillet.weight_g
-        if self.trace_rows is not None:
-            self._trace(now, runtime.lane, fillet, "arrive")
-        self.kernel.schedule(now + runtime.weigh_offset_s, self._weigh, fillet)
-
-        if runtime.arrivals_rng is None:
-            nxt = (k + 1) * 60.0 / runtime.rate_per_min
-        else:
-            nxt = now + runtime.arrivals_rng.expovariate(runtime.rate_per_min / 60.0)
-        if nxt <= self.kernel.horizon:
-            self.kernel.schedule(nxt, self._arrive, (runtime, k + 1))
-
-    def _weigh(self, fillet: Fillet) -> None:
-        now = self.kernel.now
-        self.controller.record_weight(fillet.lane, fillet.weight_g, now)
-        runtime = self.lane_runtimes[fillet.lane]
-        if self.trace_rows is not None:
-            self._trace(now, runtime.weigh_module, fillet, "weigh")
-        self.kernel.schedule(now + runtime.assign_offset_s, self._assign, fillet)
-
-    def _assign(self, fillet: Fillet) -> None:
-        now = self.kernel.now
-        assignment = self.controller.lookup(fillet.lane, fillet.weight_g)
-        fillet.assigned_tag = assignment.destination
-        fillet.recipe_index = assignment.recipe_index
-        route = self.routes[fillet.lane].get(assignment.destination)
-        if route is None:
-            raise RoutingFault(
-                f"lane {fillet.lane} was assigned unreachable destination "
-                f"{assignment.destination!r}"
-            )
-        if assignment.trim_g is not None:
-            if route.trim_offset_s is None:
-                raise RoutingFault(
-                    f"trim instruction on lane {fillet.lane} but no trimmer on the "
-                    f"route to {assignment.destination!r}"
-                )
-            fillet.pending_trim_g = assignment.trim_g
-            # scheduled before the absorb event so an all-zero-latency tail
-            # still trims first (insertion order breaks the time tie)
-            self.kernel.schedule(now + route.trim_offset_s, self._trim, (fillet, route))
-        if self.trace_rows is not None:
-            self._trace(now, self.lane_runtimes[fillet.lane].assign_module, fillet, "assign")
-            # a fillet cut at the trimmer gets a trim row there instead of an enter row
-            cut_at = route.trimmer_id if assignment.trim_g is not None else None
-            for module_id, offset in route.hops:
-                if module_id != cut_at:
-                    self._trace(now + offset, module_id, fillet, "enter")
-        self.kernel.schedule(now + route.destination_offset_s, self._absorb, (fillet, route))
-
-    def _trim(self, payload) -> None:
-        fillet, route = payload
-        instruction = fillet.pending_trim_g
-        if instruction >= fillet.weight_g:
-            raise RoutingFault(
-                f"trim instruction {instruction} g >= fillet weight {fillet.weight_g} g"
-            )
-        fillet.weight_g -= instruction
-        fillet.trimmed_g = instruction
-        fillet.pending_trim_g = None
-        self.tallies.trim_mass_g += instruction
-        self.live[fillet.fillet_id] = fillet.weight_g
-        if self.trace_rows is not None:
-            self._trace(self.kernel.now, route.trimmer_id, fillet, "trim")
-
-    def _absorb(self, payload) -> None:
-        fillet, route = payload
-        if fillet.pending_trim_g is not None:
-            raise RoutingFault(
-                f"fillet {fillet.fillet_id} reached {route.destination_id} with an "
-                f"unexecuted trim instruction"
-            )
-        t = self.tallies
-        tag = fillet.assigned_tag
-        t.counts[tag] = t.counts.get(tag, 0) + 1
-        t.masses[tag] = t.masses.get(tag, 0.0) + fillet.weight_g
-        t.recipe_counts[fillet.recipe_index] += 1
-        recipe = self.scenario.recipes[fillet.recipe_index]
-        if not recipe.is_default:
-            if not recipe.accepts(fillet.weight_g) or fillet.trimmed_g > recipe.max_trim_g:
-                t.band_violations += 1
-        del self.live[fillet.fillet_id]
-        if self.trace_rows is not None:
-            self._trace(self.kernel.now, route.destination_id, fillet, "absorb")
-
-    # -- control loop -------------------------------------------------------
-
-    def _recompute(self, payload=None) -> None:
-        now = self.kernel.now
-        self.controller.recompute(now)
-        nxt = now + self.scenario.controller.recompute_interval_s
-        if nxt <= self.kernel.horizon:
-            self.kernel.schedule(nxt, self._recompute)
-
-    # -- results ------------------------------------------------------------
-
-    def _trace(self, time_s: float, module_id: str, fillet: Fillet, action: str) -> None:
-        self.trace_rows.append(
-            (round(time_s, 9), module_id, fillet.fillet_id, round(fillet.weight_g, 6), action)
-        )
 
     def run(self) -> RunTallies:
-        self.kernel.run()
-        # What is left on the calendar belongs to fillets still in flight at the
-        # horizon (tallied from `live`) and never runs. Those events hold this
-        # plant's bound handlers, a reference cycle that would keep a finished
-        # plant and its controller's windows alive until the next full garbage
-        # collection; dropping them lets the caller free it at once.
-        self.kernel.discard_pending()
+        horizon = self.scenario.horizon_s
+        recipes = self.scenario.recipes
+        lookup = self.controller.lookup
+        record_weight = self.controller.record_weight
+        trace = self.trace_rows
         t = self.tallies
-        t.in_flight = len(self.live)
-        t.in_flight_mass_g = sum(self.live.values())
-        t.events = self.kernel.executed
+        lanes = list(self.lane_runtimes.values())
+        arrived = [deque() for _ in lanes]  # (id, weight, weigh time, assign time)
+        weighed = [deque() for _ in lanes]
+        trims: list[tuple] = []  # (time, assign time, weigh time, id, ...): calendar order
+        absorbs: list[tuple] = []
+        flushed = 0  # trims and absorptions applied
+
+        def drain(e: float, a1: float, e1: float, a2: float) -> None:
+            """Weigh, then assign, every fillet whose weigh or assign comes before
+            the recompute at `e`; a1 and a2 fillets had arrived when the
+            recomputes before it ran, the one just before at e1."""
+            for lane, waiting, ready in zip(lanes, arrived, weighed):
+                lane_id = lane.lane
+                while waiting:
+                    fid, weight, w, _ = waiting[0]
+                    if not (w < e or (w == e and fid <= a1)):
+                        break
+                    ready.append(waiting.popleft())
+                    record_weight(lane_id, weight, w)
+                    if trace is not None:
+                        trace.append(
+                            (round(w, 9), lane.weigh_module, fid, round(weight, 6), "weigh")
+                        )
+                routes = self.routes[lane_id]
+                while ready:
+                    fid, weight, w, s = ready[0]
+                    if not (s < e or (s == e and (w < e1 or (w == e1 and fid <= a2)))):
+                        break
+                    ready.popleft()
+                    assignment = lookup(lane_id, weight)
+                    cut, tag = assignment.trim_g, assignment.destination
+                    route = routes.get(tag)
+                    if route is None:
+                        raise RoutingFault(
+                            f"lane {lane_id} was assigned unreachable destination {tag!r}"
+                        )
+                    final, trim_at = weight, math.inf
+                    if cut is not None:
+                        if route.trim_offset_s is None:
+                            raise RoutingFault(
+                                f"trim instruction on lane {lane_id} but no trimmer on the "
+                                f"route to {tag!r}"
+                            )
+                        trim_at = s + route.trim_offset_s
+                        if cut >= weight and trim_at <= horizon:
+                            raise RoutingFault(
+                                f"trim instruction {cut} g >= fillet weight {weight} g"
+                            )
+                        final = weight - cut
+                        trims.append((trim_at, s, w, fid, cut, final, route.trimmer_id))
+                    absorbs.append((s + route.destination_offset_s, s, w, fid,
+                                    weight, final, trim_at, assignment, route))
+                    if trace is not None:
+                        trace.append(
+                            (round(s, 9), lane.assign_module, fid, round(weight, 6), "assign")
+                        )
+                        # a fillet cut at the trimmer gets a trim row there instead of an enter row
+                        cut_at = route.trimmer_id if cut is not None else None
+                        trace.extend(
+                            (round(s + offset, 9), module_id, fid, round(weight, 6), "enter")
+                            for module_id, offset in route.hops
+                            if module_id != cut_at
+                        )
+
+        def flush(bound: float) -> None:
+            """Apply, in calendar order, the trims and absorptions timed before
+            `bound`. Callers first assign every fillet that could add one."""
+            nonlocal flushed
+            trims.sort()
+            n = 0
+            for at, _, _, fid, cut, final, trimmer_id in trims:
+                if not at < bound:
+                    break
+                n += 1
+                t.trim_mass_g += cut
+                if trace is not None:
+                    trace.append((round(at, 9), trimmer_id, fid, round(final, 6), "trim"))
+            del trims[:n]
+            flushed += n
+            absorbs.sort()
+            n = 0
+            for at, _, _, fid, _, final, _, assignment, route in absorbs:
+                if not at < bound:
+                    break
+                n += 1
+                tag = assignment.destination
+                t.counts[tag] = t.counts.get(tag, 0) + 1
+                t.masses[tag] = t.masses.get(tag, 0.0) + final
+                t.recipe_counts[assignment.recipe_index] += 1
+                recipe = recipes[assignment.recipe_index]
+                if not recipe.is_default:
+                    trimmed = assignment.trim_g or 0.0
+                    if not recipe.accepts(final) or trimmed > recipe.max_trim_g:
+                        t.band_violations += 1
+                if trace is not None:
+                    trace.append(
+                        (round(at, 9), route.destination_id, fid, round(final, 6), "absorb")
+                    )
+            del absorbs[:n]
+            flushed += n
+
+        # chain heads: (time, rank of the event that scheduled it, lane index or
+        # -1 for a recompute). Construction ranks below every event run: first
+        # the lanes' first arrivals in lane order, then recompute 0.
+        heads = []
+        for i, lane in enumerate(lanes):
+            if lane.arrivals_rng is None:
+                first = 60.0 / lane.rate_per_min
+            else:
+                first = lane.arrivals_rng.expovariate(lane.rate_per_min / 60.0)
+            if first <= horizon:
+                heads.append((first, i - len(lanes) - 1, i))
+        next_k = [2] * len(lanes)  # deterministic arrivals: index of the next one
+        # the pending recompute j: its time e, and a1, e1, a2 as `drain` takes them;
+        # with none left, everything up to the horizon comes first
+        inf = math.inf
+        warmup = self.scenario.controller.warmup_s
+        if warmup <= horizon:
+            heads.append((warmup, -1, -1))
+            e, a1, e1, a2 = warmup, 0, -inf, 0
+        else:
+            e, a1, e1, a2 = horizon, inf, inf, inf
+        heapq.heapify(heads)
+
+        rank = 0  # chain events run
+        fid = 0  # fillets arrived, and the id of the last one
+        drained_at = 0
+        while heads:
+            now, _, i = heads[0]
+            if i < 0:
+                drain(e, a1, e1, a2)
+                flush(now)
+                self.controller.recompute(now)  # through the attribute: it may be wrapped
+                nxt = now + self.scenario.controller.recompute_interval_s
+                if nxt <= horizon:
+                    heapq.heapreplace(heads, (nxt, rank, -1))
+                    e, a1, e1, a2 = nxt, fid, now, a1
+                else:
+                    heapq.heappop(heads)
+                    e, a1, e1, a2 = horizon, inf, inf, inf
+            else:
+                lane = lanes[i]
+                fid += 1
+                weight = lane.sampler.sample(lane.weights_rng)
+                t.injected_mass_g += weight
+                w = now + lane.weigh_offset_s
+                arrived[i].append((fid, weight, w, w + lane.assign_offset_s))
+                if trace is not None:
+                    trace.append((round(now, 9), lane.lane, fid, round(weight, 6), "arrive"))
+                if lane.arrivals_rng is None:
+                    nxt = next_k[i] * 60.0 / lane.rate_per_min
+                    next_k[i] += 1
+                else:
+                    nxt = now + lane.arrivals_rng.expovariate(lane.rate_per_min / 60.0)
+                if nxt <= horizon:
+                    heapq.heapreplace(heads, (nxt, rank, i))
+                else:
+                    heapq.heappop(heads)
+                if fid - drained_at >= DRAIN_EVERY:
+                    # after a drain, a fillet not yet assigned is assigned at or after
+                    # e >= now, or arrives later: nothing before now is still to come
+                    drain(e, a1, e1, a2)
+                    flush(now)
+                    drained_at = fid
+            rank += 1
+        drain(horizon, inf, inf, inf)
+        flush(math.nextafter(horizon, inf))  # everything at or before the horizon
+
+        # still in flight at the horizon, in fillet id order as injected
+        live = [(f[0], f[1]) for queue in arrived + weighed for f in queue]
+        live += [(f[3], f[5] if f[6] <= horizon else f[4]) for f in absorbs]
+        live.sort()
+        t.injected = fid
+        t.in_flight = len(live)
+        t.in_flight_mass_g = sum(weight for _, weight in live)
+        weighs = fid - sum(map(len, arrived))
+        t.events = rank + weighs + weighs - sum(map(len, weighed)) + flushed
         t.recomputes = self.controller.recomputes
-        if self.trace_rows is not None:
-            self.trace_rows.sort(key=lambda row: (row[0], row[2]))
+        if trace is not None:
+            trace.sort(key=lambda row: (row[0], row[2]))
         return t

@@ -10,6 +10,7 @@ output files are identical for any worker count.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -35,7 +36,7 @@ from flowdse.evaluator import (
 )
 from flowdse.kernel import derive_seed
 from flowdse.plant import PlantSimulation
-from flowdse.scenario import Scenario, compatibility_issues, load_scenario
+from flowdse.scenario import EmpiricalWeights, Scenario, compatibility_issues, load_scenario
 
 JOBS_ENV_VAR = "FLOWDSE_JOBS"
 
@@ -57,11 +58,20 @@ class RunPlan:
     min_attainment: tuple[tuple[str, float], ...] = ()  # (scenario id, threshold)
     clamp: bool = True
 
-    def fingerprint(self) -> dict:
-        """What a resumed run must agree on for the journal to be reusable."""
+    def fingerprint(self, scenarios: list[Scenario]) -> dict:
+        """What a resumed run must agree on for the journal to be reusable. Inputs
+        count by content: the SHA-256 of the space, of each scenario (loaded as
+        `scenarios`) and of each empirical weight file they read."""
+        weight_files = [
+            lane.weights.path
+            for scenario in scenarios
+            for lane in scenario.inflow
+            if isinstance(lane.weights, EmpiricalWeights)
+        ]
         return {
-            "space": os.path.basename(self.space_path),
-            "scenarios": [os.path.basename(p) for p in self.scenario_paths],
+            "space_sha256": _sha256(self.space_path),
+            "scenarios_sha256": [_sha256(p) for p in self.scenario_paths],
+            "weight_files_sha256": [_sha256(p) for p in weight_files],
             "seed": self.base_seed,
             "replications": self.replications,
             "dedup": self.dedup,
@@ -80,6 +90,10 @@ class ExplorationReport:
     wall_s: float
     out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def default_jobs() -> int:
@@ -184,7 +198,13 @@ def _load_journal(
         head = None
     if not isinstance(head, dict):
         raise PlanError(f"{path} is corrupt (bad header line)")
-    if head.get("plan") != fingerprint:
+    plan = head.get("plan")
+    if isinstance(plan, dict) and "space" in plan:
+        raise PlanError(
+            f"{path} names its inputs by file name only, so edited inputs cannot be "
+            f"told apart; start afresh: use a fresh --out directory or remove the journal"
+        )
+    if plan != fingerprint:
         raise PlanError(
             f"{path} was written by a different plan; "
             f"use a fresh --out directory or matching inputs"
@@ -239,7 +259,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     journal_path = out_dir / "journal.jsonl"
-    fingerprint = plan.fingerprint()
+    fingerprint = plan.fingerprint(scenarios)
     completed, intact = _load_journal(journal_path, fingerprint)
     if completed:
         say(f"journal: {len(completed)} cells already done")

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from flowdse.controller import ControllerConfig
@@ -54,6 +55,10 @@ class TruncatedNormalWeights:
     lower_g: float
     upper_g: float
 
+    @property
+    def heaviest_g(self) -> float:
+        return self.upper_g
+
     def sample(self, rng) -> float:
         while True:
             w = rng.gauss(self.mean_g, self.stddev_g)
@@ -72,10 +77,16 @@ class TruncatedNormalWeights:
 
 @dataclass(frozen=True)
 class EmpiricalWeights:
-    """Weight samples from a file, drawn with replacement."""
+    """Weight samples from a file (named as in the scenario, read from path),
+    drawn with replacement."""
 
     source_file: str
     values: tuple[float, ...] = field(repr=False)
+    path: Path | None = None
+
+    @cached_property
+    def heaviest_g(self) -> float:
+        return max(self.values)
 
     def sample(self, rng) -> float:
         return self.values[rng.randrange(len(self.values))]
@@ -105,19 +116,40 @@ class Scenario:
         return next(r for r in self.recipes if r.is_default)
 
     @property
+    def heaviest_g(self) -> float:
+        """The heaviest weight any lane's inflow can produce."""
+        return max(lane.weights.heaviest_g for lane in self.inflow)
+
+    @property
     def destinations(self) -> set[str]:
         return {r.destination for r in self.recipes}
 
 
+def _number(raw: dict, key: str, where: str, kind=float):
+    """raw[key] as a number; a missing or non-numeric value is named in the error."""
+    if key not in raw:
+        raise ScenarioError(f"{where}.{key}: missing")
+    try:
+        return kind(raw[key])
+    except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
+        raise ScenarioError(f"{where}.{key}: not a number: {raw[key]!r:.40}") from None
+
+
+def _object(raw, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: must be a JSON object, got {raw!r:.40}")
+
+
 def _parse_recipe(raw: dict, pos: int) -> Recipe:
     where = f"recipes[{pos}]"
+    _object(raw, where)
     try:
         destination = raw["destination"]
         priority_raw = raw["priority"]
         target_raw = raw["target_throughput_per_min"]
-        min_w = float(raw["min_fillet_weight_g"])
-        max_w = float(raw["max_fillet_weight_g"])
-        max_trim = float(raw["max_trim_weight_g"])
+        min_w = _number(raw, "min_fillet_weight_g", where)
+        max_w = _number(raw, "max_fillet_weight_g", where)
+        max_trim = _number(raw, "max_trim_weight_g", where)
     except KeyError as missing:
         raise ScenarioError(f"{where}: missing field {missing}") from None
 
@@ -127,12 +159,12 @@ def _parse_recipe(raw: dict, pos: int) -> Recipe:
             raise ScenarioError(f"{where}: default recipe must have target '*'")
         target = None
     else:
-        priority = int(priority_raw)
+        priority = _number(raw, "priority", where, int)
         if priority < 1:
             raise ScenarioError(f"{where}: priority must be >= 1, got {priority}")
         if target_raw == "*":
             raise ScenarioError(f"{where}: only the default recipe may use target '*'")
-        target = float(target_raw)
+        target = _number(raw, "target_throughput_per_min", where)
         if target <= 0:
             raise ScenarioError(f"{where}: target throughput must be positive")
 
@@ -144,18 +176,17 @@ def _parse_recipe(raw: dict, pos: int) -> Recipe:
 
 
 def _parse_weights(raw: dict, base_dir: Path, where: str):
+    _object(raw, f"{where}.weights")
     kind = raw.get("kind")
     if kind == "truncated_normal":
-        source = TruncatedNormalWeights(
-            float(raw["mean_g"]),
-            float(raw["stddev_g"]),
-            float(raw["lower_g"]),
-            float(raw["upper_g"]),
-        )
+        fields = ("mean_g", "stddev_g", "lower_g", "upper_g")
+        source = TruncatedNormalWeights(*(_number(raw, k, f"{where}.weights") for k in fields))
         if source.stddev_g <= 0:
             raise ScenarioError(f"{where}: stddev_g must be positive")
-        if not (0 <= source.lower_g < source.upper_g):
-            raise ScenarioError(f"{where}: truncation bounds must satisfy 0 <= lower < upper")
+        if not (0 <= source.lower_g < source.upper_g < math.inf):
+            raise ScenarioError(
+                f"{where}: truncation bounds must satisfy 0 <= lower < upper < inf"
+            )
         # rejection sampling draws 1 / mass normals per weight: refuse bounds
         # that hold (almost) none of the distribution instead of hanging
         lower_z, upper_z = (
@@ -170,12 +201,13 @@ def _parse_weights(raw: dict, base_dir: Path, where: str):
             )
         return source
     if kind == "empirical":
+        if "file" not in raw:
+            raise ScenarioError(f"{where}.weights.file: missing")
         name = raw["file"]
         path = Path(name)
         if not path.is_absolute():
             path = base_dir / path
-        values = load_weight_samples(path)
-        return EmpiricalWeights(name, values)
+        return EmpiricalWeights(name, load_weight_samples(path), path)
     raise ScenarioError(f"{where}: unknown weight source kind {kind!r}")
 
 
@@ -211,8 +243,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{fallback_id}: must be a JSON object, got {raw!r:.40}")
+    _object(raw, fallback_id)
     scenario_id = raw.get("id", fallback_id)
     recipes_raw = raw.get("recipes", [])
     if not recipes_raw:
@@ -241,27 +272,21 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
     seen_lanes = set()
     for i, lane_raw in enumerate(inflow_raw):
         where = f"inflow[{i}]"
-        if not isinstance(lane_raw, dict):
-            raise ScenarioError(f"{where}: must be a JSON object, got {lane_raw!r:.40}")
+        _object(lane_raw, where)
         lane = lane_raw.get("lane")
         if not lane:
             raise ScenarioError(f"{where}: missing lane id")
         if lane in seen_lanes:
             raise ScenarioError(f"{where}: duplicate lane id {lane!r}")
         seen_lanes.add(lane)
-        if "rate_per_min" not in lane_raw:
-            raise ScenarioError(f"{where}.rate_per_min: missing")
-        try:
-            rate = float(lane_raw["rate_per_min"])
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"{where}.rate_per_min: not a number: {lane_raw['rate_per_min']!r}"
-            ) from None
+        rate = _number(lane_raw, "rate_per_min", where)
         if not 0 < rate < math.inf:  # an infinite rate would never advance the clock
             raise ScenarioError(f"{where}.rate_per_min: must be positive and finite, got {rate}")
         process = lane_raw.get("process", "deterministic")
         if process not in ("deterministic", "poisson"):
             raise ScenarioError(f"{where}: unknown arrival process {process!r}")
+        if "weights" not in lane_raw:
+            raise ScenarioError(f"{where}.weights: missing")
         weights = _parse_weights(lane_raw["weights"], base_dir, where)
         inflow.append(LaneInflow(lane, rate, weights, process))
 

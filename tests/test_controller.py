@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from flowdse.controller import (
     LaneWindow,
     ProductionController,
     RouteCatalog,
+    recipe_ladder,
 )
 from flowdse.scenario import Recipe
 from strategy_oracle import LegacyStrategies
@@ -31,6 +33,7 @@ def make_controller(
     binw=10.0,
     t_s=10.0,
     window=1000,
+    heaviest_g=math.inf,
 ):
     lanes = list(samples_by_lane)
     tags = frozenset(r.destination for r in recipes)
@@ -43,7 +46,7 @@ def make_controller(
     config = ControllerConfig(
         window_size=window, recompute_interval_s=t_s, bin_width_g=binw, warmup_s=0.0
     )
-    ctrl = ProductionController(config, routes, recipes)
+    ctrl = ProductionController(config, routes, recipes, heaviest_g)
     for lane, samples in samples_by_lane.items():
         for t, w in samples:
             ctrl.record_weight(lane, w, t)
@@ -576,10 +579,17 @@ def ladder_instances(draw):
 
 
 class TestLadderMatchesLegacy:
-    @given(ladder_instances())
-    def test_same_strategies_as_the_legacy_build(self, instance):
+    @given(ladder_instances(), st.booleans())
+    def test_same_strategies_as_the_legacy_build(self, instance, bounded):
         binw, t_s, window, recipes, reachable, has_trimmer, batches = instance
         first, second = batches
+        # bounded: the ladder's trim bins end at the heaviest weight recorded
+        heaviest = math.inf
+        if bounded:
+            heaviest = max(
+                (w for batch in batches for samples in batch.values() for _, w in samples),
+                default=0.0,
+            )
         ctrl = make_controller(
             first,
             recipes,
@@ -588,6 +598,7 @@ class TestLadderMatchesLegacy:
             binw=binw,
             t_s=t_s,
             window=window,
+            heaviest_g=heaviest,
         )
         legacy = LegacyStrategies(ctrl)
         assert in_order(ctrl.compute_strategies()) == in_order(legacy.compute_strategies())
@@ -621,3 +632,16 @@ class TestLadderMatchesLegacy:
         assert [(b, a.trim_g) for b, a in strategies["a"].items()] == [
             (2, None), (3, None), (4, None), (5, pytest.approx(0.1)),
         ]
+
+    def test_trim_bins_stop_at_the_heaviest_weight(self):
+        band = recipe("d0", 1, 10, 100, 200, 1e6)
+        start = time.perf_counter()
+        ladder = recipe_ladder((band, DEFAULT), 10.0, 655.0)
+        assert time.perf_counter() - start < 0.1
+        assert [b for b, _ in ladder.rungs[0].trim] == list(range(20, 66))
+        assert ladder.rungs[0].trim[-1][1].trim_g == 460.0
+        # a trim allowance of 1e9 g: one entry per bin would take about 22 GB
+        start = time.perf_counter()
+        huge = recipe_ladder((recipe("d0", 1, 10, 100, 200, 1e9), DEFAULT), 10.0, 655.0)
+        assert time.perf_counter() - start < 0.1
+        assert len(huge.rungs[0].trim) == 46

@@ -1,7 +1,15 @@
+"""Seeded streams, and the event calendar kept as the plant's test oracle.
+
+`flowdse.kernel` keeps only seed derivation and random streams. The calendar
+tests check `tests/des_oracle.py`'s `Kernel`, the engine the plant's sweep is
+held against, so the reference itself stays checked.
+"""
+
 import pytest
 from hypothesis import given, strategies as st
 
-from flowdse.kernel import Kernel, RandomStream, ScheduleInPastError, derive_seed
+from des_oracle import Kernel, ScheduleInPastError
+from flowdse.kernel import RandomStream, derive_seed
 
 
 def record(log):

@@ -1,11 +1,17 @@
 import dataclasses
 import gc
+import json
 import random
+import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from des_oracle import PlantSimulation as CalendarPlant
+from flowdse import plant as plant_module
 from flowdse.controller import BinAssignment, ControllerConfig
 from flowdse.designspace import (
     compile_design,
@@ -293,6 +299,25 @@ class TestTrimming:
         tallies = PlantSimulation(space, only_config(space), scenario, seed=6).run()
         assert tallies.trim_mass_g > 0  # would raise RoutingFault on a misordered tie
 
+    def test_huge_trim_allowance_builds_fast_and_changes_nothing(self):
+        # the inflow weighs at most 290 g, in bin 29; the ladder's trim bins
+        # stop there instead of running on towards 1e9 g (one entry
+        # per bin would take about 22 GB; 1e6 g goes first and would fail in
+        # seconds if they did not)
+        space = one_lane_space()
+        results = []
+        for allowance in (100.0, 1e6, 1e9):
+            band = dataclasses.replace(BAND, max_trim_g=allowance)
+            scenario = make_scenario(
+                [band, STRIPS], [LaneInflow("lane", 60.0, narrow(280.0))], horizon=300.0
+            )
+            start = time.perf_counter()
+            sim = PlantSimulation(space, only_config(space), scenario, seed=6)
+            assert time.perf_counter() - start < 0.5
+            results.append(sim.run())
+        assert results[0].trim_mass_g > 0
+        assert repr(results[0]) == repr(results[1]) == repr(results[2])
+
     def test_trimmer_only_behind_one_branch_never_trims(self):
         space = parse_design_space(
             {
@@ -441,6 +466,27 @@ class TestLifetime:
             gc.enable()
 
 
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # warm-up past the horizon: no recompute ever drains the lanes
+        space = one_lane_space()
+        peaks = []
+        for horizon in (600.0, 6000.0):
+            scenario = make_scenario(
+                [BAND, STRIPS],
+                [LaneInflow("lane", 120.0, narrow(280.0))],
+                horizon=horizon,
+                controller=ControllerConfig(warmup_s=horizon + 1.0),
+            )
+            sim = PlantSimulation(space, only_config(space), scenario, seed=1)
+            tracemalloc.start()
+            try:
+                sim.run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+
 class TestRouteResolution:
     def test_single_tag_per_destination_offsets(self):
         space = one_lane_space(with_trimmer=False)
@@ -503,3 +549,141 @@ class TestControllerInThePlant:
         sim.run()
         assert len(checked) == controller.recomputes == 116
         assert any(checked)  # the trim phase took part
+
+
+CASE_RAW = json.loads((DATA / "case_study_space.json").read_text(encoding="utf-8"))
+
+
+def parallel_lanes_space(lanes):
+    """Independent lanes, each origin -> weighing -> assignment -> [trimmer] ->
+    distributor, all feeding the same two destinations. `lanes` gives per lane
+    the five trunk latencies and whether it has a trimmer."""
+    modules = [
+        {"id": "dest_a", "kind": "destination", "in_ports": ["in"],
+         "destination_tag": "batching2", "latency_s": 0.0, "merge_allowed": True},
+        {"id": "dest_strips", "kind": "destination", "in_ports": ["in"],
+         "destination_tag": "fillet_strips", "latency_s": 0.0},
+    ]
+    allowed = []
+    for i, (latencies, with_trimmer) in enumerate(lanes):
+        trunk = [("origin", "origin"), ("weigh", "weighing"), ("assign", "assignment")]
+        trunk += [("trim", "trimming")] * with_trimmer + [("dist", "distribution")]
+        for (name, kind), latency in zip(trunk, latencies):
+            modules.append({"id": f"{name}{i}", "kind": kind, "latency_s": latency,
+                            "in_ports": [] if kind == "origin" else ["in"],
+                            "out_ports": ["out1", "out2"] if kind == "distribution" else ["out"]})
+        for (a, _), (b, _) in zip(trunk, trunk[1:]):
+            allowed.append([f"{a}{i}.out", f"{b}{i}.in"])
+        allowed += [[f"dist{i}.out1", "dest_a.in"], [f"dist{i}.out2", "dest_strips.in"]]
+    # origins in lane order: scenario inflow feeds them positionally
+    modules.sort(key=lambda m: m["kind"] != "origin")
+    return parse_design_space({"id": "parallel", "modules": modules, "allowed": allowed})
+
+
+@st.composite
+def sweep_cells(draw):
+    """A cell built to tie: rates whose arrivals coincide across lanes and with
+    recomputes, latencies of 0 and of multiples of the recompute interval,
+    warm-up on an arrival, before and after the horizon, bin widths that make
+    trim amounts inexact in binary (so the order of a sum shows), and horizons
+    that cut fillets anywhere on their route."""
+    t_s = draw(st.sampled_from([1.0, 2.0, 10.0, 0.5]))
+    # half the cells draw from few values, so that ties pile up
+    few = draw(st.booleans())
+    latency = st.sampled_from([0.0, 1.0, t_s] if few else [0.0, t_s, 2 * t_s, 1.0, 0.5, 0.3])
+    rate = st.sampled_from([60.0, 120.0] if few else [6.0, 30.0, 54.2, 60.0, 120.0])
+    process = st.just("deterministic") if few else st.sampled_from(["deterministic", "poisson"])
+    horizon = draw(st.sampled_from([30.0, 60.0, 60.5, 100.0, 120.25]))
+    controller = ControllerConfig(
+        window_size=draw(st.sampled_from([3, 50, 1000])),
+        recompute_interval_s=t_s,
+        bin_width_g=draw(st.sampled_from([10.0, 7.3, 2.5])),
+        warmup_s=draw(st.sampled_from([0.0, t_s, 2 * t_s, 1.0, 60.0, horizon, horizon + 1.0])),
+    )
+
+    def inflow(lane):
+        mean = draw(st.sampled_from([170.0, 240.0, 280.0, 330.0]))
+        weights = draw(
+            st.sampled_from(
+                [narrow(mean, 20.0), EmpiricalWeights("inline", (mean - 30.0, mean, mean + 41.5))]
+            )
+        )
+        return LaneInflow(lane, draw(rate), weights, draw(process))
+
+    if draw(st.booleans()):
+        lanes = draw(st.integers(1, 3))
+        all_trim = draw(st.booleans())
+        space = parallel_lanes_space(
+            [
+                ([draw(latency) for _ in range(5)], all_trim or draw(st.booleans()))
+                for _ in range(lanes)
+            ]
+        )
+        config = only_config(space)
+        band = dataclasses.replace(BAND, max_weight_g=draw(st.sampled_from([200.0, 199.7])))
+        scenario = make_scenario(
+            [band, STRIPS], [inflow(f"lane{i}") for i in range(lanes)], horizon, controller
+        )
+    else:
+        raw = json.loads(json.dumps(CASE_RAW))
+        for module in raw["modules"]:
+            module["latency_s"] = draw(latency)
+        space = parse_design_space(raw)
+        config = case_configs_cached()[draw(st.sampled_from([0, 37, 500, 1100]))]
+        scenario_file = draw(st.sampled_from(["scenario1.json", "scenario2.json"]))
+        recipes = load_scenario(DATA / scenario_file).recipes
+        scenario = make_scenario(
+            recipes, [inflow(f"lane{i}") for i in range(1, 5)], horizon, controller
+        )
+    drain_every = draw(st.sampled_from([1, 7, 1024]))
+    return space, config, scenario, draw(st.integers(0, 2**32)), drain_every
+
+
+_CASE_CONFIGS = []
+
+
+def case_configs_cached():
+    if not _CASE_CONFIGS:
+        _CASE_CONFIGS.extend(enumerate_configurations(parse_design_space(CASE_RAW)))
+    return _CASE_CONFIGS
+
+
+def skewed_lanes_cell(*latencies, warmup=5.0):
+    """Two lanes at 60 fillets/min with the given trunk latencies, one recompute
+    a second, heavy fillets and trim amounts inexact in binary."""
+    space = parallel_lanes_space([(lane, True) for lane in latencies])
+    band = dataclasses.replace(BAND, max_weight_g=199.7)
+    inflow = [LaneInflow(f"lane{i}", 60.0, narrow(280.0, 20.0)) for i in range(2)]
+    controller = ControllerConfig(
+        window_size=50, recompute_interval_s=1.0, bin_width_g=7.3, warmup_s=warmup
+    )
+    scenario = make_scenario([band, STRIPS], inflow, 120.0, controller)
+    return space, only_config(space), scenario, 1, 1024
+
+
+class TestSweepMatchesCalendar:
+    """The sweep against the event calendar it replaced (`tests/des_oracle.py`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cells())
+    # equal assign times with weighs in the opposite order to arrivals: equal-time
+    # trims and absorptions sort by weigh time before fillet id
+    @example(skewed_lanes_cell([1.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0, 1.0]))
+    # assign on recompute j, weigh on recompute j-1, arrival before recompute j-2
+    @example(skewed_lanes_cell(*[[2.0, 1.0, 1.0, 1.0, 1.0]] * 2))
+    # recompute 0 at the first arrivals, whose weighs land on recompute 1
+    @example(skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2, warmup=1.0))
+    def test_same_tallies_and_trace_rows(self, cell):
+        space, config, scenario, seed, drain_every = cell
+        calendar = CalendarPlant(space, config, scenario, seed, trace=True)
+        expected = calendar.run()
+        sweep = PlantSimulation(space, config, scenario, seed, trace=True)
+        saved = plant_module.DRAIN_EVERY
+        plant_module.DRAIN_EVERY = drain_every
+        try:
+            got = sweep.run()
+        finally:
+            plant_module.DRAIN_EVERY = saved
+        # repr: every float to the bit, dicts in insertion order
+        assert repr(got) == repr(expected)
+        assert sweep.trace_rows == calendar.trace_rows

@@ -194,6 +194,43 @@ class TestExplore:
         with pytest.raises(PlanError, match="different plan"):
             run_explore(mini, out, seed=43)
 
+    def test_input_edited_in_place_is_a_different_plan(self, tmp_path):
+        # same file names, new contents: resuming would mix in stale cells
+        (tmp_path / "space.json").write_text(json.dumps(MINI_SPACE))
+        (tmp_path / "weights.txt").write_text("280\n285\n290\n")
+        scenario = json.loads(json.dumps(MINI_SCENARIO))
+        scenario["inflow"][0]["weights"] = {"kind": "empirical", "file": "weights.txt"}
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        files = {"root": tmp_path, "space": tmp_path / "space.json",
+                 "scenario": tmp_path / "scenario.json"}
+        out = tmp_path / "out"
+        journal = run_explore(files, out).files["journal"].read_bytes()
+        assert run_explore(files, out).cells_resumed == 2
+        (tmp_path / "weights.txt").write_text("280\n285\n295\n")
+        with pytest.raises(PlanError, match="different plan"):
+            run_explore(files, out)
+        (tmp_path / "weights.txt").write_text("280\n285\n290\n")
+        scenario["horizon_s"] = 300
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        with pytest.raises(PlanError, match="different plan"):
+            run_explore(files, out)
+        assert (out / "journal.jsonl").read_bytes() == journal  # refused before any write
+
+    def test_journal_with_file_name_fingerprint_must_start_afresh(self, mini, tmp_path):
+        out = tmp_path / "out"
+        first = run_explore(mini, out)
+        _, *records = first.files["journal"].read_text().splitlines()
+        old_plan = {"space": "mini_space.json", "scenarios": ["mini_scen.json"], "seed": 42,
+                    "replications": 1, "dedup": False, "clamp": True}
+        (out / "journal.jsonl").write_text(
+            "\n".join([json.dumps({"plan": old_plan}), *records]) + "\n"
+        )
+        with pytest.raises(PlanError, match="start afresh"):
+            run_explore(mini, out)
+        code = main(["explore", "--space", str(mini["space"]), "--scenario",
+                     str(mini["scenario"]), "--seed", "42", "--out", str(out)])
+        assert code == 1
+
     def test_corrupt_journal_header_is_refused(self, mini, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -567,6 +604,41 @@ class TestCli:
                 "scenario: must be a JSON object, got []",
                 id="scenario-is-a-list",
             ),
+            pytest.param(
+                ("scenario", "recipes", 0, None, 5),
+                "recipes[0]: must be a JSON object, got 5",
+                id="recipe-not-an-object",
+            ),
+            pytest.param(
+                ("scenario", "inflow", 0, "weights", 5),
+                "inflow[0].weights: must be a JSON object, got 5",
+                id="weights-not-an-object",
+            ),
+            pytest.param(
+                ("scenario", "inflow", 0, ("weights", "mean_g"), "x"),
+                "inflow[0].weights.mean_g: not a number: 'x'",
+                id="mean-not-a-number",
+            ),
+            pytest.param(
+                ("scenario", "recipes", 0, "min_fillet_weight_g", "x"),
+                "recipes[0].min_fillet_weight_g: not a number: 'x'",
+                id="recipe-weight-not-a-number",
+            ),
+            pytest.param(
+                ("space", "modules", 1, "latency_s", "nan"),
+                "modules[1].latency_s: must be finite and non-negative, got nan",
+                id="latency-nan",
+            ),
+            pytest.param(
+                ("space", "modules", 1, "latency_s", "inf"),
+                "modules[1].latency_s: must be finite and non-negative, got inf",
+                id="latency-infinite",
+            ),
+            pytest.param(
+                ("space", "modules", 1, "latency_s", -1),
+                "modules[1].latency_s: must be finite and non-negative, got -1.0",
+                id="latency-negative",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "explore"])
@@ -578,8 +650,12 @@ class TestCli:
             docs[which] = value
         elif field is None:
             docs[which][key][index] = value
-        else:
-            docs[which][key][index][field] = value
+        else:  # a field, or a path of fields
+            *path, last = field if isinstance(field, tuple) else (field,)
+            target = docs[which][key][index]
+            for part in path:
+                target = target[part]
+            target[last] = value
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [command, "--space", str(tmp_path / "space.json"),
