@@ -155,8 +155,8 @@ class PlantSimulation:
 
         def drain(e: float, a1: float, e1: float, a2: float) -> None:
             """Weigh, then assign, every fillet whose weigh or assign comes before
-            the recompute at `e`; a1 and a2 fillets had arrived when the
-            recomputes before it ran, the one just before at e1."""
+            recompute j, due at `e`. Ties at `e` (module doc) need a1 and a2, the
+            fillets arrived when recomputes j-1 and j-2 ran, and e1, j-1's time."""
             for lane, waiting, ready in zip(lanes, arrived, weighed):
                 lane_id = lane.lane
                 while waiting:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import random
@@ -465,7 +466,6 @@ class TestLifetime:
         finally:
             gc.enable()
 
-
     def test_memory_does_not_grow_with_the_horizon(self):
         # warm-up past the horizon: no recompute ever drains the lanes
         space = one_lane_space()
@@ -639,13 +639,9 @@ def sweep_cells(draw):
     return space, config, scenario, draw(st.integers(0, 2**32)), drain_every
 
 
-_CASE_CONFIGS = []
-
-
+@functools.cache
 def case_configs_cached():
-    if not _CASE_CONFIGS:
-        _CASE_CONFIGS.extend(enumerate_configurations(parse_design_space(CASE_RAW)))
-    return _CASE_CONFIGS
+    return list(enumerate_configurations(parse_design_space(CASE_RAW)))
 
 
 def skewed_lanes_cell(*latencies, warmup=5.0):
