@@ -44,14 +44,17 @@ class ControllerConfig:
     warmup_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
+        # written so that NaN fails each test, as infinity does
+        if not self.window_size >= 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if self.recompute_interval_s <= 0:
-            raise ValueError("recompute_interval_s must be positive")
-        if self.bin_width_g <= 0:
-            raise ValueError("bin_width_g must be positive")
-        if self.warmup_s < 0:
-            raise ValueError("warmup_s must be non-negative")
+        if not 0 < self.recompute_interval_s < math.inf:
+            raise ValueError(
+                f"recompute_interval_s must be positive and finite, got {self.recompute_interval_s}"
+            )
+        if not 0 < self.bin_width_g < math.inf:
+            raise ValueError(f"bin_width_g must be positive and finite, got {self.bin_width_g}")
+        if not 0 <= self.warmup_s < math.inf:
+            raise ValueError(f"warmup_s must be non-negative and finite, got {self.warmup_s}")
 
 
 @dataclass(frozen=True)

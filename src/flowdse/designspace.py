@@ -24,7 +24,8 @@ list over all relabelings within those classes.
 Compiling a configuration (`compile_design`) walks its wiring once and gives
 every routing fact a plant and its controller need: per lane, the weighing
 and assignment modules with their offsets, the reachable destination tags,
-whether the lane can trim, and one route per tag.
+whether the lane can trim, and one route per tag. Lanes are compiled once
+per distinct wiring reachable from their origin and kept on the space.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from flowdse.controller import RouteCatalog
+
+
+# compiled lanes a space keeps (`compile_design`); past this many distinct lane
+# wirings, further lanes are compiled afresh each time
+LANE_CACHE_ENTRIES = 4096
 
 
 class DesignSpaceError(ValueError):
@@ -132,6 +138,16 @@ class DesignSpace:
     @property
     def lanes(self) -> list[str]:
         return [m.module_id for m in self.origins]
+
+    @cached_property
+    def out_port_keys(self) -> dict[str, tuple[str, ...]]:
+        """Module id -> its out-port keys, in declaration order."""
+        return {m.module_id: tuple(m.port_key(p) for p in m.out_ports) for m in self.modules}
+
+    @cached_property
+    def lane_cache(self) -> dict[tuple, CompiledLane]:
+        """Compiled lanes by wiring key, filled by `compile_design` in this process."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -527,7 +543,11 @@ class ResolvedRoute:
 
 @dataclass(frozen=True)
 class CompiledLane:
-    """Everything a plant needs to know about one lane's wiring."""
+    """Everything a plant needs to know about one lane's wiring.
+
+    One instance serves every design that shares the lane's wiring
+    (`compile_design`), so no reader may mutate it, `routes` included.
+    """
 
     weigh_module: str
     weigh_offset_s: float  # origin arrival -> weighing arrival
@@ -569,14 +589,61 @@ def compile_design(space: DesignSpace, config: DesignConfiguration) -> CompiledD
     assignment and before the first module with more than one successor: only
     then is a trim instruction executed whatever the destination. A route may
     still pass a trimmer behind a distributor; it records that trimmer.
+
+    A lane's facts depend only on the wiring reachable from its origin, and
+    many designs share a lane's wiring. So each compiled lane is kept on the
+    space (`DesignSpace.lane_cache`, up to LANE_CACHE_ENTRIES of them) under
+    its `_lane_key`; a lane that cannot be built is never kept, and raises
+    again for every design that contains it.
     """
-    owner = space.port_owner
     edge_map = config.edge_map
+    cache = space.lane_cache
+    lanes: dict[str, CompiledLane] = {}
+    for origin in space.origins:
+        key = _lane_key(space, edge_map, origin.module_id)
+        compiled = cache.get(key)
+        if compiled is None:
+            compiled = _compile_lane(space, edge_map, origin)
+            if len(cache) < LANE_CACHE_ENTRIES:
+                cache[key] = compiled
+        lanes[origin.module_id] = compiled
+    return CompiledDesign(lanes)
+
+
+def _lane_key(space: DesignSpace, edge_map: dict[str, str], lane: str) -> tuple:
+    """The wiring a lane's walk can see: its origin, then the in-port chosen for
+    each out-port reachable from it (None if unconnected), in walk order.
+
+    The walk order follows from the choices themselves, so equal keys mean
+    equal reachable wirings. Each module is expanded once, so a hand-built
+    cycle still ends.
+    """
+    out_ports = space.out_port_keys
+    owner = space.port_owner
+    key = [lane]
+    seen = {lane}
+    todo = [lane]
+    while todo:
+        for out_port in out_ports[todo.pop()]:
+            in_port = edge_map.get(out_port)
+            key.append(in_port)
+            if in_port is not None:
+                target = owner[in_port].module_id
+                if target not in seen:
+                    seen.add(target)
+                    todo.append(target)
+    return tuple(key)
+
+
+def _compile_lane(space: DesignSpace, edge_map: dict[str, str], origin: ModuleSpec) -> CompiledLane:
+    """One lane of `compile_design`, walked afresh."""
+    owner = space.port_owner
+    out_ports = space.out_port_keys
     by_id = space.by_id
     reach_of: dict[str, frozenset[str]] = {}
 
     def successors(m: ModuleSpec) -> list[ModuleSpec]:
-        return [owner[edge_map[m.port_key(p)]] for p in m.out_ports if m.port_key(p) in edge_map]
+        return [owner[edge_map[p]] for p in out_ports[m.module_id] if p in edge_map]
 
     def reach(m: ModuleSpec) -> frozenset[str]:
         found = reach_of.get(m.module_id)
@@ -622,33 +689,28 @@ def compile_design(space: DesignSpace, config: DesignConfiguration) -> CompiledD
             ]
         )
 
-    lanes: dict[str, CompiledLane] = {}
-    for origin in space.origins:
-        lane = origin.module_id
-        node, offset, weigh = origin, 0.0, None
-        # bounded, so that a hand-built cyclic wiring cannot loop forever
-        for _ in range(len(space.modules)):
-            if node.kind == ModuleKind.WEIGHING and weigh is None:
-                weigh = (node.module_id, offset)
-            nxt = successors(node)
-            if node.kind in (ModuleKind.ASSIGNMENT, ModuleKind.DESTINATION) or len(nxt) != 1:
-                break
-            offset += node.latency_s
-            node = nxt[0]
-        if weigh is None or node.kind != ModuleKind.ASSIGNMENT:
-            raise PlantBuildError(
-                f"lane {lane}: trunk must pass a weighing then an assignment module"
-            )
-        reachable = reach(node)
-        routes: dict[str, ResolvedRoute] = {}
-        has_trimmer = branch(node, node.latency_s, (), None, reachable, True, routes)
-        lanes[lane] = CompiledLane(
-            weigh_module=weigh[0],
-            weigh_offset_s=weigh[1],
-            assign_module=node.module_id,
-            assign_offset_s=offset - weigh[1],
-            reachable=reachable,
-            has_trimmer=has_trimmer,
-            routes=routes,
-        )
-    return CompiledDesign(lanes)
+    lane = origin.module_id
+    node, offset, weigh = origin, 0.0, None
+    # bounded, so that a hand-built cyclic wiring cannot loop forever
+    for _ in range(len(space.modules)):
+        if node.kind == ModuleKind.WEIGHING and weigh is None:
+            weigh = (node.module_id, offset)
+        nxt = successors(node)
+        if node.kind in (ModuleKind.ASSIGNMENT, ModuleKind.DESTINATION) or len(nxt) != 1:
+            break
+        offset += node.latency_s
+        node = nxt[0]
+    if weigh is None or node.kind != ModuleKind.ASSIGNMENT:
+        raise PlantBuildError(f"lane {lane}: trunk must pass a weighing then an assignment module")
+    reachable = reach(node)
+    routes: dict[str, ResolvedRoute] = {}
+    has_trimmer = branch(node, node.latency_s, (), None, reachable, True, routes)
+    return CompiledLane(
+        weigh_module=weigh[0],
+        weigh_offset_s=weigh[1],
+        assign_module=node.module_id,
+        assign_offset_s=offset - weigh[1],
+        reachable=reachable,
+        has_trimmer=has_trimmer,
+        routes=routes,
+    )

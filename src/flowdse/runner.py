@@ -1,11 +1,14 @@
 """Batch orchestration: enumerate, construct, simulate, evaluate, report.
 
 A run plan expands into cells, one per (design, scenario, replication). Cells
-are independent - each owns its kernel, plant, and controller - so they fan
-out over a worker pool. Every completed cell is appended to a journal file
-before anything else happens with it, which makes interrupted batches
-resumable without recomputation. Results are keyed and sorted by cell, so the
-output files are identical for any worker count.
+are independent - each builds its own plant and controller - so they fan out
+over a worker pool. The space is enumerated once, in the parent: each cell
+carries its design's configuration, and a worker loads only the space and
+the scenarios, compiling each distinct lane wiring once (`compile_design`).
+Every completed cell is appended to a journal file before anything else
+happens with it, which makes interrupted batches resumable without
+recomputation. Results are keyed and sorted by cell, so the output files are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from flowdse.designspace import (
+    DesignConfiguration,
     DesignSpace,
     enumerate_configurations,
     deduplicate,
@@ -117,20 +121,19 @@ _WORKER: dict = {}
 
 
 def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) -> None:
-    space = load_design_space(space_path)
-    _WORKER["space"] = space
-    _WORKER["configs"] = list(enumerate_configurations(space))
+    _WORKER["space"] = load_design_space(space_path)
     _WORKER["scenarios"] = [load_scenario(p) for p in scenario_paths]
     _WORKER["clamp"] = clamp
 
 
-def _run_cell(cell: tuple[int, int, int, int]) -> tuple[tuple[int, int, int], dict]:
-    design_index, scenario_index, replication, base_seed = cell
-    space: DesignSpace = _WORKER["space"]
-    config = _WORKER["configs"][design_index]
+def _run_cell(
+    cell: tuple[DesignConfiguration, int, int, int]
+) -> tuple[tuple[int, int, int], dict]:
+    config, scenario_index, replication, base_seed = cell
+    design_index = config.index
     scenario: Scenario = _WORKER["scenarios"][scenario_index]
     seed = cell_seed(base_seed, design_index, scenario_index, replication)
-    sim = PlantSimulation(space, config, scenario, seed)
+    sim = PlantSimulation(_WORKER["space"], config, scenario, seed)
     tallies = sim.run()
     result = score(tallies, scenario, design_index, seed, clamp=_WORKER["clamp"])
     return (design_index, scenario_index, replication), result.to_record()
@@ -171,6 +174,14 @@ def _check_compatibility(space: DesignSpace, scenarios: list[Scenario]) -> None:
 
 
 # -- batch driver ------------------------------------------------------------
+
+
+def progress_line(done: int, total: int, executed: int, left: int, elapsed_s: float) -> str:
+    """Cells done of the total, the rate of the cells executed in this run's
+    `elapsed_s`, and the time the cells `left` take at that rate."""
+    rate = executed / elapsed_s if elapsed_s > 0 else 0.0
+    eta = f"{left / rate:.0f} s" if rate > 0 else "unknown"
+    return f"{done}/{total} cells, {rate:.1f} cells/s, ETA {eta}"
 
 
 def _load_journal(
@@ -265,12 +276,15 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         say(f"journal: {len(completed)} cells already done")
 
     cells = [
-        (d, s, r, plan.base_seed)
+        (d, s, r)
         for d in design_indices
         for s in range(len(scenarios))
         for r in range(plan.replications)
     ]
-    pending = [c for c in cells if c[:3] not in completed]
+    # a cell carries its configuration, so that no worker enumerates the space
+    pending = [
+        (configs[d], s, r, plan.base_seed) for d, s, r in cells if (d, s, r) not in completed
+    ]
 
     journal = open(journal_path, "a", encoding="utf-8")
     journal.truncate(intact)  # drop a torn last line so the next record starts clean
@@ -299,6 +313,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
 
     executed = 0
     pool = None
+    loop_started = time.perf_counter()
     try:
         if plan.jobs <= 1 or not pending:
             _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
@@ -320,8 +335,9 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             journal.flush()
             collected[key] = record
             executed += 1
-            if executed % (per_design * 64) == 0:
-                say(f"{len(collected)}/{len(cells)} cells")
+            if executed % (per_design * 64) == 0 or executed == len(pending):
+                say(progress_line(len(collected), len(cells), executed,
+                                  len(pending) - executed, time.perf_counter() - loop_started))
             if plan.stop_first:
                 d = key[0]
                 if design_done(d) and meets_thresholds(d):

@@ -140,6 +140,11 @@ def _object(raw, where: str) -> None:
         raise ScenarioError(f"{where}: must be a JSON object, got {raw!r:.40}")
 
 
+def _array(raw, where: str) -> None:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: must be a JSON array, got {raw!r:.40}")
+
+
 def _parse_recipe(raw: dict, pos: int) -> Recipe:
     where = f"recipes[{pos}]"
     _object(raw, where)
@@ -246,6 +251,7 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
     _object(raw, fallback_id)
     scenario_id = raw.get("id", fallback_id)
     recipes_raw = raw.get("recipes", [])
+    _array(recipes_raw, f"{scenario_id}.recipes")
     if not recipes_raw:
         raise ScenarioError(f"{scenario_id}: recipe list is empty")
     recipes = tuple(_parse_recipe(r, i) for i, r in enumerate(recipes_raw))
@@ -266,6 +272,7 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
         )
 
     inflow_raw = raw.get("inflow", [])
+    _array(inflow_raw, f"{scenario_id}.inflow")
     if not inflow_raw:
         raise ScenarioError(f"{scenario_id}: inflow list is empty")
     inflow = []
@@ -290,24 +297,36 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
         weights = _parse_weights(lane_raw["weights"], base_dir, where)
         inflow.append(LaneInflow(lane, rate, weights, process))
 
-    horizon = float(raw.get("horizon_s", 0))
-    if horizon <= 0:
-        raise ScenarioError(f"{scenario_id}: horizon_s must be positive")
-
-    ctrl_raw = raw.get("controller", {})
-    try:
-        controller = ControllerConfig(
-            window_size=int(ctrl_raw.get("N", ControllerConfig.window_size)),
-            recompute_interval_s=float(
-                ctrl_raw.get("t_s", ControllerConfig.recompute_interval_s)
-            ),
-            bin_width_g=float(ctrl_raw.get("bin_width_g", ControllerConfig.bin_width_g)),
-            warmup_s=float(ctrl_raw.get("warmup_s", ControllerConfig.warmup_s)),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"{scenario_id}: controller block: {err}") from None
-
+    # an infinite horizon never ends a run; NaN compares false with every time
+    horizon = _number(raw, "horizon_s", scenario_id)
+    if not 0 < horizon < math.inf:
+        raise ScenarioError(f"{scenario_id}.horizon_s: must be positive and finite, got {horizon}")
+    controller = _parse_controller(raw.get("controller", {}), f"{scenario_id}.controller")
     return Scenario(scenario_id, recipes, tuple(inflow), horizon, controller)
+
+
+def _parse_controller(raw: dict, where: str) -> ControllerConfig:
+    """The controller block, each key optional; ranges are checked here, by the
+    file's key, before ControllerConfig repeats them."""
+    _object(raw, where)
+
+    def setting(key: str, default, kind=float):
+        return _number(raw, key, where, kind) if key in raw else default
+
+    window_size = setting("N", ControllerConfig.window_size, int)
+    if window_size < 1:
+        raise ScenarioError(f"{where}.N: must be at least 1, got {window_size}")
+    positive = {
+        "t_s": setting("t_s", ControllerConfig.recompute_interval_s),
+        "bin_width_g": setting("bin_width_g", ControllerConfig.bin_width_g),
+    }
+    for key, value in positive.items():
+        if not 0 < value < math.inf:
+            raise ScenarioError(f"{where}.{key}: must be positive and finite, got {value}")
+    warmup_s = setting("warmup_s", ControllerConfig.warmup_s)
+    if not 0 <= warmup_s < math.inf:
+        raise ScenarioError(f"{where}.warmup_s: must be non-negative and finite, got {warmup_s}")
+    return ControllerConfig(window_size, positive["t_s"], positive["bin_width_g"], warmup_s)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -4,8 +4,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowdse import designspace
 from flowdse.designspace import (
+    LANE_CACHE_ENTRIES,
     DesignConfiguration,
     DesignSpaceError,
     ModuleKind,
@@ -733,3 +737,100 @@ class TestCompileDesign:
         with pytest.raises(PlantBuildError, match="weighing"):
             compile_design(space, config)
 
+
+
+def shared_lanes_space(bypass_weighing=False):
+    """Two lanes, each with its own distributor, competing for one trimmer and one
+    burger line: every lane wiring recurs in many designs. With bypass_weighing,
+    lane o2 may also skip its weighing module, which no design can build."""
+    allowed = [["o1.out", "w1.in"], ["o2.out", "w2.in"]]
+    if bypass_weighing:
+        allowed.append(["o2.out", "a2.in"])
+    for i in ("1", "2"):
+        allowed += [
+            [f"w{i}.out", f"a{i}.in"],
+            [f"a{i}.out", "t.in"],
+            [f"a{i}.out", f"d{i}.in"],
+            ["t.out", f"d{i}.in"],
+            [f"d{i}.out1", "burger.in"],
+            [f"d{i}.out1", "x.in"],
+            [f"d{i}.out1", "strips.in"],
+            [f"d{i}.out2", "strips.in"],
+            [f"d{i}.out2", "x.in"],
+        ]
+    return parse_design_space(
+        {
+            "id": "shared",
+            "modules": [
+                module("o1", "origin"),
+                module("o2", "origin"),
+                module("w1", "weighing"),
+                module("w2", "weighing", latency_s=2.0),
+                module("a1", "assignment"),
+                module("a2", "assignment", latency_s=0.5),
+                module("t", "trimming", latency_s=3.0),
+                module("d1", "distribution"),
+                module("d2", "distribution", latency_s=1.5),
+                module("burger", "destination", destination_tag="burger"),
+                module("x", "destination", destination_tag="x"),
+                module("strips", "destination", destination_tag="fillet_strips"),
+            ],
+            "allowed": allowed,
+        }
+    )
+
+
+def compile_afresh(space, config):
+    """compile_design through a copy of the space whose lane cache is empty."""
+    fresh = dataclasses.replace(space)
+    assert not fresh.lane_cache
+    return compile_design(fresh, config)
+
+
+class TestLaneCache:
+    """compile_design through one warm cache equals compiling every design afresh."""
+
+    @pytest.fixture(scope="class")
+    def case_afresh(self, case_space, case_configs):
+        return [compile_afresh(case_space, config) for config in case_configs]
+
+    @settings(max_examples=10)
+    @given(order=st.randoms(use_true_random=False))
+    def test_case_study_in_any_order(self, case_space, case_configs, case_afresh, order):
+        space = dataclasses.replace(case_space)
+        configs = list(case_configs)
+        order.shuffle(configs)
+        for config in configs:
+            assert compile_design(space, config).lanes == case_afresh[config.index].lanes
+        assert len(space.lane_cache) == 324  # distinct lane wirings among 4 x 1152 lanes
+
+    @pytest.mark.parametrize("bound", [LANE_CACHE_ENTRIES, 3])
+    def test_designs_sharing_lane_wirings(self, monkeypatch, bound):
+        monkeypatch.setattr(designspace, "LANE_CACHE_ENTRIES", bound)
+        space = shared_lanes_space()
+        configs = list(enumerate_configurations(space))
+        for config in configs + configs[::-1]:
+            got = compile_design(space, config)
+            want = compile_afresh(space, config)
+            assert list(got.lanes) == list(want.lanes) == ["o1", "o2"]
+            for lane, compiled in want.lanes.items():
+                assert dataclasses.asdict(got.lanes[lane]) == dataclasses.asdict(compiled)
+        # 39 designs x 2 lanes, 20 distinct lane wirings
+        assert len(configs) == 39
+        assert len(space.lane_cache) == min(bound, 20)
+
+    def test_a_lane_that_cannot_be_built_raises_every_time(self):
+        space = shared_lanes_space(bypass_weighing=True)
+        configs = list(enumerate_configurations(space))
+        bad = [c for c in configs if c.edge_map["o2.out"] == "a2.in"]
+        good = [c for c in configs if c.edge_map["o2.out"] == "w2.in"]
+        assert bad and good
+        for config in bad + bad + good + bad:
+            if config in bad:
+                with pytest.raises(PlantBuildError, match="lane o2: trunk must pass a weighing"):
+                    compile_design(space, config)
+            else:
+                assert compile_design(space, config).lanes == compile_afresh(space, config).lanes
+        # lane o1 of the designs that failed was compiled and kept; o2's bypass never is
+        assert {key[1] for key in space.lane_cache if key[0] == "o2"} == {"w2.in"}
+        assert any(key[0] == "o1" for key in space.lane_cache)

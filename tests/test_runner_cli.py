@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from flowdse import runner
 from flowdse.cli import main
 from flowdse.kernel import derive_seed
 from flowdse.plant import PlantSimulation, RoutingFault
@@ -18,6 +20,7 @@ from flowdse.runner import (
     cell_seed,
     default_jobs,
     explore,
+    progress_line,
     simulate_single,
     validate_inputs,
 )
@@ -75,6 +78,29 @@ def mini(tmp_path_factory):
     space.write_text(json.dumps(MINI_SPACE))
     scen.write_text(json.dumps(MINI_SCENARIO))
     return {"root": root, "space": space, "scenario": scen}
+
+
+def write_edited_inputs(root, edit):
+    """Write MINI_SPACE and MINI_SCENARIO into root with one value replaced.
+
+    edit is (which document, key, index, field, value); key None replaces the
+    whole document, and the steps key, index and field (a name or a tuple of
+    names) that are not None lead to the value replaced.
+    """
+    which, key, index, field, value = edit
+    docs = {"space": json.loads(json.dumps(MINI_SPACE)),
+            "scenario": json.loads(json.dumps(MINI_SCENARIO))}
+    if key is None:
+        docs[which] = value
+    else:
+        fields = field if isinstance(field, tuple) else (field,)
+        *path, last = [step for step in (key, index, *fields) if step is not None]
+        target = docs[which]
+        for step in path:
+            target = target[step]
+        target[last] = value
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
 
 
 def run_explore(mini, out, **kw):
@@ -167,6 +193,49 @@ class TestExplore:
         for name in ("results", "plot"):
             assert serial.files[name].read_bytes() == parallel.files[name].read_bytes()
         assert serial.files["pareto"].read_text() == parallel.files["pareto"].read_text()
+
+    def test_space_is_enumerated_once_in_the_parent(self, mini, tmp_path, monkeypatch):
+        real = runner.enumerate_configurations
+        parent = os.getpid()
+        calls = []
+
+        def counted(space):
+            if os.getpid() != parent:
+                raise AssertionError("a worker enumerated the design space")
+            calls.append(space.space_id)
+            return real(space)
+
+        monkeypatch.setattr(runner, "enumerate_configurations", counted)
+        outputs = []
+        for jobs in (1, 2):
+            calls.clear()
+            # 8 cells in chunks of one, so that both workers run some
+            report = run_explore(mini, tmp_path / f"jobs{jobs}", jobs=jobs, replications=4)
+            assert calls == ["mini"]
+            assert report.cells_executed == 8
+            outputs.append(
+                [report.files[name].read_bytes() for name in ("results", "plot", "pareto", "journal")]
+            )
+        assert outputs[0] == outputs[1]
+
+    def test_progress_reports_rate_and_eta(self, mini, tmp_path):
+        lines = []
+        plan = RunPlan(
+            space_path=str(mini["space"]),
+            scenario_paths=(str(mini["scenario"]),),
+            base_seed=42,
+            out_dir=str(tmp_path / "out"),
+            replications=3,
+        )
+        explore(plan, echo=lines.append)
+        progress = [line for line in lines if "cells/s" in line]
+        assert len(progress) == 1  # every 64 designs, and when the last cell is in
+        found = re.fullmatch(r"6/6 cells, (\d+\.\d) cells/s, ETA 0 s", progress[0])
+        assert found and float(found[1]) > 0
+
+    def test_progress_line(self):
+        assert progress_line(30, 100, 20, 70, 10.0) == "30/100 cells, 2.0 cells/s, ETA 35 s"
+        assert progress_line(5, 10, 0, 5, 0.0) == "5/10 cells, 0.0 cells/s, ETA unknown"
 
     def test_resume_skips_completed_cells(self, mini, tmp_path):
         first = run_explore(mini, tmp_path / "a")
@@ -639,25 +708,51 @@ class TestCli:
                 "modules[1].latency_s: must be finite and non-negative, got -1.0",
                 id="latency-negative",
             ),
+            pytest.param(
+                ("scenario", "recipes", None, None, 5),
+                "mini.recipes: must be a JSON array, got 5",
+                id="recipes-not-a-list",
+            ),
+            pytest.param(
+                ("scenario", "inflow", None, None, 5),
+                "mini.inflow: must be a JSON array, got 5",
+                id="inflow-not-a-list",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, None, 5),
+                "mini.controller: must be a JSON object, got 5",
+                id="controller-not-an-object",
+            ),
+            pytest.param(
+                ("scenario", "horizon_s", None, None, "x"),
+                "mini.horizon_s: not a number: 'x'",
+                id="horizon-not-a-number",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "N", "x"),
+                "mini.controller.N: not a number: 'x'",
+                id="window-not-a-number",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "t_s", "nan"),
+                "mini.controller.t_s: must be positive and finite, got nan",
+                id="interval-nan",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "warmup_s", "nan"),
+                "mini.controller.warmup_s: must be non-negative and finite, got nan",
+                id="warmup-nan",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "bin_width_g", "nan"),
+                "mini.controller.bin_width_g: must be positive and finite, got nan",
+                id="bin-width-nan",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "explore"])
     def test_malformed_input_names_the_field(self, tmp_path, capsys, edit, message, command):
-        which, key, index, field, value = edit
-        docs = {"space": json.loads(json.dumps(MINI_SPACE)),
-                "scenario": json.loads(json.dumps(MINI_SCENARIO))}
-        if key is None:
-            docs[which] = value
-        elif field is None:
-            docs[which][key][index] = value
-        else:  # a field, or a path of fields
-            *path, last = field if isinstance(field, tuple) else (field,)
-            target = docs[which][key][index]
-            for part in path:
-                target = target[part]
-            target[last] = value
-        for name, doc in docs.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        write_edited_inputs(tmp_path, edit)
         argv = [command, "--space", str(tmp_path / "space.json"),
                 "--scenario", str(tmp_path / "scenario.json")]
         if command == "explore":
@@ -667,6 +762,25 @@ class TestCli:
         assert code == 1
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "explore"])
+    def test_infinite_horizon_is_refused_not_run(self, tmp_path, command):
+        # in a child process with a timeout: a run that never ends fails the test
+        write_edited_inputs(tmp_path, ("scenario", "horizon_s", None, None, "inf"))
+        argv = [command, "--space", str(tmp_path / "space.json"),
+                "--scenario", str(tmp_path / "scenario.json")]
+        if command == "simulate":
+            argv += ["--design", "0"]
+        if command == "explore":
+            argv += ["--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "flowdse.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+        )
+        assert done.returncode == 1
+        assert "mini.horizon_s: must be positive and finite, got inf" in done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_near_empty_truncated_normal_is_refused_not_sampled(self, mini, tmp_path):
         # bounds 380 standard deviations above the mean: sampling would never end
