@@ -58,8 +58,8 @@ def _threshold(text: str) -> tuple[str, float]:
         value = float(ratio)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad ratio in {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("ratio must be non-negative")
+    if not value >= 0:  # NaN too: every KPI would "meet" it
+        raise argparse.ArgumentTypeError("ratio must be a non-negative number")
     return scenario, value
 
 

@@ -244,42 +244,31 @@ class ProductionController:
                 self._rungs.append((rung, lanes, trim_lanes))
         self.strategies: dict[str, dict[int, BinAssignment]] = {}
         self.recomputes = 0
-        self.last_computed_s: float | None = None
 
     # -- measurement side ---------------------------------------------------
 
     def record_weight(self, lane: str, weight_g: float, time_s: float) -> None:
         self.windows[lane].record(weight_g, time_s)
 
-    def predict_throughput(self, lane: str, bins) -> float:
-        """Observed fillets/minute for the given bin set, from the lane window.
-
-        The window's time span is clamped below by one recompute interval so a
-        nearly-simultaneous burst of samples cannot predict absurd rates.
-        """
-        window = self.windows[lane]
-        if not window.samples:
-            return 0.0
-        count = sum(window.counts.get(b, 0) for b in bins)
-        span = max(window.span_s(), self.config.recompute_interval_s)
-        return count / (span / 60.0)
-
     # -- strategy side ------------------------------------------------------
 
     def recompute(self, time_s: float) -> None:
+        """Rebuild every lane's strategy at the plant's instant `time_s`; what
+        it builds depends only on the windows."""
         self.strategies = self.compute_strategies()
         self.recomputes += 1
-        self.last_computed_s = time_s
 
     def compute_strategies(self) -> dict[str, dict[int, BinAssignment]]:
         """One walk up the ladder over the live bin counts.
 
         A bin is available on a lane while the lane's window holds it and no
-        recipe has claimed it yet. A bin's pooled rate is `sum` over the lanes
-        where it is available, in lane order, of count / divisor with one
-        divisor per lane (what `predict_throughput` gives for that one bin),
-        so every `predicted < target` test sees the same float as a call per
-        lane and bin would.
+        recipe has claimed it yet. A bin's pooled rate, in fillets per minute,
+        is `sum` over the lanes where it is available, in lane order, of
+        count / divisor. Each lane has one divisor: its window's time span in
+        minutes, clamped below by one recompute interval so that a burst of
+        samples at one instant cannot predict an absurd rate. So every
+        `predicted < target` test sees the same float as a sum of per-lane,
+        per-bin rates would.
         """
         t_s = self.config.recompute_interval_s
         strategies: dict[str, dict[int, BinAssignment]] = {}

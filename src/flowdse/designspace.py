@@ -12,8 +12,7 @@ validity rules:
     merge-capable destinations which take any number;
   * required modules (if declared) must end up connected;
   * every flow terminates in a Destination, and the wiring is acyclic; both
-    fall out of the frontier construction, and are re-checked for hand-built
-    configurations by validate_configuration.
+    fall out of the frontier construction.
 
 Deduplication collapses configurations that differ only by relabeling
 interchangeable module instances. Two modules are interchangeable when their
@@ -33,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -156,7 +155,6 @@ class DesignConfiguration:
 
     index: int
     chosen: tuple[tuple[str, str], ...]  # sorted (out-port, in-port) pairs
-    connected: frozenset[str] = field(compare=False)
 
     @cached_property
     def edge_map(self) -> dict[str, str]:
@@ -197,6 +195,12 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
                 f"{where}.latency_s: not a number: {m['latency_s']!r}"
             ) from None
         tag = m.get("destination_tag")
+        flags = {}
+        for key, default in (("required", False), ("merge_allowed", tag == "fillet_strips")):
+            # bool("false") is True: only a JSON boolean says what it means
+            flags[key] = value = m.get(key, default)
+            if not isinstance(value, bool):
+                raise DesignSpaceError(f"{where}.{key}: must be true or false, got {value!r}")
         spec = ModuleSpec(
             module_id=module_id,
             kind=kind,
@@ -204,8 +208,7 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
             out_ports=tuple(m.get("out_ports", ())),
             latency_s=latency_s,
             destination_tag=tag,
-            required=bool(m.get("required", False)),
-            merge_allowed=bool(m.get("merge_allowed", tag == "fillet_strips")),
+            **flags,
         )
         modules.append(spec)
     allowed = []
@@ -299,11 +302,7 @@ def enumerate_configurations(space: DesignSpace) -> Iterator[DesignConfiguration
     def expand(pos: int) -> Iterator[DesignConfiguration]:
         if pos == len(frontier):
             if required <= connected:
-                yield DesignConfiguration(
-                    index=next(counter),
-                    chosen=tuple(sorted(chosen.items())),
-                    connected=frozenset(connected),
-                )
+                yield DesignConfiguration(next(counter), tuple(sorted(chosen.items())))
             return
         out_port = frontier[pos]
         for in_port in choices[out_port]:
@@ -326,93 +325,6 @@ def enumerate_configurations(space: DesignSpace) -> Iterator[DesignConfiguration
             del chosen[out_port]
 
     yield from expand(0)
-
-
-def validate_configuration(space: DesignSpace, config: DesignConfiguration) -> list[str]:
-    """Full validity audit for one configuration (hand-built ones included)."""
-    problems = []
-    owner = space.port_owner
-    edge_map = config.edge_map
-    allowed = set(space.allowed)
-    feeds: dict[str, int] = {}
-    reached: set[str] = {m.module_id for m in space.origins}
-
-    for out_port, in_port in config.chosen:
-        if (out_port, in_port) not in allowed:
-            problems.append(f"connection {out_port} -> {in_port} is not in the matrix")
-            continue
-        feeds[in_port] = feeds.get(in_port, 0) + 1
-        reached.add(owner[in_port].module_id)
-
-    for in_port, count in feeds.items():
-        target = owner[in_port]
-        limit_one = target.kind != ModuleKind.DESTINATION or not target.merge_allowed
-        if count > 1 and limit_one:
-            problems.append(f"in-port {in_port} fed by {count} connections")
-
-    if reached != set(config.connected):
-        problems.append("connected-module set does not match the chosen edges")
-
-    for module_id in config.connected:
-        m = space.by_id.get(module_id)
-        if m is None:
-            problems.append(f"unknown module {module_id!r}")
-            continue
-        wired_out = [p for p in m.out_ports if m.port_key(p) in edge_map]
-        if module_id in reached and len(wired_out) != len(m.out_ports):
-            problems.append(f"{module_id}: reached but not all out-ports connected")
-
-    for m in space.modules:
-        if m.required and m.module_id not in config.connected:
-            problems.append(f"required module {m.module_id} is not connected")
-
-    # cycle check over module-level edges, destinations excluded as sinks
-    succ: dict[str, list[str]] = {}
-    for out_port, in_port in config.chosen:
-        src = owner[out_port].module_id
-        dst = owner[in_port].module_id
-        if space.by_id[dst].kind != ModuleKind.DESTINATION:
-            succ.setdefault(src, []).append(dst)
-    state: dict[str, int] = {}
-
-    def has_cycle(node: str) -> bool:
-        state[node] = 1
-        for nxt in succ.get(node, ()):
-            mark = state.get(nxt)
-            if mark == 1 or (mark is None and has_cycle(nxt)):
-                return True
-        state[node] = 2
-        return False
-
-    if any(state.get(n) is None and has_cycle(n) for n in list(succ)):
-        problems.append("cycle among non-destination modules")
-
-    for origin in space.origins:
-        if origin.module_id in config.connected and not _reaches_destination(
-            space, config, origin.module_id
-        ):
-            problems.append(f"{origin.module_id}: no destination reachable")
-    return problems
-
-
-def _reaches_destination(space: DesignSpace, config: DesignConfiguration, start: str) -> bool:
-    owner = space.port_owner
-    edge_map = config.edge_map
-    todo = [start]
-    seen = set()
-    while todo:
-        module_id = todo.pop()
-        if module_id in seen:
-            continue
-        seen.add(module_id)
-        m = space.by_id[module_id]
-        if m.kind == ModuleKind.DESTINATION:
-            return True
-        for p in m.out_ports:
-            in_port = edge_map.get(m.port_key(p))
-            if in_port is not None:
-                todo.append(owner[in_port].module_id)
-    return False
 
 
 # -- interchangeability and canonical keys ----------------------------------

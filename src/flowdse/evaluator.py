@@ -161,9 +161,6 @@ class ParetoFront:
             front.add(v)
         return front
 
-    def merge(self, other: "ParetoFront") -> "ParetoFront":
-        return ParetoFront.from_vectors(self.members + other.members)
-
     def design_indices(self) -> set[int]:
         return {m.design_index for m in self.members}
 

@@ -65,15 +65,6 @@ class TruncatedNormalWeights:
             if self.lower_g <= w <= self.upper_g:
                 return w
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "truncated_normal",
-            "mean_g": self.mean_g,
-            "stddev_g": self.stddev_g,
-            "lower_g": self.lower_g,
-            "upper_g": self.upper_g,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalWeights:
@@ -90,9 +81,6 @@ class EmpiricalWeights:
 
     def sample(self, rng) -> float:
         return self.values[rng.randrange(len(self.values))]
-
-    def to_dict(self) -> dict:
-        return {"kind": "empirical", "file": self.source_file}
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,7 @@ def _parse_weights(raw: dict, base_dir: Path, where: str):
 
 
 def load_weight_samples(path: Path) -> tuple[float, ...]:
-    """Read a plain-text weight file: one positive gram value per line."""
+    """Read a plain-text weight file: one positive, finite gram value per line."""
     try:
         lines = path.read_text(encoding="utf-8").split()
     except OSError as err:
@@ -230,8 +218,8 @@ def load_weight_samples(path: Path) -> tuple[float, ...]:
             w = float(token)
         except ValueError:
             raise ScenarioError(f"{path}, entry {i}: not a number: {token!r}") from None
-        if w <= 0:
-            raise ScenarioError(f"{path}, entry {i}: weights must be positive, got {w}")
+        if not 0 < w < math.inf:  # NaN and infinity would reach int() bin lookups
+            raise ScenarioError(f"{path}, entry {i}: weights must be positive and finite, got {w}")
         values.append(w)
     return tuple(values)
 
@@ -327,40 +315,6 @@ def _parse_controller(raw: dict, where: str) -> ControllerConfig:
     if not 0 <= warmup_s < math.inf:
         raise ScenarioError(f"{where}.warmup_s: must be non-negative and finite, got {warmup_s}")
     return ControllerConfig(window_size, positive["t_s"], positive["bin_width_g"], warmup_s)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of parse_scenario, for round-trip checks and re-export."""
-    return {
-        "id": s.scenario_id,
-        "recipes": [
-            {
-                "destination": r.destination,
-                "priority": "*" if r.is_default else r.priority,
-                "target_throughput_per_min": "*" if r.is_default else r.target_per_min,
-                "min_fillet_weight_g": r.min_weight_g,
-                "max_fillet_weight_g": r.max_weight_g,
-                "max_trim_weight_g": r.max_trim_g,
-            }
-            for r in s.recipes
-        ],
-        "inflow": [
-            {
-                "lane": lane.lane,
-                "rate_per_min": lane.rate_per_min,
-                "process": lane.process,
-                "weights": lane.weights.to_dict(),
-            }
-            for lane in s.inflow
-        ],
-        "horizon_s": s.horizon_s,
-        "controller": {
-            "N": s.controller.window_size,
-            "t_s": s.controller.recompute_interval_s,
-            "bin_width_g": s.controller.bin_width_g,
-            "warmup_s": s.controller.warmup_s,
-        },
-    }
 
 
 def compatibility_issues(

@@ -6,13 +6,16 @@ walked each configuration's wiring four times per plant build. `RouteCatalog`
 is that version's catalog, `distributor_ports` included. A test holds
 `compile_design` against them field by field; `legacy_lanes` gives the
 per-lane weigh and assign facts the way `PlantSimulation.__init__` derived
-them with `_trunk_walk`.
+them with `_trunk_walk`. Configurations no longer store their connected
+modules, so the walks' three reads of that set derive it with
+`connected_modules`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from configuration_oracle import connected_modules
 from flowdse.designspace import (
     DesignConfiguration,
     DesignSpace,
@@ -74,6 +77,7 @@ def resolve_routes(
     """
     owner = space.port_owner
     edge_map = config.edge_map
+    connected = connected_modules(space, config)
 
     reach_of: dict[str, frozenset[str]] = {}
 
@@ -96,7 +100,7 @@ def resolve_routes(
 
     routes: dict[str, dict[str, ResolvedRoute]] = {}
     for origin in space.origins:
-        if origin.module_id not in config.connected:
+        if origin.module_id not in connected:
             continue
         assignment = None
         for module, _ in _trunk_walk(space, config, origin.module_id):
@@ -158,6 +162,7 @@ def derive_routes(space: DesignSpace, config: DesignConfiguration) -> RouteCatal
     """
     owner = space.port_owner
     edge_map = config.edge_map
+    connected = connected_modules(space, config)
 
     def successors(module_id: str) -> list[str]:
         m = space.by_id[module_id]
@@ -185,7 +190,7 @@ def derive_routes(space: DesignSpace, config: DesignConfiguration) -> RouteCatal
     reachable: dict[str, frozenset[str]] = {}
     has_trimmer: dict[str, bool] = {}
     for origin in space.origins:
-        if origin.module_id not in config.connected:
+        if origin.module_id not in connected:
             continue
         # walk the trunk to the assignment stage, then on to the first branch
         node = origin.module_id
@@ -208,7 +213,7 @@ def derive_routes(space: DesignSpace, config: DesignConfiguration) -> RouteCatal
 
     distributor_ports: dict[str, dict[str, frozenset[str]]] = {}
     for m in space.modules:
-        if m.kind != ModuleKind.DISTRIBUTION or m.module_id not in config.connected:
+        if m.kind != ModuleKind.DISTRIBUTION or m.module_id not in connected:
             continue
         ports = {}
         for p in m.out_ports:

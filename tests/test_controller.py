@@ -122,23 +122,26 @@ class TestLaneWindow:
 
 
 class TestPrediction:
+    """The per-bin rate of the pre-ladder build, which the ladder walk must match."""
+
     def test_rate_from_span_and_bin_counts(self):
         # span pinned to 600 s, 60 fillets in bin 20
         samples = [(0.0, 905.0)] + [(float(i), 205.0) for i in range(1, 61)]
         samples.append((600.0, 905.0))
         ctrl = make_controller({"l": samples}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        assert ctrl.predict_throughput("l", (20,)) == 6.0
-        assert ctrl.predict_throughput("l", (20, 90)) == 6.2
+        legacy = LegacyStrategies(ctrl)
+        assert legacy.predict_throughput("l", (20,)) == 6.0
+        assert legacy.predict_throughput("l", (20, 90)) == 6.2
 
     def test_burst_is_clamped_by_recompute_interval(self):
         # all samples share one timestamp; the raw span would divide by zero
         samples = [(5.0, 155.0)] * 50
         ctrl = make_controller({"l": samples}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        assert ctrl.predict_throughput("l", (15,)) == 50 / (10.0 / 60.0)
+        assert LegacyStrategies(ctrl).predict_throughput("l", (15,)) == 50 / (10.0 / 60.0)
 
     def test_empty_window_predicts_zero(self):
         ctrl = make_controller({"l": []}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        assert ctrl.predict_throughput("l", (15,)) == 0.0
+        assert LegacyStrategies(ctrl).predict_throughput("l", (15,)) == 0.0
 
 
 class TestStrategyShape:
@@ -294,7 +297,6 @@ class TestLookup:
         assert ctrl.lookup("l", 155.0).destination == "d"
         assert ctrl.lookup("l", 555.0).destination == "strips"
         assert ctrl.recomputes == 1
-        assert ctrl.last_computed_s == 60.0
 
     def test_default_recipe_must_be_unique(self):
         routes = RouteCatalog(

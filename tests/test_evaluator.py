@@ -184,18 +184,6 @@ class TestParetoFront:
             front = ParetoFront.from_vectors(vectors)
             assert front.design_indices() == brute_force_front(vectors)
 
-    @given(
-        st.lists(st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)), max_size=30),
-        st.lists(st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)), max_size=30),
-    )
-    def test_merge_equals_front_of_the_union(self, rows_a, rows_b):
-        a = [KpiVector(i, r) for i, r in enumerate(rows_a)]
-        b = [KpiVector(len(a) + i, r) for i, r in enumerate(rows_b)]
-        merged = ParetoFront.from_vectors(a).merge(ParetoFront.from_vectors(b))
-        direct = ParetoFront.from_vectors(a + b)
-        key = lambda m: (m.design_index, m.values)
-        assert sorted(merged.members, key=key) == sorted(direct.members, key=key)
-
 
 class TestWriters:
     def test_bundled_scenarios_produce_a_stable_header(self):

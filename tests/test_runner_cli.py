@@ -748,6 +748,16 @@ class TestCli:
                 "mini.controller.bin_width_g: must be positive and finite, got nan",
                 id="bin-width-nan",
             ),
+            pytest.param(
+                ("space", "modules", 4, "required", "false"),
+                "modules[4].required: must be true or false, got 'false'",
+                id="required-not-a-boolean",
+            ),
+            pytest.param(
+                ("space", "modules", 6, "merge_allowed", 1),
+                "modules[6].merge_allowed: must be true or false, got 1",
+                id="merge-allowed-not-a-boolean",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "explore"])
@@ -760,6 +770,25 @@ class TestCli:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
+        assert message in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_non_finite_weight_file_entry_is_refused(self, tmp_path, capsys, token, command):
+        (tmp_path / "weights.txt").write_text(f"280\n{token}\n290\n")
+        write_edited_inputs(
+            tmp_path,
+            ("scenario", "inflow", 0, "weights", {"kind": "empirical", "file": "weights.txt"}),
+        )
+        argv = [command, "--space", str(tmp_path / "space.json"),
+                "--scenario", str(tmp_path / "scenario.json")]
+        if command == "simulate":
+            argv += ["--design", "0"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        message = f"weights.txt, entry 2: weights must be positive and finite, got {token}"
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.err
 
@@ -818,7 +847,8 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 16
 
-    @pytest.mark.parametrize("bad", ["noequals", "=0.5", "s1=high"])
+    # a NaN ratio would be "met" by every KPI
+    @pytest.mark.parametrize("bad", ["noequals", "=0.5", "s1=high", "s1=-0.5", "s1=nan"])
     def test_threshold_syntax_is_checked(self, bad, capsys):
         with pytest.raises(SystemExit):
             main(["explore", "--space", "x", "--scenario", "y", "--out", "z",
