@@ -55,12 +55,9 @@ def _threshold(text: str) -> tuple[str, float]:
             f"expected SCENARIO=RATIO, got {text!r}"
         )
     try:
-        value = float(ratio)
+        return scenario, float(ratio)  # its range is explore's to check
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad ratio in {text!r}") from None
-    if not value >= 0:  # NaN too: every KPI would "meet" it
-        raise argparse.ArgumentTypeError("ratio must be a non-negative number")
-    return scenario, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +157,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    result, trace_rows = simulate_single(
+    record, trace_rows = simulate_single(
         args.space,
         args.design,
         args.scenario,
@@ -168,12 +165,11 @@ def _cmd_simulate(args) -> int:
         trace=args.trace,
         clamp=not args.no_clamp,
     )
-    record = result.to_record()
     if trace_rows is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = out_dir / (
-            f"trace_design{args.design}_{result.scenario_id}_seed{args.seed}.csv"
+            f"trace_design{args.design}_{record['scenario']}_seed{args.seed}.csv"
         )
         with open(trace_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -1,9 +1,10 @@
 """Scoring and multi-objective comparison of simulated designs.
 
-score() turns one replication's raw tallies into per-recipe attainment ratios
-and a scalar KPI (mean attainment over the non-default recipes). KpiVector
-collects one KPI per scenario for a design; ParetoFront keeps the vectors not
-dominated by any other, maximizing every component.
+score() turns one cell's raw tallies into its record: per-recipe attainment
+ratios and a scalar KPI (mean attainment over the non-default recipes), in the
+flat form that the journal and results.csv store. KpiVector collects one KPI
+per scenario for a design; ParetoFront keeps the vectors not dominated by any
+other, maximizing every component.
 """
 
 from __future__ import annotations
@@ -17,108 +18,52 @@ from flowdse.plant import RunTallies
 from flowdse.scenario import Scenario
 
 
-@dataclass(frozen=True)
-class RecipeOutcome:
-    destination: str
-    priority: int | None
-    absorbed: int
-    achieved_per_min: float
-    target_per_min: float | None
-    attainment: float | None  # None for the default recipe
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    design_index: int
-    scenario_id: str
-    seed: int
-    kpi: float
-    recipes: tuple[RecipeOutcome, ...]
-    counts: tuple[tuple[str, int], ...]  # per destination tag, sorted
-    masses: tuple[tuple[str, float], ...]
-    injected: int
-    injected_mass_g: float
-    trim_mass_g: float
-    in_flight: int
-    band_violations: int
-
-    def to_record(self) -> dict:
-        """Flat JSON-friendly form, used by the journal and the CSV writer."""
-        record = {
-            "design": self.design_index,
-            "scenario": self.scenario_id,
-            "seed": self.seed,
-            "kpi": self.kpi,
-            "injected": self.injected,
-            "injected_mass_g": round(self.injected_mass_g, 6),
-            "trim_mass_g": round(self.trim_mass_g, 6),
-            "in_flight": self.in_flight,
-            "band_violations": self.band_violations,
-        }
-        for r in self.recipes:
-            key = r.destination
-            record[f"absorbed_{key}"] = r.absorbed
-            record[f"achieved_per_min_{key}"] = round(r.achieved_per_min, 9)
-            if r.attainment is not None:
-                record[f"attainment_{key}"] = round(r.attainment, 9)
-        for tag, n in self.counts:
-            record[f"count_{tag}"] = n
-        for tag, mass in self.masses:
-            record[f"mass_{tag}_g"] = round(mass, 6)
-        return record
-
-
 def score(
     tallies: RunTallies,
     scenario: Scenario,
     design_index: int,
     seed: int,
     clamp: bool = True,
-) -> SimulationResult:
-    """Per-recipe throughput attainment from raw tallies.
+) -> dict:
+    """One cell's record: per-recipe throughput attainment from raw tallies.
 
     attainment = achieved / target, clamped to 1.0 unless disabled; the KPI is
     the mean over non-default recipes, so an unservable recipe pulls it down
     with an attainment of 0 and overshooting one recipe cannot mask another.
+    The record is flat and JSON-friendly: the journal and the CSV writer take
+    it as it is. The default recipe has no attainment column.
     """
     minutes = scenario.horizon_s / 60.0
-    outcomes = []
+    record = {
+        "design": design_index,
+        "scenario": scenario.scenario_id,
+        "seed": seed,
+        "kpi": 0.0,  # set once the recipes are scored; the key keeps its place
+        "injected": tallies.injected,
+        "injected_mass_g": round(tallies.injected_mass_g, 6),
+        "trim_mass_g": round(tallies.trim_mass_g, 6),
+        "in_flight": tallies.in_flight,
+        "band_violations": tallies.band_violations,
+    }
     non_default = []
-    for idx, recipe in enumerate(scenario.recipes):
-        absorbed = tallies.recipe_counts[idx]
+    for recipe, absorbed in zip(scenario.recipes, tallies.recipe_counts, strict=True):
+        key = recipe.destination
         achieved = absorbed / minutes
-        if recipe.is_default:
-            attainment = None
-        else:
+        record[f"absorbed_{key}"] = absorbed
+        record[f"achieved_per_min_{key}"] = round(achieved, 9)
+        if not recipe.is_default:
             attainment = achieved / recipe.target_per_min
             if clamp:
                 attainment = min(attainment, 1.0)
             non_default.append(attainment)
-        outcomes.append(
-            RecipeOutcome(
-                destination=recipe.destination,
-                priority=recipe.priority,
-                absorbed=absorbed,
-                achieved_per_min=achieved,
-                target_per_min=recipe.target_per_min,
-                attainment=attainment,
-            )
-        )
-    kpi = sum(non_default) / len(non_default) if non_default else 0.0
-    return SimulationResult(
-        design_index=design_index,
-        scenario_id=scenario.scenario_id,
-        seed=seed,
-        kpi=kpi,
-        recipes=tuple(outcomes),
-        counts=tuple(sorted(tallies.counts.items())),
-        masses=tuple(sorted(tallies.masses.items())),
-        injected=tallies.injected,
-        injected_mass_g=tallies.injected_mass_g,
-        trim_mass_g=tallies.trim_mass_g,
-        in_flight=tallies.in_flight,
-        band_violations=tallies.band_violations,
-    )
+            record[f"attainment_{key}"] = round(attainment, 9)
+    if non_default:
+        record["kpi"] = sum(non_default) / len(non_default)
+    for tag, n in sorted(tallies.counts.items()):
+        record[f"count_{tag}"] = n
+    for tag, mass in sorted(tallies.masses.items()):
+        record[f"mass_{tag}_g"] = round(mass, 6)
+    return record
 
 
 @dataclass(frozen=True)

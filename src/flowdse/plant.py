@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from flowdse.designspace import (
     PlantBuildError,
     compile_design,
 )
-from flowdse.kernel import RandomStream
+from flowdse.kernel import derive_seed
 from flowdse.scenario import Scenario
 
 # a sweep weighs and assigns what it can at least this often, in arrivals, so
@@ -59,8 +60,8 @@ class LaneRuntime:
     lane: str
     rate_per_min: float
     sampler: object  # weight source with .sample(rng)
-    weights_rng: RandomStream
-    arrivals_rng: RandomStream | None  # None = deterministic arrivals
+    weights_rng: random.Random
+    arrivals_rng: random.Random | None  # None = deterministic arrivals
     weigh_offset_s: float  # origin arrival -> weighing arrival
     assign_offset_s: float  # weighing arrival -> assignment arrival
     weigh_module: str
@@ -127,9 +128,9 @@ class PlantSimulation:
                 lane=lane,
                 rate_per_min=inflow.rate_per_min,
                 sampler=inflow.weights,
-                weights_rng=RandomStream(seed, f"weights:{lane}"),
+                weights_rng=random.Random(derive_seed(seed, f"weights:{lane}")),
                 arrivals_rng=(
-                    RandomStream(seed, f"arrivals:{lane}")
+                    random.Random(derive_seed(seed, f"arrivals:{lane}"))
                     if inflow.process == "poisson"
                     else None
                 ),

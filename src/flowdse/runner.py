@@ -1,14 +1,15 @@
 """Batch orchestration: enumerate, construct, simulate, evaluate, report.
 
-A run plan expands into cells, one per (design, scenario, replication). Cells
-are independent - each builds its own plant and controller - so they fan out
-over a worker pool. The space is enumerated once, in the parent: each cell
-carries its design's configuration, and a worker loads only the space and
-the scenarios, compiling each distinct lane wiring once (`compile_design`).
-Every completed cell is appended to a journal file before anything else
-happens with it, which makes interrupted batches resumable without
-recomputation. Results are keyed and sorted by cell, so the output files are
-identical for any worker count.
+A run plan expands into cells, one per (design, scenario, replication).
+`run_cell`, the one cell path, builds a cell, runs it and scores it into its
+flat record; `explore` runs it for every cell and `simulate` for one. Cells
+are independent, so they fan out over a worker pool. The space is enumerated
+once, in the parent: each cell carries its design's configuration, and a
+worker loads only the space and the scenarios, compiling each distinct lane
+wiring once (`compile_design`). Every cell's record is appended to a journal
+file before anything else happens with it, which makes interrupted batches
+resumable without recomputation. Results are keyed and sorted by cell, so the
+output files are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -126,17 +127,29 @@ def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) 
     _WORKER["clamp"] = clamp
 
 
+def run_cell(
+    space: DesignSpace,
+    config: DesignConfiguration,
+    scenario: Scenario,
+    seed: int,
+    clamp: bool,
+    trace: bool = False,
+) -> tuple[dict, list[tuple] | None]:
+    """Build, run and score one cell: its record, and its trace rows if asked."""
+    sim = PlantSimulation(space, config, scenario, seed, trace=trace)
+    record = score(sim.run(), scenario, config.index, seed, clamp=clamp)
+    return record, sim.trace_rows
+
+
 def _run_cell(
     cell: tuple[DesignConfiguration, int, int, int]
 ) -> tuple[tuple[int, int, int], dict]:
     config, scenario_index, replication, base_seed = cell
-    design_index = config.index
-    scenario: Scenario = _WORKER["scenarios"][scenario_index]
-    seed = cell_seed(base_seed, design_index, scenario_index, replication)
-    sim = PlantSimulation(_WORKER["space"], config, scenario, seed)
-    tallies = sim.run()
-    result = score(tallies, scenario, design_index, seed, clamp=_WORKER["clamp"])
-    return (design_index, scenario_index, replication), result.to_record()
+    seed = cell_seed(base_seed, config.index, scenario_index, replication)
+    record, _ = run_cell(
+        _WORKER["space"], config, _WORKER["scenarios"][scenario_index], seed, _WORKER["clamp"]
+    )
+    return (config.index, scenario_index, replication), record
 
 
 def simulate_single(
@@ -146,7 +159,7 @@ def simulate_single(
     seed: int,
     trace: bool = False,
     clamp: bool = True,
-):
+) -> tuple[dict, list[tuple] | None]:
     """One replication with its exact cell inputs; optionally with a trace."""
     space = load_design_space(space_path)
     config = None
@@ -157,10 +170,7 @@ def simulate_single(
         raise PlanError(f"design index {design_index} out of range 0..{count - 1}")
     scenario = load_scenario(scenario_path)
     _check_compatibility(space, [scenario])
-    sim = PlantSimulation(space, config, scenario, seed, trace=trace)
-    tallies = sim.run()
-    result = score(tallies, scenario, design_index, seed, clamp=clamp)
-    return result, sim.trace_rows
+    return run_cell(space, config, scenario, seed, clamp, trace=trace)
 
 
 def _check_compatibility(space: DesignSpace, scenarios: list[Scenario]) -> None:
@@ -238,6 +248,9 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     started = time.perf_counter()
     say = echo or (lambda *_: None)
 
+    for sid, minimum in plan.min_attainment:
+        if not minimum >= 0:  # NaN too: every KPI would "meet" it
+            raise PlanError(f"--min-attainment {sid}={minimum}: ratio must be non-negative")
     space = load_design_space(plan.space_path)
     scenarios = [load_scenario(p) for p in plan.scenario_paths]
     if not scenarios:

@@ -5,13 +5,15 @@ time and insertion sequence) and `PlantSimulation` the calendar-driven plant:
 one event per fillet per arrival, weigh, assign, trim and absorb, and one per
 recompute. Both are copied unchanged from `flowdse.kernel` and `flowdse.plant`
 as they stood before `PlantSimulation.run` became a sweep; only the imports
-differ. Tests run the same cell through both and require identical tallies and
-trace rows.
+and the seeding of the random streams (`random.Random(derive_seed(...))`, the
+same draws) differ. Tests run the same cell through both and require
+identical tallies and trace rows.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -22,7 +24,7 @@ from flowdse.designspace import (
     PlantBuildError,
     compile_design,
 )
-from flowdse.kernel import RandomStream
+from flowdse.kernel import derive_seed
 from flowdse.plant import LaneRuntime, RoutingFault, RunTallies
 from flowdse.scenario import Scenario
 
@@ -141,9 +143,9 @@ class PlantSimulation:
                 lane=lane,
                 rate_per_min=inflow.rate_per_min,
                 sampler=inflow.weights,
-                weights_rng=RandomStream(seed, f"weights:{lane}"),
+                weights_rng=random.Random(derive_seed(seed, f"weights:{lane}")),
                 arrivals_rng=(
-                    RandomStream(seed, f"arrivals:{lane}")
+                    random.Random(derive_seed(seed, f"arrivals:{lane}"))
                     if inflow.process == "poisson"
                     else None
                 ),

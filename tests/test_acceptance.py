@@ -279,8 +279,8 @@ def test_criterion_06_throughput_oracle(tmp_path):
             }
         )
     )
-    result, _ = simulate_single(str(space), 0, str(scenario), seed=2718)
-    achieved = result.recipes[0].achieved_per_min
+    record, _ = simulate_single(str(space), 0, str(scenario), seed=2718)
+    achieved = record["achieved_per_min_batching1"]
     rel = abs(achieved - oracle) / oracle
     verdict(
         "criterion 6 throughput oracle",
@@ -344,7 +344,7 @@ def test_criterion_07_trimming_lifts_attainment():
     attainments = {}
     for label, config in (("with", with_trimmer), ("without", without)):
         tallies = PlantSimulation(space, config, scenario, seed=7).run()
-        attainments[label] = score(tallies, scenario, config.index, 7).recipes[0].attainment
+        attainments[label] = score(tallies, scenario, config.index, 7)["attainment_batching2"]
     ok = attainments["with"] > 0.9 and attainments["without"] < 0.05
     verdict(
         "criterion 7 trimming lifts attainment",

@@ -56,36 +56,35 @@ def tallies_with(recipe_counts, injected=None):
 
 class TestScore:
     def test_attainment_is_achieved_over_target(self):
-        result = score(tallies_with([1800, 900, 100]), two_recipe_scenario(), 0, 1)
-        burger, schnitzel, default = result.recipes
-        assert burger.achieved_per_min == 30.0
-        assert burger.attainment == 0.5
-        assert schnitzel.achieved_per_min == 15.0
-        assert schnitzel.attainment == 0.5
-        assert default.attainment is None
-        assert result.kpi == 0.5
+        record = score(tallies_with([1800, 900, 100]), two_recipe_scenario(), 0, 1)
+        assert record["achieved_per_min_burger"] == 30.0
+        assert record["attainment_burger"] == 0.5
+        assert record["achieved_per_min_schnitzel"] == 15.0
+        assert record["attainment_schnitzel"] == 0.5
+        assert "attainment_fillet_strips" not in record
+        assert record["kpi"] == 0.5
 
     def test_overshoot_clamps_to_one(self):
-        result = score(tallies_with([5400, 0, 0]), two_recipe_scenario(), 0, 1)
-        assert result.recipes[0].attainment == 1.0
-        assert result.kpi == 0.5
+        record = score(tallies_with([5400, 0, 0]), two_recipe_scenario(), 0, 1)
+        assert record["attainment_burger"] == 1.0
+        assert record["kpi"] == 0.5
 
     def test_clamp_can_be_disabled(self):
-        result = score(
+        record = score(
             tallies_with([5400, 0, 0]), two_recipe_scenario(), 0, 1, clamp=False
         )
-        assert result.recipes[0].attainment == 1.5
-        assert result.kpi == 0.75
+        assert record["attainment_burger"] == 1.5
+        assert record["kpi"] == 0.75
 
     def test_nothing_absorbed_scores_zero(self):
-        result = score(tallies_with([0, 0, 0]), two_recipe_scenario(), 0, 1)
-        assert result.kpi == 0.0
+        record = score(tallies_with([0, 0, 0]), two_recipe_scenario(), 0, 1)
+        assert record["kpi"] == 0.0
 
     def test_kpi_averages_only_order_recipes(self):
         # default volume is irrelevant to the KPI
         a = score(tallies_with([1800, 900, 0]), two_recipe_scenario(), 0, 1)
         b = score(tallies_with([1800, 900, 9000]), two_recipe_scenario(), 0, 1)
-        assert a.kpi == b.kpi == 0.5
+        assert a["kpi"] == b["kpi"] == 0.5
 
     @given(
         counts=st.tuples(
@@ -93,11 +92,11 @@ class TestScore:
         )
     )
     def test_clamped_kpi_stays_in_the_unit_interval(self, counts):
-        result = score(tallies_with(list(counts)), two_recipe_scenario(), 0, 1)
-        assert 0.0 <= result.kpi <= 1.0
+        record = score(tallies_with(list(counts)), two_recipe_scenario(), 0, 1)
+        assert 0.0 <= record["kpi"] <= 1.0
 
     def test_record_omits_attainment_for_the_default(self):
-        record = score(tallies_with([1800, 900, 100]), two_recipe_scenario(), 7, 42).to_record()
+        record = score(tallies_with([1800, 900, 100]), two_recipe_scenario(), 7, 42)
         assert record["design"] == 7
         assert record["seed"] == 42
         assert record["attainment_burger"] == 0.5

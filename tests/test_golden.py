@@ -113,7 +113,7 @@ def digests(name: str) -> dict[str, str]:
     space, config, scenario = build()
     sim = PlantSimulation(space, config, scenario, seed, trace=True)
     tallies = sim.run()
-    record = score(tallies, scenario, config.index, seed).to_record()
+    record = score(tallies, scenario, config.index, seed)
     trace = io.StringIO()
     writer = csv.writer(trace)
     writer.writerow(["time_s", "module", "fillet", "weight_g", "action"])

@@ -1,15 +1,18 @@
 """Seeded streams, and the event calendar kept as the plant's test oracle.
 
-`flowdse.kernel` keeps only seed derivation and random streams. The calendar
-tests check `tests/des_oracle.py`'s `Kernel`, the engine the plant's sweep is
-held against, so the reference itself stays checked.
+`flowdse.kernel` keeps only seed derivation; the plant seeds each stream as
+`random.Random(derive_seed(seed, label))`. The calendar tests check
+`tests/des_oracle.py`'s `Kernel`, the engine the plant's sweep is held
+against, so the reference itself stays checked.
 """
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from des_oracle import Kernel, ScheduleInPastError
-from flowdse.kernel import RandomStream, derive_seed
+from flowdse.kernel import derive_seed
 
 
 def record(log):
@@ -180,16 +183,11 @@ class TestSeeding:
         assert derive_seed(42, "weights", 0) == 0x5C16E49A802FC003
 
     def test_streams_reproduce(self):
-        a = RandomStream(123, "weights:lane1")
-        b = RandomStream(123, "weights:lane1")
+        a = random.Random(derive_seed(123, "weights:lane1"))
+        b = random.Random(derive_seed(123, "weights:lane1"))
         assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
 
     def test_streams_are_independent(self):
-        a = RandomStream(123, "weights:lane1")
-        b = RandomStream(123, "weights:lane2")
+        a = random.Random(derive_seed(123, "weights:lane1"))
+        b = random.Random(derive_seed(123, "weights:lane2"))
         assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
-
-    def test_stream_tags_retained(self):
-        s = RandomStream(7, "arrivals:lane3")
-        assert s.base_seed == 7
-        assert s.stream_id == "arrivals:lane3"

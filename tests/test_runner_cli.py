@@ -149,10 +149,10 @@ class TestSimulateSingle:
         # inflow at 280 g, band 150..200 g: only trimming can serve the order
         kpis = {}
         for design in (0, 1):
-            result, _ = simulate_single(
+            record, _ = simulate_single(
                 str(mini["space"]), design, str(mini["scenario"]), seed=5
             )
-            kpis[design] = result.kpi
+            kpis[design] = record["kpi"]
         assert sorted(kpis.values()) == pytest.approx([0.0, 1.0])
 
 
@@ -176,16 +176,20 @@ class TestExplore:
         assert [r["design"] for r in rows] == ["0", "1"]
 
     def test_results_agree_with_single_cell_runs(self, mini, tmp_path):
-        report = run_explore(mini, tmp_path / "out")
-        with open(report.files["results"], newline="") as fh:
-            rows = {r["design"]: r for r in csv.DictReader(fh)}
-        for design in (0, 1):
-            seed = cell_seed(42, design, 0, 0)
+        # every journal record, replication 1 included, is simulate's record
+        report = run_explore(mini, tmp_path / "out", replications=2)
+        _, *lines = report.files["journal"].read_text().splitlines()
+        entries = [json.loads(line) for line in lines]
+        assert [tuple(e["cell"]) for e in entries] == [
+            (d, 0, r) for d in (0, 1) for r in (0, 1)
+        ]
+        for entry in entries:
+            design, scenario, replication = entry["cell"]
+            seed = cell_seed(42, design, scenario, replication)
             single, _ = simulate_single(
                 str(mini["space"]), design, str(mini["scenario"]), seed=seed
             )
-            assert float(rows[str(design)]["kpi"]) == pytest.approx(single.kpi)
-            assert rows[str(design)]["seed"] == str(seed)
+            assert entry["result"] == single
 
     def test_parallel_run_writes_identical_files(self, mini, tmp_path):
         serial = run_explore(mini, tmp_path / "serial", jobs=1)
@@ -377,6 +381,14 @@ class TestExplore:
     def test_stop_first_requires_a_threshold(self, mini, tmp_path):
         with pytest.raises(PlanError, match="min-attainment"):
             run_explore(mini, tmp_path / "out", stop_first=True)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), -0.5], ids=["nan", "negative"])
+    def test_threshold_out_of_range_is_refused(self, mini, tmp_path, ratio):
+        # a NaN threshold would be met by every KPI and stop at design 0
+        out = tmp_path / "out"
+        with pytest.raises(PlanError, match=f"--min-attainment mini={ratio}: ratio must be"):
+            run_explore(mini, out, stop_first=True, min_attainment=(("mini", ratio),))
+        assert not out.exists()  # refused before anything ran or was written
 
     def test_threshold_for_unknown_scenario_is_refused(self, mini, tmp_path):
         with pytest.raises(PlanError, match="unknown scenarios"):
@@ -847,13 +859,23 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 16
 
-    # a NaN ratio would be "met" by every KPI
-    @pytest.mark.parametrize("bad", ["noequals", "=0.5", "s1=high", "s1=-0.5", "s1=nan"])
+    @pytest.mark.parametrize("bad", ["noequals", "=0.5", "s1=high"])
     def test_threshold_syntax_is_checked(self, bad, capsys):
         with pytest.raises(SystemExit):
             main(["explore", "--space", "x", "--scenario", "y", "--out", "z",
                   "--min-attainment", bad])
         capsys.readouterr()
+
+    # a NaN ratio would be "met" by every KPI
+    @pytest.mark.parametrize("ratio", ["nan", "-0.5"])
+    def test_threshold_range_is_an_input_error(self, mini, tmp_path, capsys, ratio):
+        code = main(["explore", "--space", str(mini["space"]), "--scenario",
+                     str(mini["scenario"]), "--out", str(tmp_path / "out"),
+                     "--stop-first", "--min-attainment", f"mini={ratio}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: --min-attainment mini={ratio}: ratio must be non-negative" in err
+        assert "Traceback" not in err
 
     def test_console_script_is_installed(self, mini, tmp_path):
         """The declared ``flowdse`` console script runs as its own process.

@@ -1,10 +1,11 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flowdse.kernel import RandomStream
+from flowdse.kernel import derive_seed
 from flowdse.scenario import (
     Recipe,
     ScenarioError,
@@ -260,7 +261,7 @@ class TestWeightSamples:
         raw["inflow"][0]["weights"] = {"kind": "empirical", "file": "weights.txt"}
         source = parse_scenario(raw, base_dir=tmp_path).inflow[0].weights
         assert source.values == (100.0, 150.5, 200.0)
-        rng = RandomStream(1, "w")
+        rng = random.Random(derive_seed(1, "w"))
         draws = {source.sample(rng) for _ in range(200)}
         assert draws == {100.0, 150.5, 200.0}
 
@@ -269,19 +270,19 @@ class TestTruncatedNormal:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_samples_respect_bounds(self, seed):
         source = TruncatedNormalWeights(300, 60, 50, 400)
-        rng = RandomStream(seed, "w")
+        rng = random.Random(derive_seed(seed, "w"))
         for _ in range(50):
             assert 50 <= source.sample(rng) <= 400
 
     def test_sampling_is_reproducible(self):
         source = TruncatedNormalWeights(300, 60, 50, 400)
-        a = [source.sample(RandomStream(5, "w")) for _ in range(1)]
-        b = [source.sample(RandomStream(5, "w")) for _ in range(1)]
+        a = [source.sample(random.Random(derive_seed(5, "w"))) for _ in range(1)]
+        b = [source.sample(random.Random(derive_seed(5, "w"))) for _ in range(1)]
         assert a == b
 
     def test_mean_roughly_matches_for_wide_bounds(self):
         source = TruncatedNormalWeights(300, 30, 50, 550)
-        rng = RandomStream(11, "w")
+        rng = random.Random(derive_seed(11, "w"))
         draws = [source.sample(rng) for _ in range(4000)]
         mean = sum(draws) / len(draws)
         assert math.isclose(mean, 300, rel_tol=0.01)
