@@ -172,12 +172,28 @@ def load_design_space(path: str | Path) -> DesignSpace:
     return parse_design_space(raw, fallback_id=path.stem)
 
 
+def _field(raw: dict, key: str, where: str, default, valid, wanted: str):
+    """raw[key] (default if absent) when `valid` accepts it; else an error naming it."""
+    value = raw.get(key, default)
+    if not valid(value):
+        raise DesignSpaceError(f"{where}.{key}: must be {wanted}, got {value!r:.40}")
+    return value
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
     if not isinstance(raw, dict):
         raise DesignSpaceError(f"{fallback_id}: must be a JSON object, got {raw!r:.40}")
-    space_id = raw.get("id", fallback_id)
+    space_id = _field(raw, "id", fallback_id, fallback_id, lambda v: isinstance(v, str), "a string")
     modules = []
-    for i, m in enumerate(raw.get("modules", [])):
+    for i, m in enumerate(_field(raw, "modules", space_id, [], _is_list, "a JSON array")):
         where = f"modules[{i}]"
         if not isinstance(m, dict):
             raise DesignSpaceError(f"{where}: must be a JSON object, got {m!r:.40}")
@@ -188,34 +204,40 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
             raise DesignSpaceError(f"{where}: missing field {missing}") from None
         except ValueError:
             raise DesignSpaceError(f"{where}: unknown kind {m.get('kind')!r}") from None
+        if not isinstance(module_id, str):
+            raise DesignSpaceError(f"{where}.id: must be a string, got {module_id!r:.40}")
         try:
             latency_s = float(m.get("latency_s", 1.0))
         except (TypeError, ValueError):
             raise DesignSpaceError(
                 f"{where}.latency_s: not a number: {m['latency_s']!r}"
             ) from None
-        tag = m.get("destination_tag")
+        tag = _field(
+            m, "destination_tag", where, None, lambda v: v is None or isinstance(v, str), "a string"
+        )
         flags = {}
         for key, default in (("required", False), ("merge_allowed", tag == "fillet_strips")):
             # bool("false") is True: only a JSON boolean says what it means
             flags[key] = value = m.get(key, default)
             if not isinstance(value, bool):
                 raise DesignSpaceError(f"{where}.{key}: must be true or false, got {value!r}")
+        in_ports, out_ports = (
+            tuple(_field(m, key, where, [], _is_string_list, "a list of strings"))
+            for key in ("in_ports", "out_ports")
+        )
         spec = ModuleSpec(
             module_id=module_id,
             kind=kind,
-            in_ports=tuple(m.get("in_ports", ())),
-            out_ports=tuple(m.get("out_ports", ())),
+            in_ports=in_ports,
+            out_ports=out_ports,
             latency_s=latency_s,
             destination_tag=tag,
             **flags,
         )
         modules.append(spec)
     allowed = []
-    for i, pair in enumerate(raw.get("allowed", [])):
-        if not (
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
-        ):
+    for i, pair in enumerate(_field(raw, "allowed", space_id, [], _is_list, "a JSON array")):
+        if not (_is_string_list(pair) and len(pair) == 2):
             raise DesignSpaceError(
                 f"allowed[{i}]: must be an [out-port, in-port] pair, got {pair!r:.60}"
             )
@@ -272,9 +294,12 @@ def space_problems(space: DesignSpace) -> list[str]:
         if (out_port, in_port) in seen_pairs:
             problems.append(f"duplicate allowed pair {out_port} -> {in_port}")
         seen_pairs.add((out_port, in_port))
-    for out_port, targets in space.choices.items():
-        if not targets:
-            problems.append(f"out-port {out_port} has no allowed connection (empty row)")
+    # not `space.choices`: it has no row for an unknown out-port named above
+    wired = {out_port for out_port, _ in space.allowed}
+    for m in space.modules:
+        for p in m.out_ports:
+            if m.port_key(p) not in wired:
+                problems.append(f"out-port {m.port_key(p)} has no allowed connection (empty row)")
     return problems
 
 
@@ -283,11 +308,14 @@ def enumerate_configurations(space: DesignSpace) -> Iterator[DesignConfiguration
 
     Backtracking over a discovery-ordered frontier of out-ports; the yield
     order (and so each configuration's index) is fixed by module and matrix
-    declaration order.
+    declaration order. Every configuration's `chosen` holds the same pair
+    objects, one per allowed pair, so a large batch of configurations costs
+    little more than their pair tuples.
     """
     choices = space.choices
     owner = space.port_owner
     required = {m.module_id for m in space.modules if m.required}
+    pairs = {(o, i): (o, i) for o, targets in choices.items() for i in targets}
 
     frontier: list[str] = []
     connected: set[str] = set()
@@ -295,14 +323,14 @@ def enumerate_configurations(space: DesignSpace) -> Iterator[DesignConfiguration
         connected.add(origin.module_id)
         frontier.extend(origin.port_key(p) for p in origin.out_ports)
 
-    chosen: dict[str, str] = {}
+    chosen: dict[str, tuple[str, str]] = {}  # out-port -> its (out-port, in-port) pair
     feeds: dict[str, int] = {}
     counter = itertools.count()
 
     def expand(pos: int) -> Iterator[DesignConfiguration]:
         if pos == len(frontier):
             if required <= connected:
-                yield DesignConfiguration(next(counter), tuple(sorted(chosen.items())))
+                yield DesignConfiguration(next(counter), tuple(sorted(chosen.values())))
             return
         out_port = frontier[pos]
         for in_port in choices[out_port]:
@@ -310,7 +338,7 @@ def enumerate_configurations(space: DesignSpace) -> Iterator[DesignConfiguration
             taken = feeds.get(in_port, 0)
             if taken and not (target.kind == ModuleKind.DESTINATION and target.merge_allowed):
                 continue
-            chosen[out_port] = in_port
+            chosen[out_port] = pairs[out_port, in_port]
             feeds[in_port] = taken + 1
             newly_reached = target.module_id not in connected
             if newly_reached:

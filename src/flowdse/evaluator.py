@@ -13,6 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from flowdse.plant import RunTallies
 from flowdse.scenario import Scenario
@@ -160,7 +161,7 @@ def result_columns(scenarios: list[Scenario]) -> list[str]:
     return columns
 
 
-def write_results_csv(path: Path, records: list[dict], columns: list[str]) -> None:
+def write_results_csv(path: Path, records: Iterable[dict], columns: list[str]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="", extrasaction="ignore")
         writer.writeheader()

@@ -8,8 +8,12 @@ once, in the parent: each cell carries its design's configuration, and a
 worker loads only the space and the scenarios, compiling each distinct lane
 wiring once (`compile_design`). Every cell's record is appended to a journal
 file before anything else happens with it, which makes interrupted batches
-resumable without recomputation. Results are keyed and sorted by cell, so the
-output files are identical for any worker count.
+resumable without recomputation. The journal is also the record store: a
+worker hands back its record as JSON text, the parent writes it as a journal
+line and keeps only the cell's KPI and the line's byte offset, and results.csv
+is streamed back from those lines, for fresh and resumed cells alike. Results
+are keyed and sorted by cell, so the output files are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from flowdse.designspace import (
     DesignConfiguration,
@@ -143,13 +148,14 @@ def run_cell(
 
 def _run_cell(
     cell: tuple[DesignConfiguration, int, int, int]
-) -> tuple[tuple[int, int, int], dict]:
+) -> tuple[tuple[int, int, int], float, str]:
+    """One cell of `explore`: its key, its KPI and its record as JSON text."""
     config, scenario_index, replication, base_seed = cell
     seed = cell_seed(base_seed, config.index, scenario_index, replication)
     record, _ = run_cell(
         _WORKER["space"], config, _WORKER["scenarios"][scenario_index], seed, _WORKER["clamp"]
     )
-    return (config.index, scenario_index, replication), record
+    return (config.index, scenario_index, replication), record["kpi"], json.dumps(record)
 
 
 def simulate_single(
@@ -196,8 +202,9 @@ def progress_line(done: int, total: int, executed: int, left: int, elapsed_s: fl
 
 def _load_journal(
     path: Path, fingerprint: dict
-) -> tuple[dict[tuple[int, int, int], dict], int]:
-    """The cells a journal records, and the byte length of its intact part.
+) -> tuple[dict[tuple[int, int, int], tuple[float, int]], int]:
+    """The cells a journal records, each as its KPI and the byte offset of its
+    line, and the byte length of the journal's intact part.
 
     Every record is written as one line and flushed, so a kill mid-write can
     only tear the last line. A last line that is torn (no newline) or does
@@ -206,47 +213,71 @@ def _load_journal(
     its newline leaves nothing to keep (length 0). Any other bad line is
     corruption and a `PlanError`.
     """
-    completed: dict[tuple[int, int, int], dict] = {}
+    completed: dict[tuple[int, int, int], tuple[float, int]] = {}
     if not path.exists():
         return completed, 0
-    lines = path.read_bytes().split(b"\n")
-    torn = lines.pop()  # the bytes after the last newline; empty when intact
-    if not lines:
-        return completed, 0
-    try:
-        head = json.loads(lines[0])
-    except ValueError:
-        head = None
-    if not isinstance(head, dict):
-        raise PlanError(f"{path} is corrupt (bad header line)")
-    plan = head.get("plan")
-    if isinstance(plan, dict) and "space" in plan:
-        raise PlanError(
-            f"{path} names its inputs by file name only, so edited inputs cannot be "
-            f"told apart; start afresh: use a fresh --out directory or remove the journal"
-        )
-    if plan != fingerprint:
-        raise PlanError(
-            f"{path} was written by a different plan; "
-            f"use a fresh --out directory or matching inputs"
-        )
-    intact = len(lines[0]) + 1
-    for number, line in enumerate(lines[1:], start=2):
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            return completed, 0
         try:
-            if line.strip():
-                entry = json.loads(line)
-                completed[tuple(entry["cell"])] = entry["result"]
-        except (ValueError, KeyError, TypeError):
-            if number == len(lines) and not torn:
-                break  # an unparsable last line: drop it like a torn one
-            raise PlanError(f"{path} is corrupt (bad line {number})") from None
-        intact += len(line) + 1
+            head = json.loads(header)
+        except ValueError:
+            head = None
+        if not isinstance(head, dict):
+            raise PlanError(f"{path} is corrupt (bad header line)")
+        plan = head.get("plan")
+        if isinstance(plan, dict) and "space" in plan:
+            raise PlanError(
+                f"{path} names its inputs by file name only, so edited inputs cannot be "
+                f"told apart; start afresh: use a fresh --out directory or remove the journal"
+            )
+        if plan != fingerprint:
+            raise PlanError(
+                f"{path} was written by a different plan; "
+                f"use a fresh --out directory or matching inputs"
+            )
+        intact = len(header)
+        for number, line in enumerate(fh, start=2):
+            if not line.endswith(b"\n"):
+                break  # torn
+            try:
+                if line.strip():
+                    entry = json.loads(line)
+                    completed[tuple(entry["cell"])] = (entry["result"]["kpi"], intact)
+            except (ValueError, KeyError, TypeError):
+                if not fh.read(1):
+                    break  # an unparsable last line: drop it like a torn one
+                raise PlanError(f"{path} is corrupt (bad line {number})") from None
+            intact += len(line)
     return completed, intact
+
+
+def _journal_records(path: Path, offsets: Iterable[int]) -> Iterator[dict]:
+    """The records of the journal lines at `offsets`, read back one at a time."""
+    with open(path, "rb") as fh:
+        for offset in offsets:
+            fh.seek(offset)
+            yield json.loads(fh.readline())["result"]
+
+
+def _phase_times(started: float, ends: dict[str, float]) -> dict[str, float]:
+    """Each phase's seconds, from the end times of consecutive phases that
+    start at `started`. Each end is rounded to the millisecond first, so the
+    phases add up to the rounded wall time."""
+    phases = {}
+    last = 0.0
+    for name, end in ends.items():
+        at = round(end - started, 3)
+        phases[name] = round(at - last, 3)
+        last = at
+    return phases
 
 
 def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     started = time.perf_counter()
     say = echo or (lambda *_: None)
+    ends: dict[str, float] = {}  # phase -> when it ended; the phases tile the run
 
     for sid, minimum in plan.min_attainment:
         if not minimum >= 0:  # NaN too: every KPI would "meet" it
@@ -268,15 +299,19 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         raise PlanError("--stop-first needs at least one --min-attainment threshold")
     if plan.replications < 1:
         raise PlanError(f"--replications must be at least 1, got {plan.replications}")
+    ends["load"] = time.perf_counter()
 
     configs = list(enumerate_configurations(space))
+    ends["enumerate"] = time.perf_counter()
     say(f"{space.space_id}: {len(configs)} configurations")
     if plan.dedup:
         distinct = deduplicate(space, configs)
         design_indices = [rep.index for rep, _ in distinct]
         multiplicity = {rep.index: mult for rep, mult in distinct}
+        ends["dedup"] = time.perf_counter()
         say(f"deduplicated to {len(distinct)} distinct designs")
     else:
+        ends["dedup"] = ends["enumerate"]
         design_indices = list(range(len(configs)))
         multiplicity = {i: 1 for i in design_indices}
 
@@ -288,25 +323,29 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     if completed:
         say(f"journal: {len(completed)} cells already done")
 
-    cells = [
-        (d, s, r)
+    per_design = len(scenarios) * plan.replications
+    cells_total = len(design_indices) * per_design
+    # a cell carries its configuration, so that no worker enumerates the space
+    pending = [
+        (configs[d], s, r, plan.base_seed)
         for d in design_indices
         for s in range(len(scenarios))
         for r in range(plan.replications)
-    ]
-    # a cell carries its configuration, so that no worker enumerates the space
-    pending = [
-        (configs[d], s, r, plan.base_seed) for d, s, r in cells if (d, s, r) not in completed
+        if (d, s, r) not in completed
     ]
 
-    journal = open(journal_path, "a", encoding="utf-8")
+    # newline="": the offsets kept below count bytes, and json.dumps writes ASCII
+    journal = open(journal_path, "a", encoding="utf-8", newline="")
     journal.truncate(intact)  # drop a torn last line so the next record starts clean
+    offset = intact
     if not intact:
-        journal.write(json.dumps({"plan": fingerprint}) + "\n")
+        header = json.dumps({"plan": fingerprint}) + "\n"
+        journal.write(header)
         journal.flush()
+        offset = len(header)
 
-    per_design = len(scenarios) * plan.replications
-    collected: dict[tuple[int, int, int], dict] = dict(completed)
+    # the journal keeps the records; the parent keeps each cell's KPI and line offset
+    collected: dict[tuple[int, int, int], tuple[float, int]] = dict(completed)
     stopped_at = None
 
     def design_done(d: int) -> bool:
@@ -316,11 +355,13 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             for r in range(plan.replications)
         )
 
+    def mean_kpi(d: int, s: int) -> float:
+        kpis = [collected[(d, s, r)][0] for r in range(plan.replications)]
+        return sum(kpis) / len(kpis)
+
     def meets_thresholds(d: int) -> bool:
         for sid, minimum in thresholds.items():
-            s = scenario_ids.index(sid)
-            kpis = [collected[(d, s, r)]["kpi"] for r in range(plan.replications)]
-            if sum(kpis) / len(kpis) < minimum:
+            if mean_kpi(d, scenario_ids.index(sid)) < minimum:
                 return False
         return True
 
@@ -343,13 +384,16 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
                 chunk = max(1, min(16, len(pending) // (plan.jobs * 4) or 1))
             stream = pool.imap(_run_cell, pending, chunksize=chunk)
 
-        for key, record in stream:
-            journal.write(json.dumps({"cell": list(key), "result": record}) + "\n")
+        for key, kpi, text in stream:
+            # byte for byte what json.dumps({"cell": list(key), "result": record}) gives
+            line = '{"cell": ' + json.dumps(list(key)) + ', "result": ' + text + "}\n"
+            journal.write(line)
             journal.flush()
-            collected[key] = record
+            collected[key] = (kpi, offset)
+            offset += len(line)
             executed += 1
             if executed % (per_design * 64) == 0 or executed == len(pending):
-                say(progress_line(len(collected), len(cells), executed,
+                say(progress_line(len(collected), cells_total, executed,
                                   len(pending) - executed, time.perf_counter() - loop_started))
             if plan.stop_first:
                 d = key[0]
@@ -362,6 +406,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             # every cell wanted is in, or stop-first stopped, or a cell raised
             pool.terminate()
             pool.join()
+    ends["simulate"] = time.perf_counter()
 
     if plan.stop_first and stopped_at is None:
         # honor journal-resumed qualifiers from an interrupted earlier run
@@ -377,21 +422,18 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         candidates = design_indices[: design_indices.index(stopped_at) + 1]
     evaluated = [d for d in candidates if design_done(d)]
 
-    vectors = []
-    for d in evaluated:
-        values = []
-        for s in range(len(scenarios)):
-            kpis = [collected[(d, s, r)]["kpi"] for r in range(plan.replications)]
-            values.append(sum(kpis) / len(kpis))
-        vectors.append(KpiVector(d, tuple(values), multiplicity[d]))
+    vectors = [
+        KpiVector(d, tuple(mean_kpi(d, s) for s in range(len(scenarios))), multiplicity[d])
+        for d in evaluated
+    ]
     front = ParetoFront.from_vectors(vectors)
 
-    records = [
-        collected[(d, s, r)]
+    offsets = (
+        collected[(d, s, r)][1]
         for d in evaluated
         for s in range(len(scenarios))
         for r in range(plan.replications)
-    ]
+    )
     columns = result_columns(scenarios)
     files = {
         "results": out_dir / "results.csv",
@@ -400,12 +442,13 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         "journal": journal_path,
         "meta": out_dir / "meta.json",
     }
-    write_results_csv(files["results"], records, columns)
+    write_results_csv(files["results"], _journal_records(journal_path, offsets), columns)
     wiring = {d: configs[d].chosen for d in front.design_indices()}
     write_pareto_json(files["pareto"], front, scenario_ids, wiring)
     write_plot_csv(files["plot"], vectors, scenario_ids, front)
+    ends["write"] = time.perf_counter()
 
-    wall = time.perf_counter() - started
+    wall = ends["write"] - started
     meta = {
         "plan": fingerprint,
         "jobs": plan.jobs,
@@ -413,12 +456,13 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         "min_attainment": dict(plan.min_attainment),
         "configurations": len(configs),
         "designs_evaluated": len(evaluated),
-        "cells_total": len(cells),
+        "cells_total": cells_total,
         "cells_executed": executed,
         "cells_resumed": len(completed),
         "front_size": len(front),
         "stopped_at_design": stopped_at,
         "wall_s": round(wall, 3),
+        "phases_s": _phase_times(started, ends),
     }
     files["meta"].write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 

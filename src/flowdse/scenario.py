@@ -128,6 +128,11 @@ def _object(raw, where: str) -> None:
         raise ScenarioError(f"{where}: must be a JSON object, got {raw!r:.40}")
 
 
+def _string(raw, where: str) -> None:
+    if not isinstance(raw, str):
+        raise ScenarioError(f"{where}: must be a string, got {raw!r:.40}")
+
+
 def _array(raw, where: str) -> None:
     if not isinstance(raw, list):
         raise ScenarioError(f"{where}: must be a JSON array, got {raw!r:.40}")
@@ -145,6 +150,7 @@ def _parse_recipe(raw: dict, pos: int) -> Recipe:
         max_trim = _number(raw, "max_trim_weight_g", where)
     except KeyError as missing:
         raise ScenarioError(f"{where}: missing field {missing}") from None
+    _string(destination, f"{where}.destination")
 
     if priority_raw == "*":
         priority = None
@@ -197,6 +203,7 @@ def _parse_weights(raw: dict, base_dir: Path, where: str):
         if "file" not in raw:
             raise ScenarioError(f"{where}.weights.file: missing")
         name = raw["file"]
+        _string(name, f"{where}.weights.file")
         path = Path(name)
         if not path.is_absolute():
             path = base_dir / path
@@ -238,6 +245,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> Scenario:
     _object(raw, fallback_id)
     scenario_id = raw.get("id", fallback_id)
+    _string(scenario_id, f"{fallback_id}.id")
     recipes_raw = raw.get("recipes", [])
     _array(recipes_raw, f"{scenario_id}.recipes")
     if not recipes_raw:
@@ -271,6 +279,7 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
         lane = lane_raw.get("lane")
         if not lane:
             raise ScenarioError(f"{where}: missing lane id")
+        _string(lane, f"{where}.lane")
         if lane in seen_lanes:
             raise ScenarioError(f"{where}: duplicate lane id {lane!r}")
         seen_lanes.add(lane)

@@ -248,6 +248,11 @@ class TestCaseStudySpace:
     def test_exactly_1152_configurations(self, case_configs):
         assert len(case_configs) == 1152
 
+    def test_configurations_share_their_pairs(self, case_space, case_configs):
+        # one pair object per allowed pair, however many configurations hold it
+        pairs = {id(p) for c in case_configs for p in c.chosen}
+        assert len(pairs) <= len(case_space.allowed)
+
     def test_decomposes_into_six_by_six_by_thirtytwo(self, case_configs):
         cells = Counter()
         for c in case_configs:

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -409,6 +411,50 @@ class TestExplore:
         assert report.designs_evaluated == 2
         assert all(v.multiplicity == 1 for v in report.vectors)
 
+    def test_parent_memory_per_cell_is_small(self, tmp_path, monkeypatch):
+        # the records stay in the journal: the parent keeps a KPI and an offset per cell
+        write_edited_inputs(tmp_path, ("scenario", "horizon_s", None, None, 90))
+        files = {"space": tmp_path / "space.json", "scenario": tmp_path / "scenario.json"}
+        real = runner.write_results_csv
+        held = []
+
+        def measured(path, records, columns):
+            held.append(tracemalloc.get_traced_memory()[0])
+            real(path, records, columns)
+
+        monkeypatch.setattr(runner, "write_results_csv", measured)
+        tracemalloc.start()
+        try:
+            for replications in (8, 40):
+                run_explore(files, tmp_path / f"r{replications}", replications=replications)
+        finally:
+            tracemalloc.stop()
+        growth_per_cell = (held[1] - held[0]) / (2 * (40 - 8))
+        assert growth_per_cell < 600
+
+    def test_resume_from_a_shuffled_journal(self, mini, tmp_path):
+        # results.csv is read back from the journal by offset, in any line order
+        first = run_explore(mini, tmp_path / "a", replications=4)
+        head, *records = first.files["journal"].read_text().splitlines()
+        random.Random(3).shuffle(records)
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "journal.jsonl").write_text("\n".join([head, *records]) + "\n")
+        resumed = run_explore(mini, out, replications=4)
+        assert (resumed.cells_resumed, resumed.cells_executed) == (8, 0)
+        for name in ("results", "plot", "pareto"):
+            assert resumed.files[name].read_bytes() == first.files[name].read_bytes()
+
+    def test_meta_records_phase_times(self, mini, tmp_path):
+        report = run_explore(mini, tmp_path / "out")
+        meta = json.loads(report.files["meta"].read_text())
+        phases = meta["phases_s"]
+        assert list(phases) == ["load", "enumerate", "dedup", "simulate", "write"]
+        assert all(value >= 0 for value in phases.values())
+        assert phases["dedup"] == 0  # dedup is off
+        # the phases tile the run, each to the millisecond
+        assert sum(round(value * 1000) for value in phases.values()) <= round(meta["wall_s"] * 1000)
+
 
 class TestJobsDefault:
     def test_unset_means_one(self, monkeypatch):
@@ -769,6 +815,66 @@ class TestCli:
                 ("space", "modules", 6, "merge_allowed", 1),
                 "modules[6].merge_allowed: must be true or false, got 1",
                 id="merge-allowed-not-a-boolean",
+            ),
+            pytest.param(
+                ("space", "allowed", 6, 0, "x.out"),
+                "allowed pair references unknown out-port 'x.out'",
+                id="pair-names-an-unknown-out-port",
+            ),
+            pytest.param(
+                ("space", "modules", 4, "id", "dist9"),
+                "allowed pair references unknown out-port 'dist1.out1'",
+                id="module-renamed",
+            ),
+            pytest.param(
+                ("space", "modules", 4, "out_ports", ["out1", "out9"]),
+                "allowed pair references unknown out-port 'dist1.out2'",
+                id="out-port-renamed",
+            ),
+            pytest.param(
+                ("space", "modules", 4, "out_ports", True),
+                "modules[4].out_ports: must be a list of strings, got True",
+                id="out-ports-a-boolean",
+            ),
+            pytest.param(
+                ("space", "modules", 1, "in_ports", 5),
+                "modules[1].in_ports: must be a list of strings, got 5",
+                id="in-ports-a-number",
+            ),
+            pytest.param(
+                ("space", "modules", 1, "id", [1]),
+                "modules[1].id: must be a string, got [1]",
+                id="module-id-not-a-string",
+            ),
+            pytest.param(
+                ("space", "modules", 5, "destination_tag", [1]),
+                "modules[5].destination_tag: must be a string, got [1]",
+                id="tag-not-a-string",
+            ),
+            pytest.param(
+                ("space", "modules", None, None, 5),
+                "mini.modules: must be a JSON array, got 5",
+                id="modules-not-a-list",
+            ),
+            pytest.param(
+                ("space", "allowed", None, None, None),
+                "mini.allowed: must be a JSON array, got None",
+                id="allowed-not-a-list",
+            ),
+            pytest.param(
+                ("scenario", "inflow", 0, "lane", [1]),
+                "inflow[0].lane: must be a string, got [1]",
+                id="lane-id-not-a-string",
+            ),
+            pytest.param(
+                ("scenario", "recipes", 0, "destination", [1]),
+                "recipes[0].destination: must be a string, got [1]",
+                id="recipe-destination-not-a-string",
+            ),
+            pytest.param(
+                ("scenario", "id", None, None, [1]),
+                "scenario.id: must be a string, got [1]",
+                id="scenario-id-not-a-string",
             ),
         ],
     )
