@@ -83,45 +83,62 @@ class BinAssignment:
 
 @dataclass
 class LaneWindow:
-    """Sliding window of the most recent weights on one lane, plus its histogram."""
+    """Sliding window of the most recent weights on one lane, plus its histogram.
+
+    `times`, `weights` and `bins` hold the retained samples, oldest first, and
+    `counts` the number of them per bin. `record` is the reference update; the
+    plant's sweep does the same update inline, on these four fields.
+    """
 
     lane: str
     window_size: int
     bin_width_g: float
-    samples: deque = field(init=False)  # (time_s, weight_g) pairs
+    times: deque = field(init=False)
+    weights: deque = field(init=False)
+    bins: deque = field(init=False)
     counts: dict[int, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.samples = deque(maxlen=self.window_size)
+        self.times = deque(maxlen=self.window_size)
+        self.weights = deque(maxlen=self.window_size)
+        self.bins = deque(maxlen=self.window_size)
+
+    @property
+    def samples(self) -> list[tuple[float, float]]:
+        """The retained (time_s, weight_g) pairs, oldest first (a copy)."""
+        return list(zip(self.times, self.weights))
 
     def bin_of(self, weight_g: float) -> int:
         return int(weight_g // self.bin_width_g)
 
     def record(self, weight_g: float, time_s: float) -> None:
-        if len(self.samples) == self.window_size:
-            _, evicted = self.samples[0]
-            old_bin = self.bin_of(evicted)
+        bins = self.bins
+        if len(bins) == self.window_size:
+            old_bin = bins[0]
             remaining = self.counts[old_bin] - 1
             if remaining:
                 self.counts[old_bin] = remaining
             else:
                 del self.counts[old_bin]
-        self.samples.append((time_s, weight_g))
         new_bin = self.bin_of(weight_g)
+        bins.append(new_bin)
+        self.times.append(time_s)
+        self.weights.append(weight_g)
         self.counts[new_bin] = self.counts.get(new_bin, 0) + 1
 
     def span_s(self) -> float:
-        if len(self.samples) < 2:
+        times = self.times
+        if len(times) < 2:
             return 0.0
-        return self.samples[-1][0] - self.samples[0][0]
+        return times[-1] - times[0]
 
 
 @dataclass(frozen=True)
 class Rung:
     """One non-default recipe's place on the ladder: the bins it may claim.
 
-    direct: bins wholly inside [min, max], lightest first; they all share the
-        one `direct_assignment`. A range, so a wide band costs no memory.
+    direct: bins wholly inside [min, max], lightest first, up to the bin of
+        the heaviest weight; they all share the one `direct_assignment`.
     trim: (bin, assignment with its trim amount) for the bins above the band,
         lightest first, while the cut stays within the recipe's allowance and
         the bin can hold a weight (see `recipe_ladder`).
@@ -156,9 +173,10 @@ def recipe_ladder(
 
     The bin arithmetic is exactly the loop conditions of a strategy walk, so a
     walk over the ladder visits the same bins with the same trim amounts.
-    Trim bins stop at the bin of `heaviest_g`, the heaviest weight a window
-    can ever hold: bins above it never hold counts, so a walk over them could
-    claim nothing, and a huge trim allowance costs no more than a small one.
+    Direct and trim bins stop at the bin of `heaviest_g`, the heaviest weight a
+    window can ever hold: bins above it never hold counts, so a walk over them
+    could claim nothing, and a huge band or trim allowance costs no more than a
+    small one.
     """
     defaults = [i for i, r in enumerate(recipes) if r.is_default]
     if len(defaults) != 1:
@@ -172,6 +190,7 @@ def recipe_ladder(
         )
     )
     binw = bin_width_g
+    last = math.inf if heaviest_g == math.inf else int(heaviest_g // binw)
     rungs = []
     for idx in priority_order:
         recipe = recipes[idx]
@@ -179,16 +198,17 @@ def recipe_ladder(
         # not including, the first whose upper edge passes the upper limit.
         # That edge test holds for a prefix of bins only, so the end is found
         # by stepping from its estimate instead of walking every bin.
+        # Both steps stop at the heaviest bin: near 1e308 g, adding 1 to a bin
+        # no longer moves its edge, and stepping up would never end.
         first = math.ceil(recipe.min_weight_g / binw)
-        end = max(first, int(recipe.max_weight_g // binw))
+        end = max(first, min(int(recipe.max_weight_g // binw), last + 1))
         while end > first and not end * binw <= recipe.max_weight_g:
             end -= 1
-        while (end + 1) * binw <= recipe.max_weight_g:
+        while end <= last and (end + 1) * binw <= recipe.max_weight_g:
             end += 1
         trim = []
         if recipe.max_weight_g - binw >= recipe.min_weight_g:
             b = int(recipe.max_weight_g // binw)
-            last = math.inf if heaviest_g == math.inf else int(heaviest_g // binw)
             while b <= last:
                 cut = (b + 1) * binw - recipe.max_weight_g
                 if cut > recipe.max_trim_g:
@@ -224,7 +244,7 @@ class ProductionController:
         ladder = recipe_ladder(tuple(self.recipes), config.bin_width_g, heaviest_g)
         self.default_index = ladder.default_index
         self.priority_order = ladder.priority_order
-        self._default_assignment = ladder.default_assignment
+        self.default_assignment = ladder.default_assignment
         self.windows = {
             lane: LaneWindow(lane, config.window_size, config.bin_width_g)
             for lane in routes.lanes
@@ -263,12 +283,12 @@ class ProductionController:
 
         A bin is available on a lane while the lane's window holds it and no
         recipe has claimed it yet. A bin's pooled rate, in fillets per minute,
-        is `sum` over the lanes where it is available, in lane order, of
-        count / divisor. Each lane has one divisor: its window's time span in
-        minutes, clamped below by one recompute interval so that a burst of
-        samples at one instant cannot predict an absurd rate. So every
-        `predicted < target` test sees the same float as a sum of per-lane,
-        per-bin rates would.
+        is the sum, added left to right from 0.0, over the lanes where it is
+        available, in lane order, of count / divisor. Each lane has one
+        divisor: its window's time span in minutes, clamped below by one
+        recompute interval so that a burst of samples at one instant cannot
+        predict an absurd rate. So every `predicted < target` test sees the
+        same float as a sum of per-lane, per-bin rates would.
         """
         t_s = self.config.recompute_interval_s
         strategies: dict[str, dict[int, BinAssignment]] = {}
@@ -289,13 +309,13 @@ class ProductionController:
             for b in rung.direct:
                 if not predicted < target:
                     break
-                rates = []
+                rate = 0.0
                 for counts, strategy, divisor in views:
                     count = counts.get(b)
                     if count and b not in strategy:
                         strategy[b] = claim
-                        rates.append(count / divisor)
-                predicted += sum(rates)
+                        rate += count / divisor
+                predicted += rate
 
             # trim phase: only lanes that can physically trim. Availability is
             # as it stood before this recipe's own claims: a bin its direct
@@ -306,17 +326,17 @@ class ProductionController:
                 for b, assignment in rung.trim:
                     if not predicted < target:
                         break
-                    rates = []
+                    rate = 0.0
                     for counts, strategy, divisor in views:
                         count = counts.get(b)
                         if count:
                             held = strategy.get(b)
                             if held is None:
                                 strategy[b] = assignment
-                                rates.append(count / divisor)
+                                rate += count / divisor
                             elif held is claim:
-                                rates.append(count / divisor)
-                    predicted += sum(rates)
+                                rate += count / divisor
+                    predicted += rate
 
         return strategies
 
@@ -327,4 +347,4 @@ class ProductionController:
             hit = strategy.get(int(weight_g // self.config.bin_width_g))
             if hit is not None:
                 return hit
-        return self._default_assignment
+        return self.default_assignment

@@ -156,8 +156,10 @@ class DesignConfiguration:
     index: int
     chosen: tuple[tuple[str, str], ...]  # sorted (out-port, in-port) pairs
 
-    @cached_property
+    @property
     def edge_map(self) -> dict[str, str]:
+        """out-port -> chosen in-port, built on each read: a cached dict would
+        stay with every configuration the parent has compiled."""
         return dict(self.chosen)
 
 

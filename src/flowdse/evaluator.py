@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from flowdse.kernel import left_sum
 from flowdse.plant import RunTallies
 from flowdse.scenario import Scenario
 
@@ -59,7 +60,7 @@ def score(
             non_default.append(attainment)
             record[f"attainment_{key}"] = round(attainment, 9)
     if non_default:
-        record["kpi"] = sum(non_default) / len(non_default)
+        record["kpi"] = left_sum(non_default) / len(non_default)
     for tag, n in sorted(tallies.counts.items()):
         record[f"count_{tag}"] = n
     for tag, mass in sorted(tallies.masses.items()):

@@ -15,15 +15,31 @@ a streaming sweep that reproduces one bit for bit: a calendar that runs
 events by time, then in the order they were scheduled. Only arrivals (one
 chain per lane) and recomputes schedule their own successors, so a heap of at
 most lanes + 1 chain heads, keyed (time, rank of the scheduling event), gives
-them in calendar order; that order numbers the fillets. Before recompute j at
-e_j, each lane weighs, then assigns, the fillets whose weigh or assign comes
-first, and the trims and absorptions timed before e_j are applied, sorted by
-(time, assign time, weigh time, fillet id), their calendar order. At e_j
-itself, a weigh comes first iff its fillet arrived before recompute j-1 ran
-(recompute 0 is scheduled at construction, after every first arrival); an
-assign iff its weigh ran before recompute j-1. Working memory is bounded by
-the fillets in flight. Trace mode writes each fillet's rows as it goes,
-including an `enter` row per hop, so the fused conveyor hops stay observable.
+them in calendar order; that order numbers the fillets.
+
+Each lane keeps its fillets in lists indexed by position in the lane: arrival,
+weigh and assign time, weight and weight bin, drawn CHUNK arrivals ahead (a
+lane's arrival and weight streams feed only that lane, in arrival order, so
+drawing ahead draws the same values), and fillet ids, appended as fillets
+arrive. The offsets are constants, so a lane weighs, and assigns, in arrival
+order: two cursors per lane mark how far each has got, and the prefix both
+have passed is dropped once DRAIN_EVERY fillets of the lane are assigned.
+Each fillet's bin is computed once; the weigh updates the lane's window with
+it and the assign looks it up in the lane's strategy, both inline
+(`ProductionController.record_weight` and `lookup` are the reference).
+
+Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
+weigh or assign comes first. At e_j itself, a weigh comes first iff its
+fillet arrived before recompute j-1 ran (recompute 0 is scheduled at
+construction, after every first arrival); an assign iff its weigh ran before
+recompute j-1. The integer tallies (counts, recipe counts, band violations)
+are taken at assignment, for fillets absorbed by the horizon. The masses are
+summed in calendar order: before e_j, the trims and absorptions timed before
+it are applied sorted by (time, assign time, weigh time, fillet id). Working
+memory is bounded by the fillets in flight plus a chunk per lane. Trace mode
+writes each fillet's rows at its arrival, weigh and assignment, including an
+`enter` row per hop, so the fused conveyor hops stay observable; the final
+stable sort by (time, fillet id) puts them in calendar order.
 """
 
 from __future__ import annotations
@@ -31,8 +47,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 from flowdse.controller import ProductionController
 from flowdse.designspace import (
@@ -41,12 +58,14 @@ from flowdse.designspace import (
     PlantBuildError,
     compile_design,
 )
-from flowdse.kernel import derive_seed
+from flowdse.kernel import derive_seed, left_sum
 from flowdse.scenario import Scenario
 
 # a sweep weighs and assigns what it can at least this often, in arrivals, so
 # fillets do not pile up when recomputes are rare or absent
 DRAIN_EVERY = 1024
+# a lane's arrivals and weights are drawn this many at a time
+CHUNK = 256
 
 
 class RoutingFault(RuntimeError):
@@ -59,7 +78,7 @@ class LaneRuntime:
 
     lane: str
     rate_per_min: float
-    sampler: object  # weight source with .sample(rng)
+    sampler: object  # weight source with .sample(rng) and .draw(rng, n)
     weights_rng: random.Random
     arrivals_rng: random.Random | None  # None = deterministic arrivals
     weigh_offset_s: float  # origin arrival -> weighing arrival
@@ -141,129 +160,245 @@ class PlantSimulation:
             )
 
     def run(self) -> RunTallies:
-        horizon = self.scenario.horizon_s
-        recipes = self.scenario.recipes
-        lookup = self.controller.lookup
-        record_weight = self.controller.record_weight
+        scenario = self.scenario
+        horizon = scenario.horizon_s
+        inf = math.inf
+        controller = self.controller
+        bin_width = controller.config.bin_width_g
+        chunk, drain_every = CHUNK, DRAIN_EVERY
         trace = self.trace_rows
         t = self.tallies
+        recipe_counts = t.recipe_counts
+        # per recipe index: None for the default, else what a band check reads
+        bands = [
+            None if r.is_default else (r.min_weight_g, r.max_weight_g, r.max_trim_g)
+            for r in scenario.recipes
+        ]
         lanes = list(self.lane_runtimes.values())
-        arrived = [deque() for _ in lanes]  # (id, weight, weigh time, assign time)
-        weighed = [deque() for _ in lanes]
-        trims: list[tuple] = []  # (time, assign time, weigh time, id, ...): calendar order
-        absorbs: list[tuple] = []
-        flushed = 0  # trims and absorptions applied
+        n_lanes = len(lanes)
+        # per lane, lists by position in the lane: arrival, weigh and assign
+        # times, weight and bin, filled `chunk` arrivals ahead, and fillet ids,
+        # appended on arrival
+        columns = [([], [], [], [], [], []) for _ in lanes]
+        # what a drain reads per lane, in one tuple
+        flows = [
+            (lane, self.routes[lane.lane], controller.windows[lane.lane], *columns[i])
+            for i, lane in enumerate(lanes)
+        ]
+        weighed = [0] * n_lanes  # cursors: positions weighed, positions assigned
+        assigned = [0] * n_lanes
+        next_k = [1] * n_lanes  # deterministic arrivals: index of the next one
+        last_at = [0.0] * n_lanes  # Poisson arrivals: time of the last one drawn
+        open_lanes = [True] * n_lanes  # arrivals left before the horizon
+        counts: dict[str, int] = {}
+        trims: list[tuple] = []  # (time, assign time, weigh time, id, cut): calendar order
+        absorbs: list[tuple] = []  # (time, assign time, weigh time, id, tag, final mass)
+        live: list[tuple] = []  # (id, mass) of fillets assigned but not absorbed by the horizon
+        weighs = assigns = applied = 0  # events run by the drains and the flushes
+        trim_mass = 0.0
+
+        def refill(i: int) -> None:
+            """Add up to `chunk` arrivals to lane i, none after the horizon."""
+            lane = lanes[i]
+            times, weigh_times, assign_times, weights, bins, _ = columns[i]
+            start = len(times)
+            rng = lane.arrivals_rng
+            if rng is None:
+                rate = lane.rate_per_min
+                k = next_k[i]
+                for k in range(k, k + chunk):
+                    at = k * 60.0 / rate
+                    if at > horizon:
+                        open_lanes[i] = False
+                        break
+                    times.append(at)
+                else:
+                    k += 1
+                next_k[i] = k
+            else:
+                # gaps drawn as `rng.expovariate(rate)` draws them
+                uniform, rate = rng.random, lane.rate_per_min / 60.0
+                at = last_at[i]
+                for _ in range(chunk):
+                    at = at + -math.log(1.0 - uniform()) / rate
+                    if at > horizon:
+                        open_lanes[i] = False
+                        break
+                    times.append(at)
+                last_at[i] = at
+            offset = lane.weigh_offset_s
+            weigh = [at + offset for at in times[start:]]
+            offset = lane.assign_offset_s
+            drawn = lane.sampler.draw(lane.weights_rng, len(weigh))
+            weigh_times += weigh
+            assign_times += [w + offset for w in weigh]
+            weights += drawn
+            bins += [int(g // bin_width) for g in drawn]
 
         def drain(e: float, a1: float, e1: float, a2: float) -> None:
             """Weigh, then assign, every fillet whose weigh or assign comes before
             recompute j, due at `e`. Ties at `e` (module doc) need a1 and a2, the
             fillets arrived when recomputes j-1 and j-2 ran, and e1, j-1's time."""
-            for lane, waiting, ready in zip(lanes, arrived, weighed):
-                lane_id = lane.lane
-                while waiting:
-                    fid, weight, w, _ = waiting[0]
-                    if not (w < e or (w == e and fid <= a1)):
-                        break
-                    ready.append(waiting.popleft())
-                    record_weight(lane_id, weight, w)
+            nonlocal weighs, assigns
+            strategies = controller.strategies
+            default = controller.default_assignment
+            for i, flow in enumerate(flows):
+                (lane, lane_routes, window,
+                 _, lane_weighs, lane_assigns, lane_weights, lane_bins, lane_ids) = flow
+                # weigh: times are sorted, and equal times run in id order
+                start, n = weighed[i], len(lane_ids)
+                end = bisect_left(lane_weighs, e, start, n)
+                while end < n and lane_weighs[end] == e and lane_ids[end] <= a1:
+                    end += 1
+                if end > start:
+                    window_bins, window_counts = window.bins, window.counts
+                    new_bins = lane_bins[start:end]
+                    kept = len(window_bins)
+                    get = window_counts.get
+                    for b in new_bins:
+                        window_counts[b] = get(b, 0) + 1
+                    evicted = kept + end - start - window.window_size
+                    if evicted > 0:
+                        if evicted <= kept:
+                            gone = list(islice(window_bins, evicted))
+                        else:
+                            gone = [*window_bins, *new_bins[: evicted - kept]]
+                        for b in gone:
+                            left = window_counts[b] - 1
+                            if left:
+                                window_counts[b] = left
+                            else:
+                                del window_counts[b]
+                    window_bins.extend(new_bins)
+                    window.times.extend(lane_weighs[start:end])
+                    window.weights.extend(lane_weights[start:end])
                     if trace is not None:
-                        trace.append(
-                            (round(w, 9), lane.weigh_module, fid, round(weight, 6), "weigh")
+                        module = lane.weigh_module
+                        trace.extend(
+                            (round(lane_weighs[p], 9), module, lane_ids[p],
+                             round(lane_weights[p], 6), "weigh")
+                            for p in range(start, end)
                         )
-                routes = self.routes[lane_id]
-                while ready:
-                    fid, weight, w, s = ready[0]
-                    if not (s < e or (s == e and (w < e1 or (w == e1 and fid <= a2)))):
-                        break
-                    ready.popleft()
-                    assignment = lookup(lane_id, weight)
-                    cut, tag = assignment.trim_g, assignment.destination
-                    route = routes.get(tag)
+                    weighed[i] = end
+                    weighs += end - start
+
+                # assign, from the weighed fillets; equal assign times run in
+                # weigh order, then id order (module doc)
+                start, n = assigned[i], weighed[i]
+                end = bisect_left(lane_assigns, e, start, n)
+                while end < n and lane_assigns[end] == e and (
+                    lane_weighs[end] < e1 or (lane_weighs[end] == e1 and lane_ids[end] <= a2)
+                ):
+                    end += 1
+                if end == start:
+                    continue
+                lane_id = lane.lane
+                strategy = strategies.get(lane_id)
+                lookup = strategy.get if strategy else {}.get
+                for p in range(start, end):
+                    assignment = lookup(lane_bins[p], default)
+                    tag = assignment.destination
+                    route = lane_routes.get(tag)
                     if route is None:
                         raise RoutingFault(
                             f"lane {lane_id} was assigned unreachable destination {tag!r}"
                         )
-                    final, trim_at = weight, math.inf
-                    if cut is not None:
+                    s = lane_assigns[p]
+                    weight = lane_weights[p]
+                    cut = assignment.trim_g
+                    absorb_at = s + route.destination_offset_s
+                    trim_at = inf
+                    if cut is None:
+                        final = weight
+                    else:
                         if route.trim_offset_s is None:
                             raise RoutingFault(
                                 f"trim instruction on lane {lane_id} but no trimmer on the "
                                 f"route to {tag!r}"
                             )
                         trim_at = s + route.trim_offset_s
-                        if cut >= weight and trim_at <= horizon:
-                            raise RoutingFault(
-                                f"trim instruction {cut} g >= fillet weight {weight} g"
-                            )
                         final = weight - cut
-                        trims.append((trim_at, s, w, fid, cut, final, route.trimmer_id))
-                    absorbs.append((s + route.destination_offset_s, s, w, fid,
-                                    weight, final, trim_at, assignment, route))
+                        if trim_at <= horizon:
+                            if cut >= weight:
+                                raise RoutingFault(
+                                    f"trim instruction {cut} g >= fillet weight {weight} g"
+                                )
+                            trims.append((trim_at, s, lane_weighs[p], lane_ids[p], cut))
+                    if absorb_at <= horizon:
+                        absorbs.append((absorb_at, s, lane_weighs[p], lane_ids[p], tag, final))
+                        counts[tag] = counts.get(tag, 0) + 1
+                        index = assignment.recipe_index
+                        recipe_counts[index] += 1
+                        band = bands[index]
+                        if band is not None:
+                            trimmed = cut or 0.0
+                            if not band[0] <= final <= band[1] or trimmed > band[2]:
+                                t.band_violations += 1
+                    else:
+                        live.append((lane_ids[p], final if trim_at <= horizon else weight))
                     if trace is not None:
-                        trace.append(
-                            (round(s, 9), lane.assign_module, fid, round(weight, 6), "assign")
-                        )
+                        fid, shown = lane_ids[p], round(weight, 6)
+                        trace.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
                         # a fillet cut at the trimmer gets a trim row there instead of an enter row
                         cut_at = route.trimmer_id if cut is not None else None
                         trace.extend(
-                            (round(s + offset, 9), module_id, fid, round(weight, 6), "enter")
+                            (round(s + offset, 9), module_id, fid, shown, "enter")
                             for module_id, offset in route.hops
                             if module_id != cut_at
                         )
+                        # the final sort by (time, id) is stable: these stay after
+                        # the rows above, trim before absorb, as the calendar ran them
+                        if trim_at <= horizon:
+                            trace.append(
+                                (round(trim_at, 9), route.trimmer_id, fid, round(final, 6), "trim")
+                            )
+                        if absorb_at <= horizon:
+                            trace.append(
+                                (round(absorb_at, 9), route.destination_id, fid,
+                                 round(final, 6), "absorb")
+                            )
+                assigns += end - start
+                if end >= drain_every:
+                    # drop the prefix both cursors have passed
+                    for column in flow[3:]:
+                        del column[:end]
+                    weighed[i] -= end
+                    end = 0
+                assigned[i] = end
 
         def flush(bound: float) -> None:
-            """Apply, in calendar order, the trims and absorptions timed before
+            """Add, in calendar order, the masses trimmed and absorbed before
             `bound`. Callers first assign every fillet that could add one."""
-            nonlocal flushed
-            trims.sort()
-            n = 0
-            for at, _, _, fid, cut, final, trimmer_id in trims:
-                if not at < bound:
-                    break
-                n += 1
-                t.trim_mass_g += cut
-                if trace is not None:
-                    trace.append((round(at, 9), trimmer_id, fid, round(final, 6), "trim"))
-            del trims[:n]
-            flushed += n
-            absorbs.sort()
-            n = 0
-            for at, _, _, fid, _, final, _, assignment, route in absorbs:
-                if not at < bound:
-                    break
-                n += 1
-                tag = assignment.destination
-                t.counts[tag] = t.counts.get(tag, 0) + 1
-                t.masses[tag] = t.masses.get(tag, 0.0) + final
-                t.recipe_counts[assignment.recipe_index] += 1
-                recipe = recipes[assignment.recipe_index]
-                if not recipe.is_default:
-                    trimmed = assignment.trim_g or 0.0
-                    if not recipe.accepts(final) or trimmed > recipe.max_trim_g:
-                        t.band_violations += 1
-                if trace is not None:
-                    trace.append(
-                        (round(at, 9), route.destination_id, fid, round(final, 6), "absorb")
-                    )
-            del absorbs[:n]
-            flushed += n
+            nonlocal applied, trim_mass
+            if trims:
+                trims.sort()
+                n = bisect_left(trims, (bound,))
+                for item in islice(trims, n):
+                    trim_mass += item[4]
+                del trims[:n]
+                applied += n
+            if absorbs:
+                absorbs.sort()
+                n = bisect_left(absorbs, (bound,))
+                masses = t.masses
+                for _, _, _, _, tag, final in islice(absorbs, n):
+                    masses[tag] = masses.get(tag, 0.0) + final
+                del absorbs[:n]
+                applied += n
 
         # chain heads: (time, rank of the event that scheduled it, lane index or
         # -1 for a recompute). Construction ranks below every event run: first
         # the lanes' first arrivals in lane order, then recompute 0.
         heads = []
-        for i, lane in enumerate(lanes):
-            if lane.arrivals_rng is None:
-                first = 60.0 / lane.rate_per_min
-            else:
-                first = lane.arrivals_rng.expovariate(lane.rate_per_min / 60.0)
-            if first <= horizon:
-                heads.append((first, i - len(lanes) - 1, i))
-        next_k = [2] * len(lanes)  # deterministic arrivals: index of the next one
+        for i in range(n_lanes):
+            refill(i)
+            times = columns[i][0]
+            if times:
+                heads.append((times[0], i - n_lanes - 1, i))
         # the pending recompute j: its time e, and a1, e1, a2 as `drain` takes them;
         # with none left, everything up to the horizon comes first
-        inf = math.inf
-        warmup = self.scenario.controller.warmup_s
+        warmup = scenario.controller.warmup_s
+        interval = scenario.controller.recompute_interval_s
         if warmup <= horizon:
             heads.append((warmup, -1, -1))
             e, a1, e1, a2 = warmup, 0, -inf, 0
@@ -271,41 +406,41 @@ class PlantSimulation:
             e, a1, e1, a2 = horizon, inf, inf, inf
         heapq.heapify(heads)
 
+        heapreplace, heappop = heapq.heapreplace, heapq.heappop
         rank = 0  # chain events run
         fid = 0  # fillets arrived, and the id of the last one
+        injected_mass = 0.0
         drained_at = 0
         while heads:
             now, _, i = heads[0]
             if i < 0:
                 drain(e, a1, e1, a2)
                 flush(now)
-                self.controller.recompute(now)  # through the attribute: it may be wrapped
-                nxt = now + self.scenario.controller.recompute_interval_s
+                controller.recompute(now)  # through the attribute: it may be wrapped
+                nxt = now + interval
                 if nxt <= horizon:
-                    heapq.heapreplace(heads, (nxt, rank, -1))
+                    heapreplace(heads, (nxt, rank, -1))
                     e, a1, e1, a2 = nxt, fid, now, a1
                 else:
-                    heapq.heappop(heads)
+                    heappop(heads)
                     e, a1, e1, a2 = horizon, inf, inf, inf
             else:
-                lane = lanes[i]
                 fid += 1
-                weight = lane.sampler.sample(lane.weights_rng)
-                t.injected_mass_g += weight
-                w = now + lane.weigh_offset_s
-                arrived[i].append((fid, weight, w, w + lane.assign_offset_s))
+                times, _, _, lane_weights, _, lane_ids = columns[i]
+                p = len(lane_ids)
+                lane_ids.append(fid)
+                weight = lane_weights[p]
+                injected_mass += weight
                 if trace is not None:
-                    trace.append((round(now, 9), lane.lane, fid, round(weight, 6), "arrive"))
-                if lane.arrivals_rng is None:
-                    nxt = next_k[i] * 60.0 / lane.rate_per_min
-                    next_k[i] += 1
+                    trace.append((round(now, 9), lanes[i].lane, fid, round(weight, 6), "arrive"))
+                p += 1
+                if p == len(times) and open_lanes[i]:
+                    refill(i)
+                if p < len(times):
+                    heapreplace(heads, (times[p], rank, i))
                 else:
-                    nxt = now + lane.arrivals_rng.expovariate(lane.rate_per_min / 60.0)
-                if nxt <= horizon:
-                    heapq.heapreplace(heads, (nxt, rank, i))
-                else:
-                    heapq.heappop(heads)
-                if fid - drained_at >= DRAIN_EVERY:
+                    heappop(heads)
+                if fid - drained_at >= drain_every:
                     # after a drain, a fillet not yet assigned is assigned at or after
                     # e >= now, or arrives later: nothing before now is still to come
                     drain(e, a1, e1, a2)
@@ -316,15 +451,19 @@ class PlantSimulation:
         flush(math.nextafter(horizon, inf))  # everything at or before the horizon
 
         # still in flight at the horizon, in fillet id order as injected
-        live = [(f[0], f[1]) for queue in arrived + weighed for f in queue]
-        live += [(f[3], f[5] if f[6] <= horizon else f[4]) for f in absorbs]
+        for i in range(n_lanes):
+            *_, weights, _, ids = columns[i]
+            live += zip(ids[assigned[i]:], weights[assigned[i]:])
         live.sort()
         t.injected = fid
+        t.injected_mass_g = injected_mass
+        t.trim_mass_g = trim_mass
+        # counted at assignment, keyed in the calendar's order, which `masses` kept
+        t.counts = {tag: counts[tag] for tag in t.masses}
         t.in_flight = len(live)
-        t.in_flight_mass_g = sum(weight for _, weight in live)
-        weighs = fid - sum(map(len, arrived))
-        t.events = rank + weighs + weighs - sum(map(len, weighed)) + flushed
-        t.recomputes = self.controller.recomputes
+        t.in_flight_mass_g = left_sum(mass for _, mass in live)
+        t.events = rank + weighs + assigns + applied
+        t.recomputes = controller.recomputes
         if trace is not None:
             trace.sort(key=lambda row: (row[0], row[2]))
         return t

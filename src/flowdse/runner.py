@@ -44,7 +44,7 @@ from flowdse.evaluator import (
     write_plot_csv,
     write_results_csv,
 )
-from flowdse.kernel import derive_seed
+from flowdse.kernel import derive_seed, left_sum
 from flowdse.plant import PlantSimulation
 from flowdse.scenario import EmpiricalWeights, Scenario, compatibility_issues, load_scenario
 
@@ -357,7 +357,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
 
     def mean_kpi(d: int, s: int) -> float:
         kpis = [collected[(d, s, r)][0] for r in range(plan.replications)]
-        return sum(kpis) / len(kpis)
+        return left_sum(kpis) / len(kpis)
 
     def meets_thresholds(d: int) -> bool:
         for sid, minimum in thresholds.items():

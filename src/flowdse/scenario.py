@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -26,9 +27,15 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; message names the offending field."""
 
 
+TWO_PI = 2.0 * math.pi  # as `random` computes it for `gauss`
+
 # smallest share of a truncated normal's mass its bounds may keep (1 in 1000
 # draws accepted); below it, sampling would all but hang
 MIN_TRUNCATED_MASS = 1e-3
+# most arrivals per lane, and most recomputes, that one run may ask for: a
+# sweep costs a few microseconds per fillet, so more would not end in any
+# useful time
+MAX_RUN_EVENTS = 1e9
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,30 @@ class TruncatedNormalWeights:
             if self.lower_g <= w <= self.upper_g:
                 return w
 
+    def draw(self, rng, n: int) -> list[float]:
+        """`n` calls of `sample(rng)`, in one call.
+
+        The normal variates are made as `random.Random.gauss` makes them, in
+        half the time: Box-Muller pairs from two `random()` calls, the second
+        of each pair kept in `rng.gauss_next` for the next variate, so that
+        `draw` and `sample` read one stream (`tests/test_scenario.py::TestDraw`).
+        """
+        uniform, spare = rng.random, rng.gauss_next
+        mean, stddev, lower, upper = self.mean_g, self.stddev_g, self.lower_g, self.upper_g
+        out = []
+        while len(out) < n:
+            if spare is None:
+                angle = uniform() * TWO_PI
+                radius = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+                z, spare = math.cos(angle) * radius, math.sin(angle) * radius
+            else:
+                z, spare = spare, None
+            w = mean + z * stddev
+            if lower <= w <= upper:
+                out.append(w)
+        rng.gauss_next = spare
+        return out
+
 
 @dataclass(frozen=True)
 class EmpiricalWeights:
@@ -81,6 +112,23 @@ class EmpiricalWeights:
 
     def sample(self, rng) -> float:
         return self.values[rng.randrange(len(self.values))]
+
+    def draw(self, rng, n: int) -> list[float]:
+        """`n` calls of `sample(rng)`, in one call.
+
+        Each index is drawn as `rng.randrange(len(values))` draws it, in a
+        quarter of the time: `getrandbits` of the length's bit count, drawn
+        again while out of range (`tests/test_scenario.py::TestDraw`).
+        """
+        values, getrandbits, k = self.values, rng.getrandbits, len(self.values)
+        bits = k.bit_length()
+        out = []
+        for _ in range(n):
+            index = getrandbits(bits)
+            while index >= k:
+                index = getrandbits(bits)
+            out.append(values[index])
+        return out
 
 
 @dataclass(frozen=True)
@@ -299,6 +347,21 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
     if not 0 < horizon < math.inf:
         raise ScenarioError(f"{scenario_id}.horizon_s: must be positive and finite, got {horizon}")
     controller = _parse_controller(raw.get("controller", {}), f"{scenario_id}.controller")
+    for i, lane in enumerate(inflow):
+        arrivals = lane.rate_per_min * horizon / 60.0
+        if arrivals > MAX_RUN_EVENTS:
+            raise ScenarioError(
+                f"{scenario_id}.inflow[{i}].rate_per_min: {lane.rate_per_min:g} per minute "
+                f"over horizon_s {horizon:g} is {arrivals:.3g} arrivals, "
+                f"more than {MAX_RUN_EVENTS:.0e}"
+            )
+    recomputes = horizon / controller.recompute_interval_s
+    if recomputes > MAX_RUN_EVENTS:
+        raise ScenarioError(
+            f"{scenario_id}.controller.t_s: {controller.recompute_interval_s:g} s "
+            f"over horizon_s {horizon:g} is {recomputes:.3g} recomputes, "
+            f"more than {MAX_RUN_EVENTS:.0e}"
+        )
     return Scenario(scenario_id, recipes, tuple(inflow), horizon, controller)
 
 
@@ -313,6 +376,8 @@ def _parse_controller(raw: dict, where: str) -> ControllerConfig:
     window_size = setting("N", ControllerConfig.window_size, int)
     if window_size < 1:
         raise ScenarioError(f"{where}.N: must be at least 1, got {window_size}")
+    if window_size > sys.maxsize:  # the most a window can be asked to hold
+        raise ScenarioError(f"{where}.N: must be at most {sys.maxsize}, got {window_size:.3g}")
     positive = {
         "t_s": setting("t_s", ControllerConfig.recompute_interval_s),
         "bin_width_g": setting("bin_width_g", ControllerConfig.bin_width_g),

@@ -24,7 +24,7 @@ from flowdse.designspace import (
     PlantBuildError,
     compile_design,
 )
-from flowdse.kernel import derive_seed
+from flowdse.kernel import derive_seed, left_sum
 from flowdse.plant import LaneRuntime, RoutingFault, RunTallies
 from flowdse.scenario import Scenario
 
@@ -290,7 +290,7 @@ class PlantSimulation:
         self.kernel.discard_pending()
         t = self.tallies
         t.in_flight = len(self.live)
-        t.in_flight_mass_g = sum(self.live.values())
+        t.in_flight_mass_g = left_sum(self.live.values())
         t.events = self.kernel.executed
         t.recomputes = self.controller.recomputes
         if self.trace_rows is not None:

@@ -635,6 +635,17 @@ class TestLadderMatchesLegacy:
             (2, None), (3, None), (4, None), (5, pytest.approx(0.1)),
         ]
 
+    def test_direct_bins_stop_at_the_heaviest_weight(self):
+        # an upper limit of 1e308 g: a walk that misses its target would step
+        # through 1e307 empty bins
+        band = recipe("d0", 1, 1000, 100, 1e308, 0)
+        assert recipe_ladder((band, DEFAULT), 10.0, 655.0).rungs[0].direct == range(10, 66)
+        lane = [(0.0, 105.0), (60.0, 305.0)]
+        start = time.perf_counter()
+        ctrl = make_controller({"a": lane}, [band, DEFAULT], heaviest_g=655.0)
+        assert set(ctrl.compute_strategies()["a"]) == {10, 30}
+        assert time.perf_counter() - start < 0.1
+
     def test_trim_bins_stop_at_the_heaviest_weight(self):
         band = recipe("d0", 1, 10, 100, 200, 1e6)
         start = time.perf_counter()

@@ -647,6 +647,14 @@ class TestCompileDesign:
         for config in case_configs:
             assert_compile_matches_oracle(case_space, config)
 
+    def test_compiled_configurations_keep_no_edge_map(self, case_space, case_configs):
+        # the parent compiles every configuration it runs at --jobs 1; a dict
+        # cached on each one would grow with the batch
+        for config in case_configs[:50]:
+            compile_design(case_space, config)
+            assert "edge_map" not in vars(config)
+            assert config.edge_map == dict(config.chosen)
+
     def test_trimmer_behind_a_distributor_is_on_the_route_only(self):
         space = parse_design_space(
             {

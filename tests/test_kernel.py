@@ -1,6 +1,6 @@
-"""Seeded streams, and the event calendar kept as the plant's test oracle.
+"""Seeded streams, the float fold, and the event calendar kept as the plant's test oracle.
 
-`flowdse.kernel` keeps only seed derivation; the plant seeds each stream as
+`flowdse.kernel` keeps seed derivation and `left_sum`; the plant seeds each stream as
 `random.Random(derive_seed(seed, label))`. The calendar tests check
 `tests/des_oracle.py`'s `Kernel`, the engine the plant's sweep is held
 against, so the reference itself stays checked.
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from des_oracle import Kernel, ScheduleInPastError
-from flowdse.kernel import derive_seed
+from flowdse.kernel import derive_seed, left_sum
 
 
 def record(log):
@@ -191,3 +191,13 @@ class TestSeeding:
         a = random.Random(derive_seed(123, "weights:lane1"))
         b = random.Random(derive_seed(123, "weights:lane2"))
         assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # a compensated sum (Python 3.12's sum()) gives 2.0 here
+        assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
+    def test_empty_total_is_zero_as_sum_gives_it(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int

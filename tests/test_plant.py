@@ -355,7 +355,8 @@ class TestTrimming:
 
 
 class TestRoutingFaults:
-    def _sim(self, **kw):
+    def _sim(self, assignment, **kw):
+        """A plant whose every strategy hands out `assignment`, for any weight."""
         space = one_lane_space(**kw)
         scenario = make_scenario(
             [BAND, STRIPS],
@@ -363,23 +364,23 @@ class TestRoutingFaults:
             horizon=30.0,
             controller=ControllerConfig(warmup_s=0.0),
         )
-        return PlantSimulation(space, only_config(space), scenario, seed=13)
+        sim = PlantSimulation(space, only_config(space), scenario, seed=13)
+        every_bin = dict.fromkeys(range(100), assignment)  # bin width 10 g: up to 1 kg
+        sim.controller.compute_strategies = lambda: dict.fromkeys(sim.routes, every_bin)
+        return sim
 
     def test_assignment_to_unreachable_destination(self):
-        sim = self._sim()
-        sim.controller.lookup = lambda lane, w: BinAssignment(0, "nowhere", None)
+        sim = self._sim(BinAssignment(0, "nowhere", None))
         with pytest.raises(RoutingFault, match="unreachable"):
             sim.run()
 
     def test_trim_instruction_without_a_trimmer(self):
-        sim = self._sim(with_trimmer=False)
-        sim.controller.lookup = lambda lane, w: BinAssignment(0, "batching2", 10.0)
+        sim = self._sim(BinAssignment(0, "batching2", 10.0), with_trimmer=False)
         with pytest.raises(RoutingFault, match="no trimmer"):
             sim.run()
 
     def test_trim_larger_than_the_fillet(self):
-        sim = self._sim()
-        sim.controller.lookup = lambda lane, w: BinAssignment(0, "batching2", 500.0)
+        sim = self._sim(BinAssignment(0, "batching2", 500.0))
         with pytest.raises(RoutingFault, match="trim instruction"):
             sim.run()
 
@@ -635,8 +636,10 @@ def sweep_cells(draw):
         scenario = make_scenario(
             recipes, [inflow(f"lane{i}") for i in range(1, 5)], horizon, controller
         )
+    # small chunks and drains make refills and compaction land on recompute ties
     drain_every = draw(st.sampled_from([1, 7, 1024]))
-    return space, config, scenario, draw(st.integers(0, 2**32)), drain_every
+    chunk = draw(st.sampled_from([1, 2, 7, plant_module.CHUNK]))
+    return space, config, scenario, draw(st.integers(0, 2**32)), drain_every, chunk
 
 
 @functools.cache
@@ -654,7 +657,7 @@ def skewed_lanes_cell(*latencies, warmup=5.0):
         window_size=50, recompute_interval_s=1.0, bin_width_g=7.3, warmup_s=warmup
     )
     scenario = make_scenario([band, STRIPS], inflow, 120.0, controller)
-    return space, only_config(space), scenario, 1, 1024
+    return space, only_config(space), scenario, 1, 1024, plant_module.CHUNK
 
 
 class TestSweepMatchesCalendar:
@@ -670,16 +673,16 @@ class TestSweepMatchesCalendar:
     # recompute 0 at the first arrivals, whose weighs land on recompute 1
     @example(skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2, warmup=1.0))
     def test_same_tallies_and_trace_rows(self, cell):
-        space, config, scenario, seed, drain_every = cell
+        space, config, scenario, seed, drain_every, chunk = cell
         calendar = CalendarPlant(space, config, scenario, seed, trace=True)
         expected = calendar.run()
         sweep = PlantSimulation(space, config, scenario, seed, trace=True)
-        saved = plant_module.DRAIN_EVERY
-        plant_module.DRAIN_EVERY = drain_every
+        saved = plant_module.DRAIN_EVERY, plant_module.CHUNK
+        plant_module.DRAIN_EVERY, plant_module.CHUNK = drain_every, chunk
         try:
             got = sweep.run()
         finally:
-            plant_module.DRAIN_EVERY = saved
+            plant_module.DRAIN_EVERY, plant_module.CHUNK = saved
         # repr: every float to the bit, dicts in insertion order
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows

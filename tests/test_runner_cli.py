@@ -792,6 +792,34 @@ class TestCli:
                 id="window-not-a-number",
             ),
             pytest.param(
+                ("scenario", "inflow", 0, "rate_per_min", 1e308),
+                "mini.inflow[0].rate_per_min: 1e+308 per minute over horizon_s 600 is "
+                "inf arrivals, more than 1e+09",
+                id="rate-too-large-to-run",
+            ),
+            pytest.param(
+                ("scenario", "horizon_s", None, None, 2**70),
+                "mini.inflow[0].rate_per_min: 60 per minute over horizon_s 1.18059e+21 is "
+                "1.18e+21 arrivals, more than 1e+09",
+                id="horizon-too-long-to-run",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "t_s", 1e-300),
+                "mini.controller.t_s: 1e-300 s over horizon_s 600 is 6e+302 recomputes, "
+                "more than 1e+09",
+                id="interval-too-short-to-run",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "N", 2**70),
+                "mini.controller.N: must be at most 9223372036854775807, got 1.18e+21",
+                id="window-too-large",
+            ),
+            pytest.param(
+                ("scenario", "controller", None, "N", 1e308),
+                "mini.controller.N: must be at most 9223372036854775807, got 1e+308",
+                id="window-float-too-large",
+            ),
+            pytest.param(
                 ("scenario", "controller", None, "t_s", "nan"),
                 "mini.controller.t_s: must be positive and finite, got nan",
                 id="interval-nan",

@@ -3,10 +3,11 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowdse.kernel import derive_seed
 from flowdse.scenario import (
+    EmpiricalWeights,
     Recipe,
     ScenarioError,
     TruncatedNormalWeights,
@@ -332,3 +333,41 @@ class TestRecipe:
     def test_default_marker(self):
         assert Recipe("x", None, None, 0, 1000, 0).is_default
         assert not Recipe("x", 1, 5, 0, 1000, 0).is_default
+
+
+class TestDraw:
+    """`draw(rng, n)`, which the plant fills its lanes with, against n calls of
+    `sample(rng)` on a twin generator: the same values, in the same order, and
+    the generator left in the same state, however the n draws are split."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        source=st.one_of(
+            st.builds(
+                TruncatedNormalWeights,
+                mean_g=st.just(300.0),
+                stddev_g=st.sampled_from([1.0, 30.0, 60.0]),
+                lower_g=st.sampled_from([50.0, 280.0, 300.0]),
+                upper_g=st.sampled_from([310.0, 400.0, 1e9]),
+            ),
+            # bounds 2.9 to 3.2 sd above the mean: hundreds of rejections a draw
+            st.just(TruncatedNormalWeights(500.0, 1.0, 502.9, 503.2)),
+            st.builds(
+                EmpiricalWeights,
+                source_file=st.just("inline"),
+                values=st.lists(st.floats(1.0, 900.0), min_size=1, max_size=40).map(tuple),
+            ),
+        ),
+        seed=st.integers(0, 2**32),
+        splits=st.lists(st.integers(0, 9), max_size=6),
+    )
+    def test_split_draws_equal_single_samples(self, source, seed, splits):
+        drawn_rng = random.Random(derive_seed(seed, "w"))
+        sampled_rng = random.Random(derive_seed(seed, "w"))
+        drawn = []
+        for n in splits:
+            drawn += source.draw(drawn_rng, n)
+        sampled = [source.sample(sampled_rng) for _ in range(sum(splits))]
+        assert drawn == sampled
+        # a following sample sees the same generator state
+        assert source.sample(drawn_rng) == source.sample(sampled_rng)
