@@ -1,17 +1,18 @@
-"""Production control: sliding weight windows, histogram-driven strategy computation.
+"""Production control: histogram-driven strategy computation.
 
-The controller watches measured fillet weights per lane, and every recompute
-interval rebuilds a per-lane strategy that maps weight bins to (recipe,
-optional trim instruction). Strategy construction walks recipes in priority
-order; for each it grows a direct weight range from the recipe's lower limit,
-and if the predicted throughput still misses the target, grows a trim range
-above the upper limit on lanes that can trim. Assigned bins become unavailable
-to later recipes. Unassigned bins fall through to the default recipe.
+Every recompute interval the controller rebuilds a per-lane strategy that maps
+weight bins to (recipe, optional trim instruction). It reads each lane's window
+of measured weights, which the plant keeps (`plant.WindowView`), through its
+bin `counts` and `span_s()` only. Strategy construction walks recipes in
+priority order; for each it grows a direct weight range from the recipe's
+lower limit, and if the predicted throughput still misses the target, grows a
+trim range above the upper limit on lanes that can trim. Assigned bins become
+unavailable to later recipes. Unassigned bins fall through to the default recipe.
 
 What depends only on the recipes and the bin width is built once, as a recipe
-ladder shared by every controller of a scenario (`recipe_ladder`): the
-priority order and, per recipe, its direct bins, its trim bins with their
-trim amounts, and the `BinAssignment` objects that strategies hand out. Each
+ladder shared by every controller of a scenario (`recipe_ladder`): per
+recipe, in priority order, its direct bins, its trim bins with their trim
+amounts, and the `BinAssignment` objects that strategies hand out. Each
 controller adds the design's half once, at construction: per recipe, the
 lanes that reach its destination and those of them that can trim. A
 recompute then builds only what the live windows decide: one rate divisor
@@ -22,8 +23,7 @@ reads each window's bin counts directly.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -81,58 +81,6 @@ class BinAssignment:
     trim_g: float | None  # None = send as-is
 
 
-@dataclass
-class LaneWindow:
-    """Sliding window of the most recent weights on one lane, plus its histogram.
-
-    `times`, `weights` and `bins` hold the retained samples, oldest first, and
-    `counts` the number of them per bin. `record` is the reference update; the
-    plant's sweep does the same update inline, on these four fields.
-    """
-
-    lane: str
-    window_size: int
-    bin_width_g: float
-    times: deque = field(init=False)
-    weights: deque = field(init=False)
-    bins: deque = field(init=False)
-    counts: dict[int, int] = field(init=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.times = deque(maxlen=self.window_size)
-        self.weights = deque(maxlen=self.window_size)
-        self.bins = deque(maxlen=self.window_size)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        """The retained (time_s, weight_g) pairs, oldest first (a copy)."""
-        return list(zip(self.times, self.weights))
-
-    def bin_of(self, weight_g: float) -> int:
-        return int(weight_g // self.bin_width_g)
-
-    def record(self, weight_g: float, time_s: float) -> None:
-        bins = self.bins
-        if len(bins) == self.window_size:
-            old_bin = bins[0]
-            remaining = self.counts[old_bin] - 1
-            if remaining:
-                self.counts[old_bin] = remaining
-            else:
-                del self.counts[old_bin]
-        new_bin = self.bin_of(weight_g)
-        bins.append(new_bin)
-        self.times.append(time_s)
-        self.weights.append(weight_g)
-        self.counts[new_bin] = self.counts.get(new_bin, 0) + 1
-
-    def span_s(self) -> float:
-        times = self.times
-        if len(times) < 2:
-            return 0.0
-        return times[-1] - times[0]
-
-
 @dataclass(frozen=True)
 class Rung:
     """One non-default recipe's place on the ladder: the bins it may claim.
@@ -156,12 +104,10 @@ class Rung:
 @dataclass(frozen=True)
 class RecipeLadder:
     """Everything a strategy recompute needs that depends only on the recipes
-    and the bin width: default recipe, priority order and one rung per
+    and the bin width: the default recipe's assignment and one rung per
     non-default recipe, in priority order."""
 
-    default_index: int
     default_assignment: BinAssignment
-    priority_order: tuple[int, ...]
     rungs: tuple[Rung, ...]
 
 
@@ -183,11 +129,9 @@ def recipe_ladder(
         raise ValueError(f"expected exactly one default recipe, found {len(defaults)}")
     default_index = defaults[0]
     # priority order: smaller number first, declaration order breaks ties
-    priority_order = tuple(
-        sorted(
-            (i for i in range(len(recipes)) if i != default_index),
-            key=lambda i: (recipes[i].priority, i),
-        )
+    priority_order = sorted(
+        (i for i in range(len(recipes)) if i != default_index),
+        key=lambda i: (recipes[i].priority, i),
     )
     binw = bin_width_g
     last = math.inf if heaviest_g == math.inf else int(heaviest_g // binw)
@@ -224,31 +168,24 @@ def recipe_ladder(
             )
         )
     return RecipeLadder(
-        default_index,
         BinAssignment(default_index, recipes[default_index].destination, None),
-        priority_order,
         tuple(rungs),
     )
 
 
 class ProductionController:
-    """Per-replication control state: one window per lane, one strategy per lane."""
+    """Per-replication strategy builder: one strategy per lane, rebuilt from
+    the lanes' windows at each recompute."""
 
     def __init__(
-        self, config: ControllerConfig, routes: RouteCatalog, recipes, heaviest_g=math.inf
+        self, config: ControllerConfig, routes: RouteCatalog, recipes, windows, heaviest_g=math.inf
     ) -> None:
-        """`heaviest_g` bounds every weight this controller will record."""
+        """`windows`: one per lane, in `routes`' lane order; `heaviest_g` bounds
+        every weight they will hold."""
         self.config = config
-        self.routes = routes
-        self.recipes = list(recipes)
-        ladder = recipe_ladder(tuple(self.recipes), config.bin_width_g, heaviest_g)
-        self.default_index = ladder.default_index
-        self.priority_order = ladder.priority_order
+        ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
         self.default_assignment = ladder.default_assignment
-        self.windows = {
-            lane: LaneWindow(lane, config.window_size, config.bin_width_g)
-            for lane in routes.lanes
-        }
+        self.windows = dict(zip(routes.lanes, windows, strict=True))
         # the design-dependent half of the ladder: per rung, the positions (in
         # window order) of the lanes that reach its destination, and of those
         # that can also trim; rungs no lane can serve are left out
@@ -264,13 +201,6 @@ class ProductionController:
                 self._rungs.append((rung, lanes, trim_lanes))
         self.strategies: dict[str, dict[int, BinAssignment]] = {}
         self.recomputes = 0
-
-    # -- measurement side ---------------------------------------------------
-
-    def record_weight(self, lane: str, weight_g: float, time_s: float) -> None:
-        self.windows[lane].record(weight_g, time_s)
-
-    # -- strategy side ------------------------------------------------------
 
     def recompute(self, time_s: float) -> None:
         """Rebuild every lane's strategy at the plant's instant `time_s`; what
@@ -339,12 +269,3 @@ class ProductionController:
                     predicted += rate
 
         return strategies
-
-    def lookup(self, lane: str, weight_g: float) -> BinAssignment:
-        """Bin lookup for one fillet; unassigned bins fall to the default recipe."""
-        strategy = self.strategies.get(lane)
-        if strategy:
-            hit = strategy.get(int(weight_g // self.config.bin_width_g))
-            if hit is not None:
-                return hit
-        return self.default_assignment

@@ -22,11 +22,12 @@ weigh and assign time, weight and weight bin, drawn CHUNK arrivals ahead (a
 lane's arrival and weight streams feed only that lane, in arrival order, so
 drawing ahead draws the same values), and fillet ids, appended as fillets
 arrive. The offsets are constants, so a lane weighs, and assigns, in arrival
-order: two cursors per lane mark how far each has got, and the prefix both
-have passed is dropped once DRAIN_EVERY fillets of the lane are assigned.
-Each fillet's bin is computed once; the weigh updates the lane's window with
-it and the assign looks it up in the lane's strategy, both inline
-(`ProductionController.record_weight` and `lookup` are the reference).
+order: two cursors per lane mark how far each has got. The controller's
+window on the lane is a view into the same lists (`WindowView`). Each
+fillet's bin is computed once; the weigh moves the window over it and the
+assign looks it up in the lane's strategy, both inline. The prefix that the
+assign cursor and the window have passed is dropped once it holds
+DRAIN_EVERY fillets.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
@@ -36,7 +37,8 @@ recompute j-1. The integer tallies (counts, recipe counts, band violations)
 are taken at assignment, for fillets absorbed by the horizon. The masses are
 summed in calendar order: before e_j, the trims and absorptions timed before
 it are applied sorted by (time, assign time, weigh time, fillet id). Working
-memory is bounded by the fillets in flight plus a chunk per lane. Trace mode
+memory is bounded by each lane's window, its fillets in flight, DRAIN_EVERY
+passed ones and a chunk. Trace mode
 writes each fillet's rows at its arrival, weigh and assignment, including an
 `enter` row per hop, so the fused conveyor hops stay observable; the final
 stable sort by (time, fillet id) puts them in calendar order.
@@ -70,6 +72,24 @@ CHUNK = 256
 
 class RoutingFault(RuntimeError):
     """An impossible routing or trim came out of the control layer (run-time bug)."""
+
+
+@dataclass(slots=True)
+class WindowView:
+    """The controller's window on one lane: positions [lo, hi) of the lane's
+    lists, its last `window_size` weighed fillets (`hi` is the weigh cursor),
+    and `counts`, how many of them fall in each weight bin."""
+
+    weigh_times: list
+    lo: int = 0
+    hi: int = 0
+    counts: dict[int, int] = field(default_factory=dict)
+
+    def span_s(self) -> float:
+        """Time from the window's oldest weigh to its newest; 0.0 below two."""
+        if self.hi - self.lo < 2:
+            return 0.0
+        return self.weigh_times[self.hi - 1] - self.weigh_times[self.lo]
 
 
 @dataclass(slots=True)
@@ -120,21 +140,20 @@ class PlantSimulation:
                 f"scenario has {len(scenario.inflow)} inflow lanes, "
                 f"space has {len(space.origins)} origins"
             )
-        self.space = space
         self.config = config
         self.scenario = scenario
-        self.seed = seed
         design = compile_design(space, config)
         self.catalog = design.catalog
+        windows = [WindowView([]) for _ in self.catalog.lanes]
         self.controller = ProductionController(
-            scenario.controller, self.catalog, scenario.recipes, scenario.heaviest_g
+            scenario.controller, self.catalog, scenario.recipes, windows, scenario.heaviest_g
         )
         self.routes = design.routes
-        self.default_tag = scenario.default_recipe.destination
+        default_tag = scenario.default_recipe.destination
         for lane, lane_routes in self.routes.items():
-            if self.default_tag not in lane_routes:
+            if default_tag not in lane_routes:
                 raise PlantBuildError(
-                    f"lane {lane} cannot reach the default destination {self.default_tag!r}"
+                    f"lane {lane} cannot reach the default destination {default_tag!r}"
                 )
 
         self.tallies = RunTallies(recipe_counts=[0] * len(scenario.recipes))
@@ -176,16 +195,17 @@ class PlantSimulation:
         ]
         lanes = list(self.lane_runtimes.values())
         n_lanes = len(lanes)
+        windows = [controller.windows[lane.lane] for lane in lanes]
         # per lane, lists by position in the lane: arrival, weigh and assign
         # times, weight and bin, filled `chunk` arrivals ahead, and fillet ids,
-        # appended on arrival
-        columns = [([], [], [], [], [], []) for _ in lanes]
+        # appended on arrival; the weigh times are the window's own list
+        columns = [([], window.weigh_times, [], [], [], []) for window in windows]
         # what a drain reads per lane, in one tuple
         flows = [
-            (lane, self.routes[lane.lane], controller.windows[lane.lane], *columns[i])
+            (lane, self.routes[lane.lane], windows[i], *columns[i])
             for i, lane in enumerate(lanes)
         ]
-        weighed = [0] * n_lanes  # cursors: positions weighed, positions assigned
+        # cursors: positions assigned; positions weighed are each window's `hi`
         assigned = [0] * n_lanes
         next_k = [1] * n_lanes  # deterministic arrivals: index of the next one
         last_at = [0.0] * n_lanes  # Poisson arrivals: time of the last one drawn
@@ -242,36 +262,31 @@ class PlantSimulation:
             nonlocal weighs, assigns
             strategies = controller.strategies
             default = controller.default_assignment
+            window_size = controller.config.window_size
             for i, flow in enumerate(flows):
                 (lane, lane_routes, window,
                  _, lane_weighs, lane_assigns, lane_weights, lane_bins, lane_ids) = flow
                 # weigh: times are sorted, and equal times run in id order
-                start, n = weighed[i], len(lane_ids)
+                start, n = window.hi, len(lane_ids)
                 end = bisect_left(lane_weighs, e, start, n)
                 while end < n and lane_weighs[end] == e and lane_ids[end] <= a1:
                     end += 1
                 if end > start:
-                    window_bins, window_counts = window.bins, window.counts
-                    new_bins = lane_bins[start:end]
-                    kept = len(window_bins)
-                    get = window_counts.get
-                    for b in new_bins:
-                        window_counts[b] = get(b, 0) + 1
-                    evicted = kept + end - start - window.window_size
-                    if evicted > 0:
-                        if evicted <= kept:
-                            gone = list(islice(window_bins, evicted))
+                    # the window moves from [lo, start) to [new_lo, end): count
+                    # out the bins it leaves, then count in the bins it gains
+                    window_counts = window.counts
+                    lo = window.lo
+                    new_lo = max(lo, end - window_size)
+                    for b in lane_bins[lo:min(new_lo, start)]:
+                        left = window_counts[b] - 1
+                        if left:
+                            window_counts[b] = left
                         else:
-                            gone = [*window_bins, *new_bins[: evicted - kept]]
-                        for b in gone:
-                            left = window_counts[b] - 1
-                            if left:
-                                window_counts[b] = left
-                            else:
-                                del window_counts[b]
-                    window_bins.extend(new_bins)
-                    window.times.extend(lane_weighs[start:end])
-                    window.weights.extend(lane_weights[start:end])
+                            del window_counts[b]
+                    get = window_counts.get
+                    for b in lane_bins[max(start, new_lo):end]:
+                        window_counts[b] = get(b, 0) + 1
+                    window.lo, window.hi = new_lo, end
                     if trace is not None:
                         module = lane.weigh_module
                         trace.extend(
@@ -279,12 +294,11 @@ class PlantSimulation:
                              round(lane_weights[p], 6), "weigh")
                             for p in range(start, end)
                         )
-                    weighed[i] = end
                     weighs += end - start
 
                 # assign, from the weighed fillets; equal assign times run in
                 # weigh order, then id order (module doc)
-                start, n = assigned[i], weighed[i]
+                start, n = assigned[i], window.hi
                 end = bisect_left(lane_assigns, e, start, n)
                 while end < n and lane_assigns[end] == e and (
                     lane_weighs[end] < e1 or (lane_weighs[end] == e1 and lane_ids[end] <= a2)
@@ -358,12 +372,14 @@ class PlantSimulation:
                                  round(final, 6), "absorb")
                             )
                 assigns += end - start
-                if end >= drain_every:
-                    # drop the prefix both cursors have passed
+                # drop the prefix that the assign cursor and the window have passed
+                drop = min(end, window.lo)
+                if drop >= drain_every:
                     for column in flow[3:]:
-                        del column[:end]
-                    weighed[i] -= end
-                    end = 0
+                        del column[:drop]
+                    window.lo -= drop
+                    window.hi -= drop
+                    end -= drop
                 assigned[i] = end
 
         def flush(bound: float) -> None:

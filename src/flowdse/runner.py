@@ -189,6 +189,13 @@ def _check_compatibility(space: DesignSpace, scenarios: list[Scenario]) -> None:
         raise PlanError("; ".join(issues))
 
 
+def scenario_id_issues(scenario_ids: list[str]) -> list[str]:
+    """Outputs key every column by scenario id, so each must be unique."""
+    if len(set(scenario_ids)) != len(scenario_ids):
+        return [f"duplicate scenario ids: {scenario_ids}"]
+    return []
+
+
 # -- batch driver ------------------------------------------------------------
 
 
@@ -289,8 +296,9 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     _check_compatibility(space, scenarios)
 
     scenario_ids = [s.scenario_id for s in scenarios]
-    if len(set(scenario_ids)) != len(scenario_ids):
-        raise PlanError(f"duplicate scenario ids: {scenario_ids}")
+    issues = scenario_id_issues(scenario_ids)
+    if issues:
+        raise PlanError("; ".join(issues))
     thresholds = dict(plan.min_attainment)
     unknown = set(thresholds) - set(scenario_ids)
     if unknown:
@@ -497,16 +505,19 @@ def validate_inputs(space_path: str, scenario_paths: list[str]) -> tuple[str, li
         n_configs = len(configs)
         n_distinct = len(deduplicate(space, configs))
 
+    scenario_ids = []
     for path in scenario_paths:
         try:
             scenario = load_scenario(path)
         except ScenarioError as err:
             violations.append(str(err))
             continue
+        scenario_ids.append(scenario.scenario_id)
         if space is not None:
             violations.extend(
                 compatibility_issues(scenario, space.destination_tags, space.lanes)
             )
+    violations.extend(scenario_id_issues(scenario_ids))
 
     summary = (
         f"{n_configs} configurations, {n_distinct} distinct, "

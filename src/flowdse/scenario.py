@@ -36,6 +36,10 @@ MIN_TRUNCATED_MASS = 1e-3
 # sweep costs a few microseconds per fillet, so more would not end in any
 # useful time
 MAX_RUN_EVENTS = 1e9
+# most weight bins that a lane's heaviest weight may span: a strategy
+# recompute may walk, and the recipe ladder may store, one entry per bin up to
+# it, so more would not end in any useful time or memory
+MAX_WEIGHT_BINS = 1e5
 
 
 @dataclass(frozen=True)
@@ -354,6 +358,14 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
                 f"{scenario_id}.inflow[{i}].rate_per_min: {lane.rate_per_min:g} per minute "
                 f"over horizon_s {horizon:g} is {arrivals:.3g} arrivals, "
                 f"more than {MAX_RUN_EVENTS:.0e}"
+            )
+        bins = lane.weights.heaviest_g / controller.bin_width_g
+        if bins > MAX_WEIGHT_BINS:
+            key = "upper_g" if isinstance(lane.weights, TruncatedNormalWeights) else "file"
+            raise ScenarioError(
+                f"{scenario_id}.inflow[{i}].weights.{key}: heaviest weight "
+                f"{lane.weights.heaviest_g:g} g is {bins:.3g} bins of bin_width_g "
+                f"{controller.bin_width_g:g}, more than {MAX_WEIGHT_BINS:.0e}"
             )
     recomputes = horizon / controller.recompute_interval_s
     if recomputes > MAX_RUN_EVENTS:

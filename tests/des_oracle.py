@@ -4,20 +4,28 @@
 time and insertion sequence) and `PlantSimulation` the calendar-driven plant:
 one event per fillet per arrival, weigh, assign, trim and absorb, and one per
 recompute. Both are copied unchanged from `flowdse.kernel` and `flowdse.plant`
-as they stood before `PlantSimulation.run` became a sweep; only the imports
-and the seeding of the random streams (`random.Random(derive_seed(...))`, the
-same draws) differ. Tests run the same cell through both and require
-identical tallies and trace rows.
+as they stood before `PlantSimulation.run` became a sweep; only the imports,
+the seeding of the random streams (`random.Random(derive_seed(...))`, the
+same draws) and the controller differ. Tests run the same cell through both
+and require identical tallies and trace rows.
+
+The controller is a `ReferenceController`: the strategy builder of
+`flowdse.controller` over reference windows (`LaneWindow`), with the weigh
+and assign steps the sweep does inline, `record_weight` and `lookup`, as the
+controller had them before its windows became views into the sweep's lists.
+The controller tests run on it too.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from flowdse.controller import ProductionController
+from flowdse.controller import BinAssignment, ProductionController
 from flowdse.designspace import (
     DesignConfiguration,
     DesignSpace,
@@ -86,6 +94,83 @@ class Kernel:
         self._heap.clear()
 
 
+@dataclass
+class LaneWindow:
+    """Sliding window of the most recent weights on one lane, plus its histogram.
+
+    `times`, `weights` and `bins` hold the retained samples, oldest first, and
+    `counts` the number of them per bin.
+    """
+
+    lane: str
+    window_size: int
+    bin_width_g: float
+    times: deque = field(init=False)
+    weights: deque = field(init=False)
+    bins: deque = field(init=False)
+    counts: dict[int, int] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.times = deque(maxlen=self.window_size)
+        self.weights = deque(maxlen=self.window_size)
+        self.bins = deque(maxlen=self.window_size)
+
+    @property
+    def samples(self) -> list[tuple[float, float]]:
+        """The retained (time_s, weight_g) pairs, oldest first (a copy)."""
+        return list(zip(self.times, self.weights))
+
+    def bin_of(self, weight_g: float) -> int:
+        return int(weight_g // self.bin_width_g)
+
+    def record(self, weight_g: float, time_s: float) -> None:
+        bins = self.bins
+        if len(bins) == self.window_size:
+            old_bin = bins[0]
+            remaining = self.counts[old_bin] - 1
+            if remaining:
+                self.counts[old_bin] = remaining
+            else:
+                del self.counts[old_bin]
+        new_bin = self.bin_of(weight_g)
+        bins.append(new_bin)
+        self.times.append(time_s)
+        self.weights.append(weight_g)
+        self.counts[new_bin] = self.counts.get(new_bin, 0) + 1
+
+    def span_s(self) -> float:
+        times = self.times
+        if len(times) < 2:
+            return 0.0
+        return times[-1] - times[0]
+
+
+class ReferenceController(ProductionController):
+    """The strategy builder over one `LaneWindow` per lane, with the reference
+    weigh (`record_weight`) and assign (`lookup`) steps. It keeps the routes
+    and recipes it was built from, for the legacy strategy build to read."""
+
+    def __init__(self, config, routes, recipes, heaviest_g=math.inf) -> None:
+        windows = [
+            LaneWindow(lane, config.window_size, config.bin_width_g) for lane in routes.lanes
+        ]
+        super().__init__(config, routes, recipes, windows, heaviest_g)
+        self.routes = routes
+        self.recipes = list(recipes)
+
+    def record_weight(self, lane: str, weight_g: float, time_s: float) -> None:
+        self.windows[lane].record(weight_g, time_s)
+
+    def lookup(self, lane: str, weight_g: float) -> BinAssignment:
+        """Bin lookup for one fillet; unassigned bins fall to the default recipe."""
+        strategy = self.strategies.get(lane)
+        if strategy:
+            hit = strategy.get(int(weight_g // self.config.bin_width_g))
+            if hit is not None:
+                return hit
+        return self.default_assignment
+
+
 @dataclass(slots=True)
 class Fillet:
     fillet_id: int
@@ -121,7 +206,7 @@ class PlantSimulation:
         self.kernel = Kernel(horizon=scenario.horizon_s)
         design = compile_design(space, config)
         self.catalog = design.catalog
-        self.controller = ProductionController(
+        self.controller = ReferenceController(
             scenario.controller, self.catalog, scenario.recipes
         )
         self.routes = design.routes

@@ -1,10 +1,12 @@
 """The strategy computation as it was before the recipe ladder, as an oracle.
 
 `predict_throughput`, `compute_strategies` and `_pooled_rate` below are the
-controller's methods copied unchanged from the version that asked
-`predict_throughput` for every (recipe, bin, lane). `LegacyStrategies` runs
-them on a live `ProductionController`'s windows, routes and recipes, so a
-test can hold the ladder walk against them at any moment.
+controller's methods copied from the version that asked `predict_throughput`
+for every (recipe, bin, lane). `LegacyStrategies` runs them on a live
+controller's windows, with the routes and recipes that controller was built
+from, so a test can hold the ladder walk against them at any moment. It puts
+the recipes in priority order itself: smaller priority number first,
+declaration order breaking ties.
 """
 
 from __future__ import annotations
@@ -15,11 +17,15 @@ from flowdse.controller import BinAssignment
 
 
 class LegacyStrategies:
-    def __init__(self, controller) -> None:
+    def __init__(self, controller, routes, recipes) -> None:
         self.config = controller.config
-        self.routes = controller.routes
-        self.recipes = controller.recipes
-        self.priority_order = controller.priority_order
+        self.routes = routes
+        self.recipes = list(recipes)
+        # a stable sort by priority: declaration order breaks ties
+        self.priority_order = sorted(
+            (i for i, r in enumerate(self.recipes) if not r.is_default),
+            key=lambda i: self.recipes[i].priority,
+        )
         self.windows = controller.windows
 
     def predict_throughput(self, lane: str, bins) -> float:
@@ -29,7 +35,7 @@ class LegacyStrategies:
         nearly-simultaneous burst of samples cannot predict absurd rates.
         """
         window = self.windows[lane]
-        if not window.samples:
+        if not window.counts:
             return 0.0
         count = sum(window.counts.get(b, 0) for b in bins)
         span = max(window.span_s(), self.config.recompute_interval_s)

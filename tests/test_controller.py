@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from des_oracle import LaneWindow, ReferenceController
 from flowdse.controller import (
     BinAssignment,
     ControllerConfig,
-    LaneWindow,
-    ProductionController,
     RouteCatalog,
     recipe_ladder,
 )
@@ -46,11 +45,16 @@ def make_controller(
     config = ControllerConfig(
         window_size=window, recompute_interval_s=t_s, bin_width_g=binw, warmup_s=0.0
     )
-    ctrl = ProductionController(config, routes, recipes, heaviest_g)
+    ctrl = ReferenceController(config, routes, recipes, heaviest_g)
     for lane, samples in samples_by_lane.items():
         for t, w in samples:
             ctrl.record_weight(lane, w, t)
     return ctrl
+
+
+def legacy_of(ctrl):
+    """The legacy strategy build on a reference controller's windows."""
+    return LegacyStrategies(ctrl, ctrl.routes, ctrl.recipes)
 
 
 def uniform_lane(lo_bin, n_bins, per_bin, span_s, binw=10.0):
@@ -129,7 +133,7 @@ class TestPrediction:
         samples = [(0.0, 905.0)] + [(float(i), 205.0) for i in range(1, 61)]
         samples.append((600.0, 905.0))
         ctrl = make_controller({"l": samples}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        legacy = LegacyStrategies(ctrl)
+        legacy = legacy_of(ctrl)
         assert legacy.predict_throughput("l", (20,)) == 6.0
         assert legacy.predict_throughput("l", (20, 90)) == 6.2
 
@@ -137,11 +141,11 @@ class TestPrediction:
         # all samples share one timestamp; the raw span would divide by zero
         samples = [(5.0, 155.0)] * 50
         ctrl = make_controller({"l": samples}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        assert LegacyStrategies(ctrl).predict_throughput("l", (15,)) == 50 / (10.0 / 60.0)
+        assert legacy_of(ctrl).predict_throughput("l", (15,)) == 50 / (10.0 / 60.0)
 
     def test_empty_window_predicts_zero(self):
         ctrl = make_controller({"l": []}, [recipe("d", 1, 10, 100, 200, 0), DEFAULT])
-        assert LegacyStrategies(ctrl).predict_throughput("l", (15,)) == 0.0
+        assert legacy_of(ctrl).predict_throughput("l", (15,)) == 0.0
 
 
 class TestStrategyShape:
@@ -286,7 +290,7 @@ class TestLookup:
             [recipe("d", 1, 50, 100, 200, 0), DEFAULT],
         )
         hit = ctrl.lookup("l", 155.0)
-        assert hit == BinAssignment(ctrl.default_index, "strips", None)
+        assert hit == BinAssignment(1, "strips", None)
 
     def test_after_recompute_band_hits_and_default_fallback(self):
         ctrl = make_controller(
@@ -304,9 +308,9 @@ class TestLookup:
             has_trimmer={"l": False},
         )
         with pytest.raises(ValueError, match="default"):
-            ProductionController(ControllerConfig(), routes, [DEFAULT, DEFAULT])
+            ReferenceController(ControllerConfig(), routes, [DEFAULT, DEFAULT])
         with pytest.raises(ValueError, match="default"):
-            ProductionController(
+            ReferenceController(
                 ControllerConfig(), routes, [recipe("d", 1, 10, 100, 200, 0)]
             )
 
@@ -602,7 +606,7 @@ class TestLadderMatchesLegacy:
             window=window,
             heaviest_g=heaviest,
         )
-        legacy = LegacyStrategies(ctrl)
+        legacy = legacy_of(ctrl)
         assert in_order(ctrl.compute_strategies()) == in_order(legacy.compute_strategies())
         # a second recompute on moved windows: nothing may carry over
         for lane, samples in second.items():
@@ -617,7 +621,7 @@ class TestLadderMatchesLegacy:
             {"a": lane, "b": lane}, [recipe("d0", 1, 10, 100, 200, 0), DEFAULT]
         )
         strategies = ctrl.compute_strategies()
-        assert in_order(strategies) == in_order(LegacyStrategies(ctrl).compute_strategies())
+        assert in_order(strategies) == in_order(legacy_of(ctrl).compute_strategies())
         assert set(strategies["a"]) == set(strategies["b"]) == {10}
 
     def test_bin_on_both_sides_of_the_upper_limit(self):
@@ -630,7 +634,7 @@ class TestLadderMatchesLegacy:
         recipes = [recipe("d0", 1, 4.5, 0.2, 0.5, 0.3), DEFAULT]
         ctrl = make_controller({"a": lane}, recipes, binw=0.1, t_s=60.0)
         strategies = ctrl.compute_strategies()
-        assert in_order(strategies) == in_order(LegacyStrategies(ctrl).compute_strategies())
+        assert in_order(strategies) == in_order(legacy_of(ctrl).compute_strategies())
         assert [(b, a.trim_g) for b, a in strategies["a"].items()] == [
             (2, None), (3, None), (4, None), (5, pytest.approx(0.1)),
         ]

@@ -531,7 +531,7 @@ class TestControllerInThePlant:
         ]
         sim = PlantSimulation(case_space, config, scenario, seed=11)
         controller = sim.controller
-        legacy = LegacyStrategies(controller)
+        legacy = LegacyStrategies(controller, sim.catalog, scenario.recipes)
         recompute = controller.recompute
         checked = []
 
@@ -677,12 +677,48 @@ class TestSweepMatchesCalendar:
         calendar = CalendarPlant(space, config, scenario, seed, trace=True)
         expected = calendar.run()
         sweep = PlantSimulation(space, config, scenario, seed, trace=True)
-        saved = plant_module.DRAIN_EVERY, plant_module.CHUNK
-        plant_module.DRAIN_EVERY, plant_module.CHUNK = drain_every, chunk
-        try:
-            got = sweep.run()
-        finally:
-            plant_module.DRAIN_EVERY, plant_module.CHUNK = saved
+        got = run_sweep(sweep, drain_every, chunk)
         # repr: every float to the bit, dicts in insertion order
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
+
+
+class TestWindowsMatchCalendar:
+    """The sweep's windows, views into its lane lists, against the calendar's
+    reference windows (`tests/des_oracle.py`) as each recompute reads them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cells())
+    # windows of 50 over 240 fillets, their lists' prefix dropped every 7
+    @example((*skewed_lanes_cell(*[[1.0, 1.0, 1.0, 1.0, 1.0]] * 2)[:4], 7, plant_module.CHUNK))
+    def test_same_counts_and_span_at_every_recompute(self, cell):
+        space, config, scenario, seed, drain_every, chunk = cell
+        calendar = CalendarPlant(space, config, scenario, seed)
+        sweep = PlantSimulation(space, config, scenario, seed)
+        seen = {}
+        for plant in (calendar, sweep):
+            controller = plant.controller
+            seen[plant] = windows = []
+
+            def recorded(time_s, controller=controller, recompute=controller.recompute,
+                         windows=windows):
+                windows.append(
+                    [(lane, dict(w.counts), w.span_s()) for lane, w in controller.windows.items()]
+                )
+                recompute(time_s)
+
+            controller.recompute = recorded
+        calendar.run()
+        run_sweep(sweep, drain_every, chunk)
+        assert len(seen[sweep]) == calendar.controller.recomputes
+        assert seen[sweep] == seen[calendar]
+
+
+def run_sweep(sweep, drain_every, chunk):
+    """`sweep.run()` with the module's DRAIN_EVERY and CHUNK set as given."""
+    saved = plant_module.DRAIN_EVERY, plant_module.CHUNK
+    plant_module.DRAIN_EVERY, plant_module.CHUNK = drain_every, chunk
+    try:
+        return sweep.run()
+    finally:
+        plant_module.DRAIN_EVERY, plant_module.CHUNK = saved

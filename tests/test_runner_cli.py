@@ -83,18 +83,19 @@ def mini(tmp_path_factory):
 
 
 def write_edited_inputs(root, edit):
-    """Write MINI_SPACE and MINI_SCENARIO into root with one value replaced.
+    """Write MINI_SPACE and MINI_SCENARIO into root with values replaced.
 
-    edit is (which document, key, index, field, value); key None replaces the
-    whole document, and the steps key, index and field (a name or a tuple of
-    names) that are not None lead to the value replaced.
+    edit is (which document, key, index, field, value), or a list of them
+    applied in turn; key None replaces the whole document, and the steps key,
+    index and field (a name or a tuple of names) that are not None lead to the
+    value replaced.
     """
-    which, key, index, field, value = edit
     docs = {"space": json.loads(json.dumps(MINI_SPACE)),
             "scenario": json.loads(json.dumps(MINI_SCENARIO))}
-    if key is None:
-        docs[which] = value
-    else:
+    for which, key, index, field, value in edit if isinstance(edit, list) else [edit]:
+        if key is None:
+            docs[which] = value
+            continue
         fields = field if isinstance(field, tuple) else (field,)
         *path, last = [step for step in (key, index, *fields) if step is not None]
         target = docs[which]
@@ -513,6 +514,18 @@ class TestCli:
         assert code == 1
         assert "  - " in out
 
+    @pytest.mark.parametrize("command", ["validate", "explore"])
+    def test_duplicate_scenario_ids_exit_one(self, mini, tmp_path, capsys, command):
+        argv = [command, "--space", str(mini["space"]),
+                "--scenario", str(mini["scenario"]), str(mini["scenario"])]
+        if command == "explore":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "duplicate scenario ids: ['mini', 'mini']" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
     def test_simulate_writes_record_and_trace(self, mini, tmp_path, capsys):
         code = main(
             [
@@ -818,6 +831,25 @@ class TestCli:
                 ("scenario", "controller", None, "N", 1e308),
                 "mini.controller.N: must be at most 9223372036854775807, got 1e+308",
                 id="window-float-too-large",
+            ),
+            pytest.param(
+                [
+                    ("scenario", "inflow", 0, ("weights", "upper_g"), 1e308),
+                    ("scenario", "recipes", 0, "max_trim_weight_g", 1e308),
+                ],
+                "mini.inflow[0].weights.upper_g: heaviest weight 1e+308 g is 1e+307 bins "
+                "of bin_width_g 10, more than 1e+05",
+                id="heaviest-weight-and-trim-allowance-near-1e308",
+            ),
+            pytest.param(
+                [
+                    ("scenario", "inflow", 0, ("weights", "upper_g"), 1e308),
+                    ("scenario", "recipes", 0, "max_fillet_weight_g", 1e308),
+                    ("scenario", "recipes", 0, "target_throughput_per_min", 1e6),
+                ],
+                "mini.inflow[0].weights.upper_g: heaviest weight 1e+308 g is 1e+307 bins "
+                "of bin_width_g 10, more than 1e+05",
+                id="heaviest-weight-and-band-near-1e308",
             ),
             pytest.param(
                 ("scenario", "controller", None, "t_s", "nan"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowdse.kernel import derive_seed
 from flowdse.scenario import (
+    MAX_WEIGHT_BINS,
     EmpiricalWeights,
     Recipe,
     ScenarioError,
@@ -255,6 +256,28 @@ class TestWeightSamples:
         f.write_text(f"120\n{token}\n")
         with pytest.raises(ScenarioError, match="entry 2: weights must be positive and finite"):
             load_weight_samples(f)
+
+    @pytest.mark.parametrize("kind", ["truncated_normal", "empirical"])
+    def test_heaviest_weight_may_span_at_most_max_weight_bins(self, tmp_path, kind):
+        # 10 g bins: 1e6 g spans exactly MAX_WEIGHT_BINS of them
+        assert MAX_WEIGHT_BINS == 1e5
+        key = {"truncated_normal": "upper_g", "empirical": "file"}[kind]
+        for heaviest, refused in ((1e6, False), (2e6, True)):
+            raw = minimal_raw(controller={"bin_width_g": 10})
+            if kind == "empirical":
+                (tmp_path / "weights.txt").write_text(f"100\n{heaviest!r}\n")
+                raw["inflow"][0]["weights"] = {"kind": "empirical", "file": "weights.txt"}
+            else:
+                raw["inflow"][0]["weights"]["upper_g"] = heaviest
+            if not refused:
+                assert parse_scenario(raw, base_dir=tmp_path).heaviest_g == heaviest
+                continue
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(raw, base_dir=tmp_path)
+            assert str(err.value) == (
+                f"t.inflow[0].weights.{key}: heaviest weight 2e+06 g is 2e+05 bins "
+                "of bin_width_g 10, more than 1e+05"
+            )
 
     def test_empirical_draws_only_listed_values(self, tmp_path):
         (tmp_path / "weights.txt").write_text("100\n150.5\n200\n")
