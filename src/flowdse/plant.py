@@ -12,36 +12,70 @@ arrival + weigh offset, assign at weigh + assign offset, trim and absorb at
 assign + the route's offsets. Its fate depends only on its weight and on the
 strategy in force at its assignment. `run` is therefore no event calendar but
 a streaming sweep that reproduces one bit for bit: a calendar that runs
-events by time, then in the order they were scheduled. Only arrivals (one
-chain per lane) and recomputes schedule their own successors, so a heap of at
-most lanes + 1 chain heads, keyed (time, rank of the scheduling event), gives
-them in calendar order; that order numbers the fillets.
+events by time, then in the order they were scheduled. The sweep has two
+parts, the arrival calendar and its replay.
 
-Each lane keeps its fillets in lists indexed by position in the lane: arrival,
-weigh and assign time, weight and weight bin, drawn CHUNK arrivals ahead (a
-lane's arrival and weight streams feed only that lane, in arrival order, so
-drawing ahead draws the same values), and fillet ids, appended as fillets
-arrive. The offsets are constants, so a lane weighs, and assigns, in arrival
-order: two cursors per lane mark how far each has got. The controller's
-window on the lane is a view into the same lists (`WindowView`). Each
+The arrival calendar (`calendar_runs`). Only arrivals (one chain per lane)
+and recomputes schedule their own successors, so a heap of at most lanes + 1
+chain heads, keyed (time, rank of the scheduling event), gives them in
+calendar order; that order numbers the fillets. The calendar stops at each
+recompute, every DRAIN_EVERY arrivals and at the end, and hands on the
+arrivals in between: their lanes in calendar order, and each lane's fillet
+ids and arrival times. It hands them on a run at a time, a run being the
+stops up to the first that ends at least CHUNK arrivals a lane after the
+last run (`ArrivalCalendar`), so that the replay pays its per-lane costs once
+a run, not once a stop. A lane's arrival times are drawn CHUNK at a time, none after
+the horizon.
+
+The memo. With every lane deterministic, the calendar depends only on the
+lane rates, the horizon, the warm-up, the recompute interval and DRAIN_EVERY,
+not on the design or the seed. The first cell of such a scenario records it
+in compact arrays (a lane index, a fillet id and an arrival time per arrival,
+17 bytes, and a few numbers per stop and per run) into `CALENDARS`, and every
+later cell with the same key replays the record. The memo holds at most
+CALENDAR_MEMO_ARRIVALS arrivals in all; a calendar that would not fit is
+computed afresh in each cell and never stored, and so is every calendar with
+a Poisson lane, whose arrival times come from the cell's own stream.
+
+The replay (`run`). Each lane keeps its fillets in lists indexed by position
+in the lane, in two groups: the window group, weigh times and weight bins,
+which the controller's window on the lane reads (`WindowView`); and the
+assign group, assign times, weights and fillet ids. At the start of each run
+the replay takes the run's arrivals into the lists, computing their weigh and
+assign times and drawing their weights and bins (a lane's weight stream feeds
+only that lane, in arrival order, so drawing ahead draws the same values),
+adds their weights to the injected mass in calendar order and writes their
+`arrive` trace rows. Then at each stop it weighs, assigns and adds the masses
+due (`drain`, `flush`), and at a recompute stop recomputes the strategies.
+The offsets are constants, so a lane weighs, and assigns, in arrival order:
+the window's end and an assign cursor mark how far each has got. Each
 fillet's bin is computed once; the weigh moves the window over it and the
-assign looks it up in the lane's strategy, both inline. The prefix that the
-assign cursor and the window have passed is dropped once it holds
-DRAIN_EVERY fillets.
+assign looks it up in the lane's strategy, both inline. The assign group is
+dropped up to the assign cursor, and the window group up to the window's
+start or the assign cursor, whichever comes first, each once the part to drop
+holds DRAIN_EVERY fillets.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
 fillet arrived before recompute j-1 ran (recompute 0 is scheduled at
 construction, after every first arrival); an assign iff its weigh ran before
-recompute j-1. The integer tallies (counts, recipe counts, band violations)
-are taken at assignment, for fillets absorbed by the horizon. The masses are
-summed in calendar order: before e_j, the trims and absorptions timed before
-it are applied sorted by (time, assign time, weigh time, fillet id). Working
-memory is bounded by each lane's window, its fillets in flight, DRAIN_EVERY
-passed ones and a chunk. Trace mode
-writes each fillet's rows at its arrival, weigh and assignment, including an
-`enter` row per hop, so the fused conveyor hops stay observable; the final
-stable sort by (time, fillet id) puts them in calendar order.
+recompute j-1. So no fillet arriving at or after e_j is weighed or assigned
+before e_j, and the lists may hold the rest of the run: a drain at a
+DRAIN_EVERY stop may take some of those fillets early, but only ones that the
+drain before e_j would take anyway, under the same strategy. The integer
+tallies (counts, recipe counts, band violations) are taken at assignment, for
+fillets absorbed by the horizon. The masses are summed in calendar order:
+before e_j, the trims and absorptions timed before it are applied sorted by
+(time, assign time, weigh time, fillet id); a flush at a DRAIN_EVERY stop
+adds only those timed before its last arrival.
+
+Working memory in `run` is bounded by each lane's window (two lists), its
+fillets in flight, DRAIN_EVERY passed ones and a run (fewer than CHUNK a lane
++ DRAIN_EVERY arrivals); a first cell that records its calendar adds the
+record, 17 bytes an arrival, to the memo. Trace mode writes each fillet's
+rows at its arrival, weigh and assignment, including an `enter` row per hop,
+so the fused conveyor hops stay observable; the final stable sort by (time,
+fillet id) puts them in calendar order.
 """
 
 from __future__ import annotations
@@ -49,9 +83,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import add
+from typing import Sequence
 
 from flowdse.controller import ProductionController
 from flowdse.designspace import (
@@ -66,8 +103,12 @@ from flowdse.scenario import Scenario
 # a sweep weighs and assigns what it can at least this often, in arrivals, so
 # fillets do not pile up when recomputes are rare or absent
 DRAIN_EVERY = 1024
-# a lane's arrivals and weights are drawn this many at a time
+# a lane's arrival times are drawn this many at a time, and the replay takes
+# arrivals in at least this many at a time
 CHUNK = 256
+# arrivals the memo of deterministic calendars holds in all (`CALENDARS`, 17
+# bytes each); a calendar that would take it past this is computed in each cell
+CALENDAR_MEMO_ARRIVALS = 1_000_000
 
 
 class RoutingFault(RuntimeError):
@@ -122,6 +163,231 @@ class RunTallies:
     in_flight_mass_g: float = 0.0
     events: int = 0
     recomputes: int = 0
+
+
+@dataclass(slots=True)
+class ArrivalCalendar:
+    """Runs of a calendar's stops with their arrivals, in flat sequences.
+
+    A stop is (fillets arrived by then, its time, whether it recomputes); the
+    last is the end, at time inf. A run is a span of whole stops that holds at
+    least CHUNK arrivals a lane, but for the last run; the replay takes a run's
+    arrivals in at once. Per lane, `ids` and `times` hold the fillet ids and
+    arrival times, the first at lane position `first[i]`; `order` holds each
+    arrival's lane in calendar order, from fillet `first_fid` + 1; per stop,
+    `fids`, `at` and `recomputes` hold its numbers; per run, `cuts` holds the
+    count of stops through its last and `ends`, one entry per lane, the lane
+    position after the lane's last arrival in it. The memo keeps a whole
+    calendar in arrays (`compact`); `calendar_runs` yields one run at a time,
+    in lists."""
+
+    first: list[int]
+    ids: list
+    times: list
+    order: Sequence[int]
+    first_fid: int
+    fids: Sequence[int]
+    at: Sequence[float]
+    recomputes: Sequence[bool]
+    cuts: Sequence[int]
+    ends: Sequence[int]
+
+    @classmethod
+    def compact(cls, n_lanes: int) -> ArrivalCalendar:
+        """An empty calendar in arrays: 17 bytes an arrival (with up to 256 lanes)."""
+        lane = "B" if n_lanes <= 1 << 8 else "H" if n_lanes <= 1 << 16 else "q"
+        return cls(
+            [0] * n_lanes, [array("q") for _ in range(n_lanes)],
+            [array("d") for _ in range(n_lanes)], array(lane), 0,
+            array("q"), array("d"), array("b"), array("q"), array("q"),
+        )
+
+    def extend(self, then: ArrivalCalendar) -> None:
+        """Append `then`, the calendar's runs that follow this one's."""
+        stops = len(self.fids)
+        for ids, times, then_ids, then_times in zip(self.ids, self.times, then.ids, then.times):
+            ids.extend(then_ids)
+            times.extend(then_times)
+        self.order.extend(then.order)
+        self.fids.extend(then.fids)
+        self.at.extend(then.at)
+        self.recomputes.extend(then.recomputes)
+        self.cuts.extend(stops + cut for cut in then.cuts)
+        self.ends.extend(then.ends)
+
+    def runs(self):
+        """Per run: the lanes of its arrivals in calendar order, per lane the
+        lane position after its last arrival, and its stops."""
+        n = len(self.ids)
+        k = start = 0
+        for r, cut in enumerate(self.cuts):
+            end = self.fids[cut - 1] - self.first_fid
+            yield (
+                self.order[start:end], self.ends[r * n:r * n + n],
+                zip(self.fids[k:cut], self.at[k:cut], self.recomputes[k:cut]),
+            )
+            k, start = cut, end
+
+
+# recorded calendars by (lane rates, horizon, warm-up, recompute interval,
+# DRAIN_EVERY): each is a pure function of its key, so every cell may share it
+CALENDARS: dict[tuple, ArrivalCalendar] = {}
+
+
+def calendar_runs(lanes, horizon, warmup, interval, drain_every, chunk):
+    """Compute the arrival calendar (module doc) and yield it a run at a time,
+    each as an ArrivalCalendar of one run. `lanes` are LaneRuntimes: their
+    rates, and the arrival streams of the Poisson ones."""
+    n_lanes = len(lanes)
+    # per lane, arrival times drawn: those arrived in this run, then those to come
+    ahead = [[] for _ in lanes]
+    arrived = [0] * n_lanes  # per lane, how many of `ahead` have arrived
+    next_k = [1] * n_lanes  # deterministic arrivals: index of the next one
+    last_at = [0.0] * n_lanes  # Poisson arrivals: time of the last one drawn
+    open_lanes = [True] * n_lanes  # arrivals left before the horizon
+
+    def refill(i: int) -> bool:
+        """Draw up to `chunk` more arrival times of lane i, none after the
+        horizon; whether it drew any."""
+        lane, times = lanes[i], ahead[i]
+        rng = lane.arrivals_rng
+        if rng is None:
+            rate = lane.rate_per_min
+            k = next_k[i]
+            for k in range(k, k + chunk):
+                at = k * 60.0 / rate
+                if at > horizon:
+                    open_lanes[i] = False
+                    break
+                times.append(at)
+            else:
+                k += 1
+            next_k[i] = k
+        else:
+            # gaps drawn as `rng.expovariate(rate)` draws them
+            uniform, rate = rng.random, lane.rate_per_min / 60.0
+            at = last_at[i]
+            for _ in range(chunk):
+                at = at + -math.log(1.0 - uniform()) / rate
+                if at > horizon:
+                    open_lanes[i] = False
+                    break
+                times.append(at)
+            last_at[i] = at
+        return len(times) > arrived[i]
+
+    # the run being gathered: its first lane positions and fillet, each
+    # arrival's lane, per lane its fillet ids, and per stop its numbers
+    first, first_fid = [0] * n_lanes, 0
+    order: list[int] = []
+    ids: list[list[int]] = [[] for _ in lanes]
+    fids, stop_at, recomputes = [], [], []
+
+    def cut(fid: int) -> ArrivalCalendar:
+        """The run gathered, whose last stop has just been recorded."""
+        nonlocal first, first_fid
+        ends = list(map(add, first, arrived))
+        times = []
+        for i, lane_times in enumerate(ahead):
+            times.append(lane_times[:arrived[i]])
+            del lane_times[:arrived[i]]
+            arrived[i] = 0
+        run = ArrivalCalendar(
+            first, [lane_ids[:] for lane_ids in ids], times, order[:], first_fid,
+            fids[:], stop_at[:], recomputes[:], [len(fids)], ends,
+        )
+        for gathered in (order, *ids, fids, stop_at, recomputes):
+            gathered.clear()
+        first, first_fid = ends, fid
+        return run
+
+    # chain heads: (time, rank of the event that scheduled it, lane index or
+    # -1 for a recompute). Construction ranks below every event run: first
+    # the lanes' first arrivals in lane order, then recompute 0.
+    heads = []
+    for i in range(n_lanes):
+        refill(i)
+        if ahead[i]:
+            heads.append((ahead[i][0], i - n_lanes - 1, i))
+    if warmup <= horizon:
+        heads.append((warmup, -1, -1))
+    heapq.heapify(heads)
+
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
+    order_append = order.append
+    id_appends = [lane_ids.append for lane_ids in ids]
+    rank = 0  # chain events run
+    fid = 0  # fillets arrived, and the id of the last one
+    next_drain = drain_every
+    run_size = chunk * n_lanes  # arrivals a run holds at least, but for the last
+    stop_fid, stop_time, stop_recomputes = fids.append, stop_at.append, recomputes.append
+    while heads:
+        now, _, i = heads[0]
+        if i < 0:
+            stop_fid(fid)
+            stop_time(now)
+            stop_recomputes(True)
+            if fid - first_fid >= run_size:
+                yield cut(fid)
+            nxt = now + interval
+            if nxt <= horizon:
+                heapreplace(heads, (nxt, rank, -1))
+            else:
+                heappop(heads)
+        else:
+            fid += 1
+            order_append(i)
+            id_appends[i](fid)
+            times = ahead[i]
+            p = arrived[i] + 1
+            arrived[i] = p
+            if p < len(times) or open_lanes[i] and refill(i):
+                heapreplace(heads, (times[p], rank, i))
+            else:
+                heappop(heads)
+            if fid == next_drain:
+                next_drain += drain_every
+                stop_fid(fid)
+                stop_time(now)
+                stop_recomputes(False)
+                if fid - first_fid >= run_size:
+                    yield cut(fid)
+        rank += 1
+    stop_fid(fid)
+    stop_time(math.inf)
+    stop_recomputes(False)
+    yield cut(fid)
+
+
+def arrival_calendar(lanes, scenario: Scenario):
+    """One cell's calendar, as ArrivalCalendars: the memo's record, or the runs
+    of `calendar_runs`, recorded into the memo on the way or not (module doc)."""
+    horizon = scenario.horizon_s
+    warmup = scenario.controller.warmup_s
+    interval = scenario.controller.recompute_interval_s
+    drain_every = DRAIN_EVERY  # read per call: tests set it
+    runs = calendar_runs(lanes, horizon, warmup, interval, drain_every, CHUNK)
+    if any(lane.arrivals_rng is not None for lane in lanes):
+        return runs
+    rates = tuple(lane.rate_per_min for lane in lanes)
+    key = (rates, horizon, warmup, interval, drain_every)
+    calendar = CALENDARS.get(key)
+    if calendar is not None:
+        return (calendar,)
+    # a deterministic lane's arrival count, as `parse_scenario` bounds it
+    arrivals = sum(rate * horizon / 60.0 for rate in rates)
+    if arrivals + sum(len(c.order) for c in CALENDARS.values()) > CALENDAR_MEMO_ARRIVALS:
+        return runs
+    return _recorded(key, runs, len(lanes))
+
+
+def _recorded(key: tuple, runs, n_lanes: int):
+    """Pass `runs` on, recording them; store the record once the last is out."""
+    calendar = ArrivalCalendar.compact(n_lanes)
+    for run in runs:
+        calendar.extend(run)
+        yield run
+    CALENDARS[key] = calendar
 
 
 class PlantSimulation:
@@ -184,7 +450,7 @@ class PlantSimulation:
         inf = math.inf
         controller = self.controller
         bin_width = controller.config.bin_width_g
-        chunk, drain_every = CHUNK, DRAIN_EVERY
+        drain_every = DRAIN_EVERY
         trace = self.trace_rows
         t = self.tallies
         recipe_counts = t.recipe_counts
@@ -196,64 +462,28 @@ class PlantSimulation:
         lanes = list(self.lane_runtimes.values())
         n_lanes = len(lanes)
         windows = [controller.windows[lane.lane] for lane in lanes]
-        # per lane, lists by position in the lane: arrival, weigh and assign
-        # times, weight and bin, filled `chunk` arrivals ahead, and fillet ids,
-        # appended on arrival; the weigh times are the window's own list
-        columns = [([], window.weigh_times, [], [], [], []) for window in windows]
-        # what a drain reads per lane, in one tuple
+        # what a drain reads per lane, in one tuple: the lane's lists by position
+        # in the lane, the window group (weigh times, the window's own list, and
+        # weight bins) and the assign group (assign times, weights, fillet ids)
         flows = [
-            (lane, self.routes[lane.lane], windows[i], *columns[i])
-            for i, lane in enumerate(lanes)
+            (lane, self.routes[lane.lane], window, window.weigh_times, [], [], [], [])
+            for lane, window in zip(lanes, windows)
         ]
-        # cursors: positions assigned; positions weighed are each window's `hi`
+        # per lane, the lane position after the last fillet taken in: the end of
+        # the run being replayed
+        taken = [0] * n_lanes
+        # cursors: fillets assigned, in the assign group; fillets weighed are
+        # each window's `hi`, in the window group
         assigned = [0] * n_lanes
-        next_k = [1] * n_lanes  # deterministic arrivals: index of the next one
-        last_at = [0.0] * n_lanes  # Poisson arrivals: time of the last one drawn
-        open_lanes = [True] * n_lanes  # arrivals left before the horizon
+        # per lane, a fillet's index in the window group less its index in the
+        # assign group: the groups drop their prefixes apart
+        skews = [0] * n_lanes
         counts: dict[str, int] = {}
         trims: list[tuple] = []  # (time, assign time, weigh time, id, cut): calendar order
         absorbs: list[tuple] = []  # (time, assign time, weigh time, id, tag, final mass)
         live: list[tuple] = []  # (id, mass) of fillets assigned but not absorbed by the horizon
         weighs = assigns = applied = 0  # events run by the drains and the flushes
         trim_mass = 0.0
-
-        def refill(i: int) -> None:
-            """Add up to `chunk` arrivals to lane i, none after the horizon."""
-            lane = lanes[i]
-            times, weigh_times, assign_times, weights, bins, _ = columns[i]
-            start = len(times)
-            rng = lane.arrivals_rng
-            if rng is None:
-                rate = lane.rate_per_min
-                k = next_k[i]
-                for k in range(k, k + chunk):
-                    at = k * 60.0 / rate
-                    if at > horizon:
-                        open_lanes[i] = False
-                        break
-                    times.append(at)
-                else:
-                    k += 1
-                next_k[i] = k
-            else:
-                # gaps drawn as `rng.expovariate(rate)` draws them
-                uniform, rate = rng.random, lane.rate_per_min / 60.0
-                at = last_at[i]
-                for _ in range(chunk):
-                    at = at + -math.log(1.0 - uniform()) / rate
-                    if at > horizon:
-                        open_lanes[i] = False
-                        break
-                    times.append(at)
-                last_at[i] = at
-            offset = lane.weigh_offset_s
-            weigh = [at + offset for at in times[start:]]
-            offset = lane.assign_offset_s
-            drawn = lane.sampler.draw(lane.weights_rng, len(weigh))
-            weigh_times += weigh
-            assign_times += [w + offset for w in weigh]
-            weights += drawn
-            bins += [int(g // bin_width) for g in drawn]
 
         def drain(e: float, a1: float, e1: float, a2: float) -> None:
             """Weigh, then assign, every fillet whose weigh or assign comes before
@@ -264,12 +494,14 @@ class PlantSimulation:
             default = controller.default_assignment
             window_size = controller.config.window_size
             for i, flow in enumerate(flows):
-                (lane, lane_routes, window,
-                 _, lane_weighs, lane_assigns, lane_weights, lane_bins, lane_ids) = flow
-                # weigh: times are sorted, and equal times run in id order
-                start, n = window.hi, len(lane_ids)
+                (lane, lane_routes, window, lane_weighs, lane_bins,
+                 lane_assigns, lane_weights, lane_ids) = flow
+                skew = skews[i]
+                # weigh, in window-group indices: times are sorted, and equal
+                # times run in id order
+                start, n = window.hi, len(lane_weighs)
                 end = bisect_left(lane_weighs, e, start, n)
-                while end < n and lane_weighs[end] == e and lane_ids[end] <= a1:
+                while end < n and lane_weighs[end] == e and lane_ids[end - skew] <= a1:
                     end += 1
                 if end > start:
                     # the window moves from [lo, start) to [new_lo, end): count
@@ -290,18 +522,19 @@ class PlantSimulation:
                     if trace is not None:
                         module = lane.weigh_module
                         trace.extend(
-                            (round(lane_weighs[p], 9), module, lane_ids[p],
-                             round(lane_weights[p], 6), "weigh")
+                            (round(lane_weighs[p], 9), module, lane_ids[p - skew],
+                             round(lane_weights[p - skew], 6), "weigh")
                             for p in range(start, end)
                         )
                     weighs += end - start
 
-                # assign, from the weighed fillets; equal assign times run in
-                # weigh order, then id order (module doc)
-                start, n = assigned[i], window.hi
+                # assign, in assign-group positions, from the weighed fillets;
+                # equal assign times run in weigh order, then id order (module doc)
+                start, n = assigned[i], window.hi - skew
                 end = bisect_left(lane_assigns, e, start, n)
                 while end < n and lane_assigns[end] == e and (
-                    lane_weighs[end] < e1 or (lane_weighs[end] == e1 and lane_ids[end] <= a2)
+                    lane_weighs[end + skew] < e1
+                    or (lane_weighs[end + skew] == e1 and lane_ids[end] <= a2)
                 ):
                     end += 1
                 if end == start:
@@ -309,16 +542,18 @@ class PlantSimulation:
                 lane_id = lane.lane
                 strategy = strategies.get(lane_id)
                 lookup = strategy.get if strategy else {}.get
-                for p in range(start, end):
-                    assignment = lookup(lane_bins[p], default)
+                for s, weight, b, weighed, fid in zip(
+                    lane_assigns[start:end], lane_weights[start:end],
+                    lane_bins[start + skew:end + skew], lane_weighs[start + skew:end + skew],
+                    lane_ids[start:end],
+                ):
+                    assignment = lookup(b, default)
                     tag = assignment.destination
                     route = lane_routes.get(tag)
                     if route is None:
                         raise RoutingFault(
                             f"lane {lane_id} was assigned unreachable destination {tag!r}"
                         )
-                    s = lane_assigns[p]
-                    weight = lane_weights[p]
                     cut = assignment.trim_g
                     absorb_at = s + route.destination_offset_s
                     trim_at = inf
@@ -337,9 +572,9 @@ class PlantSimulation:
                                 raise RoutingFault(
                                     f"trim instruction {cut} g >= fillet weight {weight} g"
                                 )
-                            trims.append((trim_at, s, lane_weighs[p], lane_ids[p], cut))
+                            trims.append((trim_at, s, weighed, fid, cut))
                     if absorb_at <= horizon:
-                        absorbs.append((absorb_at, s, lane_weighs[p], lane_ids[p], tag, final))
+                        absorbs.append((absorb_at, s, weighed, fid, tag, final))
                         counts[tag] = counts.get(tag, 0) + 1
                         index = assignment.recipe_index
                         recipe_counts[index] += 1
@@ -349,9 +584,9 @@ class PlantSimulation:
                             if not band[0] <= final <= band[1] or trimmed > band[2]:
                                 t.band_violations += 1
                     else:
-                        live.append((lane_ids[p], final if trim_at <= horizon else weight))
+                        live.append((fid, final if trim_at <= horizon else weight))
                     if trace is not None:
-                        fid, shown = lane_ids[p], round(weight, 6)
+                        shown = round(weight, 6)
                         trace.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
                         # a fillet cut at the trimmer gets a trim row there instead of an enter row
                         cut_at = route.trimmer_id if cut is not None else None
@@ -372,14 +607,21 @@ class PlantSimulation:
                                  round(final, 6), "absorb")
                             )
                 assigns += end - start
-                # drop the prefix that the assign cursor and the window have passed
-                drop = min(end, window.lo)
+                # drop what no cursor reads again: the assign group up to the
+                # assign cursor, the window group up to the window's start or
+                # the assign cursor, whichever comes first
+                if end >= drain_every:
+                    for column in flow[5:]:
+                        del column[:end]
+                    skew += end
+                    end = 0
+                drop = min(window.lo, end + skew)
                 if drop >= drain_every:
-                    for column in flow[3:]:
-                        del column[:drop]
+                    del lane_weighs[:drop], lane_bins[:drop]
                     window.lo -= drop
                     window.hi -= drop
-                    end -= drop
+                    skew -= drop
+                skews[i] = skew
                 assigned[i] = end
 
         def flush(bound: float) -> None:
@@ -402,73 +644,75 @@ class PlantSimulation:
                 del absorbs[:n]
                 applied += n
 
-        # chain heads: (time, rank of the event that scheduled it, lane index or
-        # -1 for a recompute). Construction ranks below every event run: first
-        # the lanes' first arrivals in lane order, then recompute 0.
-        heads = []
-        for i in range(n_lanes):
-            refill(i)
-            times = columns[i][0]
-            if times:
-                heads.append((times[0], i - n_lanes - 1, i))
         # the pending recompute j: its time e, and a1, e1, a2 as `drain` takes them;
         # with none left, everything up to the horizon comes first
-        warmup = scenario.controller.warmup_s
         interval = scenario.controller.recompute_interval_s
-        if warmup <= horizon:
-            heads.append((warmup, -1, -1))
-            e, a1, e1, a2 = warmup, 0, -inf, 0
+        if scenario.controller.warmup_s <= horizon:
+            e, a1, e1, a2 = scenario.controller.warmup_s, 0, -inf, 0
         else:
             e, a1, e1, a2 = horizon, inf, inf, inf
-        heapq.heapify(heads)
+        def take_in(i: int, start: int, end: int, first: int, ids, times) -> list[float]:
+            """Add lane i's fillets at lane positions [start, end) to its lists,
+            from a calendar's `first`, `ids` and `times`; their weights."""
+            lane, _, _, lane_weighs, lane_bins, lane_assigns, lane_weights, lane_ids = flows[i]
+            lane_ids += ids[start - first:end - first]
+            offset = lane.weigh_offset_s
+            weigh = [at + offset for at in times[start - first:end - first]]
+            lane_weighs += weigh
+            offset = lane.assign_offset_s
+            lane_assigns += [w + offset for w in weigh]
+            drawn = lane.sampler.draw(lane.weights_rng, end - start)
+            lane_weights += drawn
+            lane_bins += [int(g // bin_width) for g in drawn]
+            return drawn
 
-        heapreplace, heappop = heapq.heapreplace, heapq.heappop
-        rank = 0  # chain events run
-        fid = 0  # fillets arrived, and the id of the last one
+        fid = recomputes = 0
         injected_mass = 0.0
-        drained_at = 0
-        while heads:
-            now, _, i = heads[0]
-            if i < 0:
-                drain(e, a1, e1, a2)
-                flush(now)
-                controller.recompute(now)  # through the attribute: it may be wrapped
-                nxt = now + interval
-                if nxt <= horizon:
-                    heapreplace(heads, (nxt, rank, -1))
-                    e, a1, e1, a2 = nxt, fid, now, a1
-                else:
-                    heappop(heads)
-                    e, a1, e1, a2 = horizon, inf, inf, inf
-            else:
-                fid += 1
-                times, _, _, lane_weights, _, lane_ids = columns[i]
-                p = len(lane_ids)
-                lane_ids.append(fid)
-                weight = lane_weights[p]
-                injected_mass += weight
+        for calendar in arrival_calendar(lanes, scenario):
+            feeds = list(zip(calendar.first, calendar.ids, calendar.times))
+            for order, ends, stops in calendar.runs():
+                # take the run's arrivals in
+                fresh = [  # per lane, their weights
+                    take_in(i, start, end, *feeds[i]) if end > start else ()
+                    for i, (start, end) in enumerate(zip(taken, ends))
+                ]
+                nexts = [iter(weights).__next__ for weights in fresh]
+                for i in order:  # added in calendar order, as the arrivals ran
+                    injected_mass += nexts[i]()
                 if trace is not None:
-                    trace.append((round(now, 9), lanes[i].lane, fid, round(weight, 6), "arrive"))
-                p += 1
-                if p == len(times) and open_lanes[i]:
-                    refill(i)
-                if p < len(times):
-                    heapreplace(heads, (times[p], rank, i))
-                else:
-                    heappop(heads)
-                if fid - drained_at >= drain_every:
-                    # after a drain, a fillet not yet assigned is assigned at or after
-                    # e >= now, or arrives later: nothing before now is still to come
-                    drain(e, a1, e1, a2)
-                    flush(now)
-                    drained_at = fid
-            rank += 1
+                    rows = [
+                        zip(times[start - first:end - first], ids[start - first:end - first], weights)
+                        for start, end, (first, ids, times), weights
+                        in zip(taken, ends, feeds, fresh)
+                    ]
+                    for i in order:
+                        at, arrival, weight = next(rows[i])
+                        trace.append(
+                            (round(at, 9), lanes[i].lane, arrival, round(weight, 6), "arrive")
+                        )
+                taken = ends
+                for fid, now, recompute in stops:
+                    if recompute:
+                        drain(e, a1, e1, a2)
+                        flush(now)
+                        controller.recompute(now)  # through the attribute: it may be wrapped
+                        recomputes += 1
+                        nxt = now + interval
+                        if nxt <= horizon:
+                            e, a1, e1, a2 = nxt, fid, now, a1
+                        else:
+                            e, a1, e1, a2 = horizon, inf, inf, inf
+                    elif now < inf:
+                        # after a drain, a fillet not yet assigned is assigned at or after
+                        # e >= now, or arrives later: nothing before now is still to come
+                        drain(e, a1, e1, a2)
+                        flush(now)
         drain(horizon, inf, inf, inf)
         flush(math.nextafter(horizon, inf))  # everything at or before the horizon
 
         # still in flight at the horizon, in fillet id order as injected
-        for i in range(n_lanes):
-            *_, weights, _, ids = columns[i]
+        for i, flow in enumerate(flows):
+            *_, weights, ids = flow
             live += zip(ids[assigned[i]:], weights[assigned[i]:])
         live.sort()
         t.injected = fid
@@ -478,7 +722,7 @@ class PlantSimulation:
         t.counts = {tag: counts[tag] for tag in t.masses}
         t.in_flight = len(live)
         t.in_flight_mass_g = left_sum(mass for _, mass in live)
-        t.events = rank + weighs + assigns + applied
+        t.events = fid + recomputes + weighs + assigns + applied
         t.recomputes = controller.recomputes
         if trace is not None:
             trace.sort(key=lambda row: (row[0], row[2]))

@@ -110,9 +110,12 @@ def default_jobs() -> int:
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw:
         try:
-            return max(1, int(raw))
+            jobs = int(raw)
         except ValueError:
             raise PlanError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
+        if jobs < 1:
+            raise PlanError(f"{JOBS_ENV_VAR} must be at least 1, got {jobs}")
+        return jobs
     return 1
 
 
@@ -307,6 +310,8 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         raise PlanError("--stop-first needs at least one --min-attainment threshold")
     if plan.replications < 1:
         raise PlanError(f"--replications must be at least 1, got {plan.replications}")
+    if plan.jobs < 1:
+        raise PlanError(f"--jobs must be at least 1, got {plan.jobs}")
     ends["load"] = time.perf_counter()
 
     configs = list(enumerate_configurations(space))
@@ -377,19 +382,21 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     pool = None
     loop_started = time.perf_counter()
     try:
-        if plan.jobs <= 1 or not pending:
+        # no more workers than cells to run
+        jobs = min(plan.jobs, len(pending))
+        if jobs <= 1:
             _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
             stream = map(_run_cell, pending)
         else:
             pool = Pool(
-                processes=plan.jobs,
+                processes=jobs,
                 initializer=_init_worker,
                 initargs=(plan.space_path, plan.scenario_paths, plan.clamp),
             )
             if plan.stop_first:
                 chunk = 1  # keep the journal aligned with evaluation order
             else:
-                chunk = max(1, min(16, len(pending) // (plan.jobs * 4) or 1))
+                chunk = max(1, min(16, len(pending) // (jobs * 4) or 1))
             stream = pool.imap(_run_cell, pending, chunksize=chunk)
 
         for key, kpi, text in stream:

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import gc
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -487,6 +489,60 @@ class TestLifetime:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0]
 
+    def test_memory_does_not_grow_with_the_horizon_with_poisson_arrivals(self):
+        # a Poisson lane's calendar is computed in each cell, CHUNK arrivals ahead
+        peaks = [
+            run_peak(one_lane_cell(horizon, horizon + 1.0, process="poisson"))
+            for horizon in (600.0, 6000.0)
+        ]
+        assert peaks[1] < 2 * peaks[0]
+
+    def test_memory_does_not_grow_with_the_horizon_on_a_memo_hit(self, monkeypatch):
+        monkeypatch.setattr(plant_module, "CALENDARS", {})
+        first, hit, arrivals = [], [], []
+        for horizon in (600.0, 60_000.0):
+            first.append(run_peak(one_lane_cell(horizon, horizon + 1.0, seed=1)))
+            hit.append(run_peak(one_lane_cell(horizon, horizon + 1.0, seed=2)))
+            arrivals.append(int(120.0 * horizon / 60.0))
+        assert len(plant_module.CALENDARS) == 2
+        assert hit[1] < 2 * hit[0]
+        # the memo's share: what the first cell adds is the record, 17 bytes an
+        # arrival, with the arrays' spare capacity and a few numbers per stop
+        assert first[1] - hit[1] < 20 * arrivals[1]
+
+    def test_window_keeps_only_weigh_times_and_bins_alive(self, monkeypatch):
+        # a 2000-sample window, full before the first recompute; the first cell
+        # fills the calendar memo, so the second's peak is the sweep's own
+        monkeypatch.setattr(plant_module, "CALENDARS", {}, raising=False)
+        window = 2000
+        run_peak(one_lane_cell(3000.0, 1100.0, window=window, seed=1))
+        peak = run_peak(one_lane_cell(3000.0, 1100.0, window=window, seed=2))
+        # the other columns of fillets already assigned are dropped at the assign cursor
+        assert peak / window < 200
+
+
+def one_lane_cell(horizon, warmup, window=1000, process="deterministic", seed=1):
+    """A plant on one lane at 120 fillets/min; with warm-up past the horizon no
+    recompute ever runs."""
+    space = one_lane_space()
+    scenario = make_scenario(
+        [BAND, STRIPS],
+        [LaneInflow("lane", 120.0, narrow(280.0), process)],
+        horizon=horizon,
+        controller=ControllerConfig(window_size=window, warmup_s=warmup),
+    )
+    return PlantSimulation(space, only_config(space), scenario, seed=seed)
+
+
+def run_peak(sim):
+    """The traced memory peak of `sim.run()`, in bytes."""
+    tracemalloc.start()
+    try:
+        sim.run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestRouteResolution:
     def test_single_tag_per_destination_offsets(self):
@@ -722,3 +778,121 @@ def run_sweep(sweep, drain_every, chunk):
         return sweep.run()
     finally:
         plant_module.DRAIN_EVERY, plant_module.CHUNK = saved
+
+
+@contextlib.contextmanager
+def calendar_settings(drain_every, chunk, memo_arrivals=plant_module.CALENDAR_MEMO_ARRIVALS):
+    """An empty calendar memo of the given cap, with DRAIN_EVERY and CHUNK set."""
+    names = ("CALENDARS", "DRAIN_EVERY", "CHUNK", "CALENDAR_MEMO_ARRIVALS")
+    saved = [getattr(plant_module, name) for name in names]
+    for name, value in zip(names, ({}, drain_every, chunk, memo_arrivals)):
+        setattr(plant_module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in zip(names, saved):
+            setattr(plant_module, name, value)
+
+
+def calendar_facts(calendars):
+    """A calendar's stops, runs and arrivals as plain lists, for comparing."""
+    stops, runs, arrivals = [], [], []
+    for calendar in calendars:
+        position = list(calendar.first)  # per lane, the lane position of its next arrival
+        for order, ends, run_stops in calendar.runs():
+            run_stops = [(fid, now, bool(recompute)) for fid, now, recompute in run_stops]
+            stops += run_stops
+            runs.append((run_stops[-1][0], list(ends)))
+            for lane in order:
+                k = position[lane] - calendar.first[lane]
+                arrivals.append((calendar.ids[lane][k], lane, calendar.times[lane][k]))
+                position[lane] += 1
+            assert position == list(ends)
+    return stops, runs, arrivals
+
+
+def deterministic(scenario):
+    return dataclasses.replace(
+        scenario,
+        inflow=tuple(dataclasses.replace(lane, process="deterministic") for lane in scenario.inflow),
+    )
+
+
+class TestArrivalCalendar:
+    """The memo of deterministic calendars against the calendar each cell computes."""
+
+    def check_memo_replays_the_stream(self, space, config, scenario, drain_every, chunk):
+        lanes = list(PlantSimulation(space, config, scenario, 1).lane_runtimes.values())
+        controller = scenario.controller
+        streamed = calendar_facts(plant_module.calendar_runs(
+            lanes, scenario.horizon_s, controller.warmup_s, controller.recompute_interval_s,
+            drain_every, chunk,
+        ))
+        with calendar_settings(drain_every, chunk):
+            recorded = calendar_facts(plant_module.arrival_calendar(lanes, scenario))
+            assert len(plant_module.CALENDARS) == 1
+            replayed = calendar_facts(plant_module.arrival_calendar(lanes, scenario))
+        assert recorded == streamed
+        assert replayed == streamed
+        stops, runs, arrivals = streamed
+        # fillets numbered in calendar order; the last stop is the end, after them all
+        assert [fid for fid, _, _ in arrivals] == list(range(1, len(arrivals) + 1))
+        assert stops[-1] == (len(arrivals), math.inf, False)
+        assert [fid for fid, _, _ in stops] == sorted(fid for fid, _, _ in stops)
+        # every run but the last ends at least `chunk` arrivals a lane after the one before
+        assert all(
+            b - a >= chunk * len(lanes) for (a, _), (b, _) in zip([(0, None)] + runs, runs[:-1])
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cells())
+    def test_memo_replays_the_streamed_stops(self, cell):
+        space, config, scenario, _, drain_every, chunk = cell
+        self.check_memo_replays_the_stream(
+            space, config, deterministic(scenario), drain_every, chunk
+        )
+
+    @pytest.mark.parametrize("name", ["scenario1.json", "scenario2.json"])
+    def test_bundled_scenarios(self, case_space, case_configs, name):
+        self.check_memo_replays_the_stream(
+            case_space, case_configs[0], load_scenario(DATA / name),
+            plant_module.DRAIN_EVERY, plant_module.CHUNK,
+        )
+
+    def test_cells_of_a_scenario_share_one_entry(self, case_space, case_configs, scenario1):
+        scenario = dataclasses.replace(scenario1, horizon_s=300.0)
+        poisson = dataclasses.replace(
+            scenario,
+            inflow=tuple(dataclasses.replace(lane, process="poisson") for lane in scenario.inflow),
+        )
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK):
+            memo = plant_module.CALENDARS
+            PlantSimulation(case_space, case_configs[0], scenario, seed=1).run()
+            (entry,) = memo.values()
+            hit = PlantSimulation(case_space, case_configs[37], scenario, seed=2).run()
+            assert list(memo.values()) == [entry]
+            PlantSimulation(case_space, case_configs[37], poisson, seed=2).run()
+            assert list(memo.values()) == [entry]
+            plant_module.DRAIN_EVERY = 7
+            PlantSimulation(case_space, case_configs[37], scenario, seed=2).run()
+            assert len(memo) == 2
+        # a memo hit gives what the calendar computed in the cell gives
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=0):
+            streamed = PlantSimulation(case_space, case_configs[37], scenario, seed=2).run()
+            assert not plant_module.CALENDARS
+        assert repr(hit) == repr(streamed)
+
+    def test_calendar_over_the_cap_is_not_stored(self):
+        space, config, scenario, seed, _, _ = skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2)
+        calendar = CalendarPlant(space, config, scenario, seed, trace=True)
+        expected = calendar.run()
+        # two lanes at 60 fillets/min for 120 s: 240 arrivals
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=239):
+            for _ in range(2):
+                sweep = PlantSimulation(space, config, scenario, seed, trace=True)
+                assert repr(sweep.run()) == repr(expected)
+                assert sweep.trace_rows == calendar.trace_rows
+                assert not plant_module.CALENDARS
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=240):
+            PlantSimulation(space, config, scenario, seed).run()
+            assert len(plant_module.CALENDARS) == 1

@@ -457,6 +457,50 @@ class TestExplore:
         assert sum(round(value * 1000) for value in phases.values()) <= round(meta["wall_s"] * 1000)
 
 
+class PoolRecorder:
+    """Stands in for `multiprocessing.Pool`: records the processes asked for
+    and runs the cells in this process, so that no worker is started."""
+
+    made: list[int] = []
+
+    def __init__(self, processes, initializer, initargs):
+        PoolRecorder.made.append(processes)
+        initializer(*initargs)
+
+    def imap(self, func, iterable, chunksize=1):
+        return map(func, iterable)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.fixture
+def pool_recorder(monkeypatch):
+    monkeypatch.setattr(runner, "Pool", PoolRecorder)
+    monkeypatch.setattr(PoolRecorder, "made", [])
+    return PoolRecorder
+
+
+class TestPoolSize:
+    def test_pool_has_no_more_workers_than_cells(self, mini, tmp_path, pool_recorder):
+        report = run_explore(mini, tmp_path / "out", jobs=8)  # 2 designs x 1 scenario
+        assert pool_recorder.made == [2]
+        assert report.cells_executed == 2
+
+    def test_one_pending_cell_runs_without_a_pool(self, mini, tmp_path, pool_recorder):
+        run_explore(mini, tmp_path / "out", jobs=2)
+        assert pool_recorder.made == [2]
+        journal = tmp_path / "out" / "journal.jsonl"
+        head, first, _ = journal.read_text().splitlines()
+        journal.write_text(head + "\n" + first + "\n")
+        report = run_explore(mini, tmp_path / "out", jobs=2)
+        assert (report.cells_resumed, report.cells_executed) == (1, 1)
+        assert pool_recorder.made == [2]
+
+
 class TestJobsDefault:
     def test_unset_means_one(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
@@ -469,6 +513,12 @@ class TestJobsDefault:
     def test_garbage_env_var_is_an_input_error(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "many")
         with pytest.raises(PlanError):
+            default_jobs()
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_env_var_below_one_is_an_input_error(self, monkeypatch, raw):
+        monkeypatch.setenv(JOBS_ENV_VAR, raw)
+        with pytest.raises(PlanError, match=f"{JOBS_ENV_VAR} must be at least 1, got {raw}"):
             default_jobs()
 
 
@@ -681,6 +731,39 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: --replications must be at least 1, got {replications}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_an_input_error(self, mini, tmp_path, capsys, pool_recorder, jobs):
+        code = main(
+            [
+                "explore",
+                "--space", str(mini["space"]),
+                "--scenario", str(mini["scenario"]),
+                "--jobs", jobs,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: --jobs must be at least 1, got {jobs}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert pool_recorder.made == []
+
+    def test_jobs_env_var_below_one_is_an_input_error(self, mini, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV_VAR, "0")
+        code = main(
+            [
+                "explore",
+                "--space", str(mini["space"]),
+                "--scenario", str(mini["scenario"]),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {JOBS_ENV_VAR} must be at least 1, got 0" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
