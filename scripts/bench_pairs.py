@@ -2,16 +2,18 @@
 """Run alternating pairs of `perfbench/run.py` on two checkouts and summarise them.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload case_study --seeds 12-21 --seconds 32 --logs /tmp/pairs
+        --workload case_study,long_run --seeds 12-21 --seconds 32 --logs /tmp/pairs
 
-Pair k runs one seed on both checkouts, the parent first when k is even and
-the change first when k is odd. Each run's standard output and standard error
+--workload takes one workload or a comma-separated list, run one after the
+other. Pair k runs one seed on both checkouts, the parent first when k is even
+and the change first when k is odd. Each run's standard output and standard error
 go to their own file under --logs, so an exception that made a run count a
 failed operation can be read afterwards. The script prints one line per run
 (its metrics and its `failed` count), then per metric each side's median and
 quartiles, their ratio, and in how many pairs the change was better (ties count
-for neither side). Metric names, units and directions come from the change's
-BENCHMARK.json. All results are also written to --logs as pairs.json.
+for neither side), one summary per workload once every workload has run.
+Metric names, units and directions come from the change's BENCHMARK.json. Each
+workload's results are also written to --logs as <workload>-pairs.json.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+SIDES = ("parent", "change")
 
 
 def seed_list(text: str) -> list[int]:
@@ -54,11 +59,51 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def run_pairs(sides: dict, workload: str, args, metrics: list) -> list[dict]:
+    """Alternating pairs of one workload, each run printed as it ends."""
+    pairs = []
+    for k, seed in enumerate(args.seeds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            log = args.logs / f"{workload}-seed{seed}-{side}.log"
+            result = run_once(sides[side], workload, seed, args.seconds, log)
+            pair[side] = result
+            values = " ".join(
+                f"{m['name']}={result['metrics'][m['name']]['value']:.6g}" for m in metrics
+            )
+            print(f"{workload} seed {seed} {side:6s} correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
+        pairs.append(pair)
+    (args.logs / f"{workload}-pairs.json").write_text(
+        json.dumps(pairs, indent=1) + "\n", encoding="utf-8"
+    )
+    return pairs
+
+
+def summarise(workload: str, pairs: list[dict], seeds: list[int], metrics: list) -> None:
+    print(f"\n{workload}: {len(pairs)} pairs, seeds {seeds[0]}..{seeds[-1]}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        got = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        wins = sum(
+            (c < p) if lower else (c > p) for p, c in zip(got["parent"], got["change"])
+        )
+        (pm, pq1, pq3), (cm, cq1, cq3) = spread(got["parent"]), spread(got["change"])
+        print(f"  {name} ({m['unit']}, {m['better']} is better): parent {pm:.6g} "
+              f"[{pq1:.6g}, {pq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
+              f"ratio {cm / pm:.4f}  change better in {wins}/{len(pairs)}; "
+              f"parent quartile spread {pq3 - pq1:.6g}, medians differ by {abs(cm - pm):.6g}")
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                        help="e.g. long_run or case_study,long_run")
     parser.add_argument("--seeds", required=True, type=seed_list, help="e.g. 12-21 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=32.0)
     parser.add_argument("--logs", required=True, type=Path, help="directory for run logs")
@@ -68,38 +113,9 @@ def main(argv=None) -> int:
     metrics = benchmark["end_to_end"]
     args.logs.mkdir(parents=True, exist_ok=True)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs = []
-    for k, seed in enumerate(args.seeds):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            log = args.logs / f"{args.workload}-seed{seed}-{side}.log"
-            result = run_once(sides[side], args.workload, seed, args.seconds, log)
-            pair[side] = result
-            values = " ".join(
-                f"{m['name']}={result['metrics'][m['name']]['value']:.6g}" for m in metrics
-            )
-            print(f"{args.workload} seed {seed} {side:6s} correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
-        pairs.append(pair)
-    (args.logs / f"{args.workload}-pairs.json").write_text(
-        json.dumps(pairs, indent=1) + "\n", encoding="utf-8"
-    )
-
-    print(f"\n{args.workload}: {len(pairs)} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}")
-    for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        got = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in sides}
-        wins = sum(
-            (c < p) if lower else (c > p) for p, c in zip(got["parent"], got["change"])
-        )
-        (pm, pq1, pq3), (cm, cq1, cq3) = spread(got["parent"]), spread(got["change"])
-        print(f"  {name} ({m['unit']}, {m['better']} is better): parent {pm:.6g} "
-              f"[{pq1:.6g}, {pq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
-              f"ratio {cm / pm:.4f}  change better in {wins}/{len(pairs)}; "
-              f"parent quartile spread {pq3 - pq1:.6g}, medians differ by {abs(cm - pm):.6g}")
-    failed = {side: sum(p[side]["failed"] for p in pairs) for side in sides}
-    print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
+    results = {w: run_pairs(sides, w, args, metrics) for w in args.workload}
+    for workload, pairs in results.items():
+        summarise(workload, pairs, args.seeds, metrics)
     return 0
 
 

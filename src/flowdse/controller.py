@@ -18,6 +18,36 @@ lanes that reach its destination and those of them that can trim. A
 recompute then builds only what the live windows decide: one rate divisor
 per lane and the fresh strategy dicts, filled by a walk up the ladder that
 reads each window's bin counts directly.
+
+Most recomputes on a long horizon rebuild the strategy they already have, so
+each walk also leaves a certificate, and a recompute keeps the current
+strategies while it holds (the idea of kinetic data structures: Basch,
+Guibas & Hershberger, "Data structures for mobile data", J. Algorithms
+31(1), 1999). The certificate holds, per lane that some rung reads, the
+walk's divisor, and per rung the prediction at its last passing
+`predicted < target` test and at its failing one. The windows tally, since
+the last walk, the samples they gained and evicted and the presence flips (a
+bin count going 0 -> 1 or 1 -> 0) among the bins the ladder reads
+(`RecipeLadder.watched`).
+
+Why keeping is exact. With no presence flip on a read lane, each rung visits
+the same (lane, bin) terms in the same order and claims the same bins,
+provided it stops after the same number of bins; its prediction only grows,
+so that holds when the last passing test still passes and the failing one
+still fails. Every term is count / divisor. Since the walk, a lane's counts
+have grown by at most its samples gained and shrunk by at most its samples
+evicted, in all, and its divisor went from d to d', which scales each old
+term by d / d'. So a prediction p becomes at most p * max(d / d') +
+m * sum(gained / d') and at least p * min(d / d') - m * sum(evicted / d'),
+where m is 2 on a rung whose trim range starts inside its direct range (the
+float quirk of `Rung.trim` counts that bin twice) and 1 otherwise. The
+recompute keeps the strategies when the first bound stays below the target
+at every last passing test and the second reaches it at every failing test,
+each widened by a rounding slack that grows with the number of terms the
+rung may sum. Otherwise, or after a flip, it walks again. Only windows that
+keep the tallies (`plant.WindowView`) certify a walk; over any other window
+every recompute walks. A controller's first walk leaves no certificate
+either: a plant that recomputes once would never read it.
 """
 
 from __future__ import annotations
@@ -93,22 +123,27 @@ class Rung:
         Empty when the post-trim interval [max - bin width, max) pokes below
         the lower limit. A float quirk can put the last direct bin first here
         (e.g. max 0.5 g at bin width 0.1 g).
+    repeats: how often a walk may add one (lane, bin) rate into the rung's
+        prediction: 2 when that quirk makes `trim` start inside `direct`.
     """
 
     target: float
     direct: range
     direct_assignment: BinAssignment
     trim: tuple[tuple[int, BinAssignment], ...]
+    repeats: int
 
 
 @dataclass(frozen=True)
 class RecipeLadder:
     """Everything a strategy recompute needs that depends only on the recipes
-    and the bin width: the default recipe's assignment and one rung per
-    non-default recipe, in priority order."""
+    and the bin width: the default recipe's assignment, one rung per
+    non-default recipe, in priority order, and `watched`, the bins from the
+    lightest that any rung reads to the heaviest."""
 
     default_assignment: BinAssignment
     rungs: tuple[Rung, ...]
+    watched: range
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -165,17 +200,31 @@ def recipe_ladder(
                 range(first, end),
                 BinAssignment(idx, recipe.destination, None),
                 tuple(trim),
+                2 if trim and trim[0][0] < end else 1,
             )
         )
+    spans = [(r.direct.start, r.direct.stop) for r in rungs if r.direct]
+    spans += [(r.trim[0][0], r.trim[-1][0] + 1) for r in rungs if r.trim]
     return RecipeLadder(
         BinAssignment(default_index, recipes[default_index].destination, None),
         tuple(rungs),
+        range(min(spans)[0], max(e for _, e in spans)) if spans else range(0),
     )
 
 
 class ProductionController:
     """Per-replication strategy builder: one strategy per lane, rebuilt from
-    the lanes' windows at each recompute."""
+    the lanes' windows at each recompute that its certificate cannot spare."""
+
+    # Until `_certify` runs, walks leave no certificate. Then `_read` holds the
+    # lanes a walk reads, with their positions, and `_up` and `_down` widen the
+    # certificate by its rounding slack. `_certificate` is the last walk's, as
+    # the walk left it in `_walked`: per read lane (window, divisor), and per
+    # rung (target, prediction at the last passing test and at the failing
+    # one, repeats), each widened by the slack.
+    _read: list[tuple[int, object]] | None = None
+    _up = _down = 1.0
+    _certificate = _walked = None
 
     def __init__(
         self, config: ControllerConfig, routes: RouteCatalog, recipes, windows, heaviest_g=math.inf
@@ -185,6 +234,7 @@ class ProductionController:
         self.config = config
         ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
         self.default_assignment = ladder.default_assignment
+        self.watched = ladder.watched
         self.windows = dict(zip(routes.lanes, windows, strict=True))
         # the design-dependent half of the ladder: per rung, the positions (in
         # window order) of the lanes that reach its destination, and of those
@@ -201,12 +251,64 @@ class ProductionController:
                 self._rungs.append((rung, lanes, trim_lanes))
         self.strategies: dict[str, dict[int, BinAssignment]] = {}
         self.recomputes = 0
+        self.walks = 0  # recomputes that walked the ladder
+
+    def _certify(self) -> None:
+        """Have this and every later walk leave a certificate, if the windows
+        tally their changes (module doc). A plant that recomputes once never
+        reads one, so this runs before the second walk, not the first."""
+        windows = list(self.windows.values())
+        if all(hasattr(window, "flips") for window in windows):
+            read = sorted({i for _, lanes, _ in self._rungs for i in lanes})
+            self._read = [(i, windows[i]) for i in read]
+        # the rounding slack: a walk sums at most `widest` bins of every lane
+        # into one prediction, and each operation on a term adds a relative
+        # error of at most 2**-53
+        widest = max((len(r.direct) + len(r.trim) for r, _, _ in self._rungs), default=0)
+        slack = (widest * len(windows) + 8) * 2.0**-49
+        self._up, self._down = 1.0 + slack, 1.0 - slack
 
     def recompute(self, time_s: float) -> None:
-        """Rebuild every lane's strategy at the plant's instant `time_s`; what
-        it builds depends only on the windows."""
-        self.strategies = self.compute_strategies()
+        """Bring every lane's strategy up to date at the plant's instant
+        `time_s`: keep the current `strategies` object when the last walk's
+        certificate proves that a walk would build the same strategies (module
+        doc), else walk the ladder again (`compute_strategies`)."""
         self.recomputes += 1
+        certificate = self._certificate
+        if certificate is not None:
+            lanes, bounds = certificate
+            t_s = self.config.recompute_interval_s
+            low, high, gained, evicted = math.inf, 0.0, 0.0, 0.0
+            for window, divisor in lanes:
+                if window.flips:
+                    break
+                d = max(window.span_s(), t_s) / 60.0
+                ratio = divisor / d
+                if ratio > high:
+                    high = ratio
+                if ratio < low:
+                    low = ratio
+                gained += window.added / d
+                evicted += window.evicted / d
+            else:
+                for target, passed, failed, repeats in bounds:
+                    if not (
+                        passed * high + repeats * gained < target
+                        and failed * low - repeats * evicted >= target
+                    ):
+                        break
+                else:
+                    return
+        if self.walks == 1:
+            self._certify()
+        # a replaced `compute_strategies` leaves no certificate behind
+        self._walked = None
+        self.strategies = self.compute_strategies()
+        self.walks += 1
+        self._certificate = certificate = self._walked
+        if certificate is not None:
+            for window, _ in certificate[0]:
+                window.added = window.evicted = window.flips = 0
 
     def compute_strategies(self) -> dict[str, dict[int, BinAssignment]]:
         """One walk up the ladder over the live bin counts.
@@ -219,6 +321,9 @@ class ProductionController:
         recompute interval so that a burst of samples at one instant cannot
         predict an absurd rate. So every `predicted < target` test sees the
         same float as a sum of per-lane, per-bin rates would.
+
+        Over tallying windows the walk also leaves its certificate in
+        `_walked`, for `recompute` to keep.
         """
         t_s = self.config.recompute_interval_s
         strategies: dict[str, dict[int, BinAssignment]] = {}
@@ -228,9 +333,14 @@ class ProductionController:
             strategies[lane] = strategy
             states.append((window.counts, strategy, max(window.span_s(), t_s) / 60.0))
 
+        bounds = []  # per rung, as the certificate holds them
+        inf, up, down = math.inf, self._up, self._down
         for rung, lane_positions, trim_positions in self._rungs:
             target = rung.target
             predicted = 0.0
+            # the prediction at the last test that passed and at the one that
+            # failed, where one did
+            passed, failed = -inf, inf
 
             # direct phase: grow the range one bin at a time from the lower
             # limit; every bin walked is claimed where it is available
@@ -238,7 +348,9 @@ class ProductionController:
             views = [states[i] for i in lane_positions]
             for b in rung.direct:
                 if not predicted < target:
+                    failed = predicted
                     break
+                passed = predicted
                 rate = 0.0
                 for counts, strategy, divisor in views:
                     count = counts.get(b)
@@ -246,26 +358,32 @@ class ProductionController:
                         strategy[b] = claim
                         rate += count / divisor
                 predicted += rate
+            else:
+                # trim phase, once the direct range ran out below the target:
+                # only lanes that can physically trim. Availability is as it
+                # stood before this recipe's own claims: a bin its direct phase
+                # just claimed (see `Rung.trim`) adds its rate again but keeps
+                # its direct claim.
+                if trim_positions and rung.trim:
+                    views = [states[i] for i in trim_positions]
+                    for b, assignment in rung.trim:
+                        if not predicted < target:
+                            failed = predicted
+                            break
+                        passed = predicted
+                        rate = 0.0
+                        for counts, strategy, divisor in views:
+                            count = counts.get(b)
+                            if count:
+                                held = strategy.get(b)
+                                if held is None:
+                                    strategy[b] = assignment
+                                    rate += count / divisor
+                                elif held is claim:
+                                    rate += count / divisor
+                        predicted += rate
+            bounds.append((target, passed * up, failed * down, rung.repeats * up))
 
-            # trim phase: only lanes that can physically trim. Availability is
-            # as it stood before this recipe's own claims: a bin its direct
-            # phase just claimed (see `Rung.trim`) adds its rate again but
-            # keeps its direct claim.
-            if predicted < target and trim_positions and rung.trim:
-                views = [states[i] for i in trim_positions]
-                for b, assignment in rung.trim:
-                    if not predicted < target:
-                        break
-                    rate = 0.0
-                    for counts, strategy, divisor in views:
-                        count = counts.get(b)
-                        if count:
-                            held = strategy.get(b)
-                            if held is None:
-                                strategy[b] = assignment
-                                rate += count / divisor
-                            elif held is claim:
-                                rate += count / divisor
-                    predicted += rate
-
+        if self._read is not None:
+            self._walked = ([(window, states[i][2]) for i, window in self._read], bounds)
         return strategies

@@ -115,16 +115,6 @@ class ParetoFront:
         return len(self.members)
 
 
-def brute_force_front(vectors) -> set[int]:
-    """O(n^2) pairwise dominance filter; the reference the fast path must equal."""
-    vectors = list(vectors)
-    kept = set()
-    for v in vectors:
-        if not any(dominates(w.values, v.values) for w in vectors):
-            kept.add(v.design_index)
-    return kept
-
-
 # -- artifact writers --------------------------------------------------------
 
 

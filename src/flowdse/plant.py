@@ -49,8 +49,9 @@ adds their weights to the injected mass in calendar order and writes their
 due (`drain`, `flush`), and at a recompute stop recomputes the strategies.
 The offsets are constants, so a lane weighs, and assigns, in arrival order:
 the window's end and an assign cursor mark how far each has got. Each
-fillet's bin is computed once; the weigh moves the window over it and the
-assign looks it up in the lane's strategy, both inline. The assign group is
+fillet's bin is computed once; the weigh moves the window over it
+(`WindowView.slide`, which also tallies what the controller's certificate
+reads) and the assign looks it up in the lane's strategy, inline. The assign group is
 dropped up to the assign cursor, and the window group up to the window's
 start or the assign cursor, whichever comes first, each once the part to drop
 holds DRAIN_EVERY fillets.
@@ -119,18 +120,58 @@ class RoutingFault(RuntimeError):
 class WindowView:
     """The controller's window on one lane: positions [lo, hi) of the lane's
     lists, its last `window_size` weighed fillets (`hi` is the weigh cursor),
-    and `counts`, how many of them fall in each weight bin."""
+    and `counts`, how many of them fall in each weight bin.
+
+    It also tallies the fillets it gained and evicted and its presence flips,
+    counts going 0 -> 1 or 1 -> 0, among the controller's watched bins. The
+    controller resets them at each walk that leaves a certificate
+    (`controller` module doc)."""
 
     weigh_times: list
     lo: int = 0
     hi: int = 0
     counts: dict[int, int] = field(default_factory=dict)
+    added: int = 0
+    evicted: int = 0
+    flips: int = 0
 
     def span_s(self) -> float:
         """Time from the window's oldest weigh to its newest; 0.0 below two."""
         if self.hi - self.lo < 2:
             return 0.0
         return self.weigh_times[self.hi - 1] - self.weigh_times[self.lo]
+
+    def slide(self, bins: list, end: int, size: int, watched: range) -> None:
+        """Move the window's end to lane position `end`, keeping the last `size`
+        fillets: count out the bins it leaves, then count in the bins it gains
+        (`bins`, the lane's weight bins by position), tallying as it goes."""
+        counts = self.counts
+        lo, start = self.lo, self.hi
+        new_lo = max(lo, end - size)
+        out = min(new_lo, start)  # fillets weighed now and gone already never count
+        flips = 0
+        for b in bins[lo:out]:
+            left = counts[b] - 1
+            if left:
+                counts[b] = left
+            else:
+                del counts[b]
+                if b in watched:
+                    flips += 1
+        get = counts.get
+        gained = max(start, new_lo)
+        for b in bins[gained:end]:
+            count = get(b)
+            if count:
+                counts[b] = count + 1
+            else:
+                counts[b] = 1
+                if b in watched:
+                    flips += 1
+        self.lo, self.hi = new_lo, end
+        self.added += end - gained
+        self.evicted += out - lo
+        self.flips += flips
 
 
 @dataclass(slots=True)
@@ -163,6 +204,9 @@ class RunTallies:
     in_flight_mass_g: float = 0.0
     events: int = 0
     recomputes: int = 0
+    # recomputes that walked the recipe ladder: a cost of the engine, not an
+    # outcome, so it stays out of the tallies' equality and repr
+    walks: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -493,6 +537,7 @@ class PlantSimulation:
             strategies = controller.strategies
             default = controller.default_assignment
             window_size = controller.config.window_size
+            watched = controller.watched
             for i, flow in enumerate(flows):
                 (lane, lane_routes, window, lane_weighs, lane_bins,
                  lane_assigns, lane_weights, lane_ids) = flow
@@ -504,21 +549,7 @@ class PlantSimulation:
                 while end < n and lane_weighs[end] == e and lane_ids[end - skew] <= a1:
                     end += 1
                 if end > start:
-                    # the window moves from [lo, start) to [new_lo, end): count
-                    # out the bins it leaves, then count in the bins it gains
-                    window_counts = window.counts
-                    lo = window.lo
-                    new_lo = max(lo, end - window_size)
-                    for b in lane_bins[lo:min(new_lo, start)]:
-                        left = window_counts[b] - 1
-                        if left:
-                            window_counts[b] = left
-                        else:
-                            del window_counts[b]
-                    get = window_counts.get
-                    for b in lane_bins[max(start, new_lo):end]:
-                        window_counts[b] = get(b, 0) + 1
-                    window.lo, window.hi = new_lo, end
+                    window.slide(lane_bins, end, window_size, watched)
                     if trace is not None:
                         module = lane.weigh_module
                         trace.extend(
@@ -724,6 +755,7 @@ class PlantSimulation:
         t.in_flight_mass_g = left_sum(mass for _, mass in live)
         t.events = fid + recomputes + weighs + assigns + applied
         t.recomputes = controller.recomputes
+        t.walks = controller.walks
         if trace is not None:
             trace.sort(key=lambda row: (row[0], row[2]))
         return t

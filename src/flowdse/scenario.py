@@ -55,9 +55,6 @@ class Recipe:
     def is_default(self) -> bool:
         return self.priority is None
 
-    def accepts(self, post_trim_weight_g: float) -> bool:
-        return self.min_weight_g <= post_trim_weight_g <= self.max_weight_g
-
 
 @dataclass(frozen=True)
 class TruncatedNormalWeights:

@@ -6,7 +6,8 @@ one event per fillet per arrival, weigh, assign, trim and absorb, and one per
 recompute. Both are copied unchanged from `flowdse.kernel` and `flowdse.plant`
 as they stood before `PlantSimulation.run` became a sweep; only the imports,
 the seeding of the random streams (`random.Random(derive_seed(...))`, the
-same draws) and the controller differ. Tests run the same cell through both
+same draws), the controller and the band test (`accepts`, once a `Recipe`
+method) differ. Tests run the same cell through both
 and require identical tallies and trace rows.
 
 The controller is a `ReferenceController`: the strategy builder of
@@ -35,6 +36,11 @@ from flowdse.designspace import (
 from flowdse.kernel import derive_seed, left_sum
 from flowdse.plant import LaneRuntime, RoutingFault, RunTallies
 from flowdse.scenario import Scenario
+
+
+def accepts(recipe, post_trim_weight_g: float) -> bool:
+    """Whether a recipe's band, both ends included, holds a fillet's final weight."""
+    return recipe.min_weight_g <= post_trim_weight_g <= recipe.max_weight_g
 
 
 class ScheduleInPastError(RuntimeError):
@@ -343,7 +349,7 @@ class PlantSimulation:
         t.recipe_counts[fillet.recipe_index] += 1
         recipe = self.scenario.recipes[fillet.recipe_index]
         if not recipe.is_default:
-            if not recipe.accepts(fillet.weight_g) or fillet.trimmed_g > recipe.max_trim_g:
+            if not accepts(recipe, fillet.weight_g) or fillet.trimmed_g > recipe.max_trim_g:
                 t.band_violations += 1
         del self.live[fillet.fillet_id]
         if self.trace_rows is not None:
@@ -378,6 +384,7 @@ class PlantSimulation:
         t.in_flight_mass_g = left_sum(self.live.values())
         t.events = self.kernel.executed
         t.recomputes = self.controller.recomputes
+        t.walks = self.controller.walks
         if self.trace_rows is not None:
             self.trace_rows.sort(key=lambda row: (row[0], row[2]))
         return t

@@ -22,10 +22,11 @@ from flowdse.designspace import (
     load_design_space,
     parse_design_space,
 )
-from flowdse.evaluator import KpiVector, ParetoFront, brute_force_front
+from flowdse.evaluator import KpiVector, ParetoFront
 from flowdse.plant import PlantSimulation
 from flowdse.runner import RunPlan, explore, simulate_single
 from flowdse.scenario import load_scenario
+from pareto_oracle import brute_force_front
 
 DATA = Path(__file__).parent.parent / "src" / "flowdse" / "data"
 SPACE_PATH = DATA / "case_study_space.json"

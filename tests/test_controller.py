@@ -3,16 +3,18 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from des_oracle import LaneWindow, ReferenceController
 from flowdse.controller import (
     BinAssignment,
     ControllerConfig,
+    ProductionController,
     RouteCatalog,
     recipe_ladder,
 )
+from flowdse.plant import WindowView
 from flowdse.scenario import Recipe
 from strategy_oracle import LegacyStrategies
 
@@ -662,3 +664,161 @@ class TestLadderMatchesLegacy:
         huge = recipe_ladder((recipe("d0", 1, 10, 100, 200, 1e9), DEFAULT), 10.0, 655.0)
         assert time.perf_counter() - start < 0.1
         assert len(huge.rungs[0].trim) == 46
+
+
+# -- the certificate: a kept strategy against a fresh walk ---------------------
+
+
+class PlantWindows:
+    """Plant windows (`plant.WindowView`) over growing per-lane lists, each moved
+    by `WindowView.slide`, the plant's weigh step."""
+
+    def __init__(self, n_lanes, size):
+        self.size = size
+        self.windows = [WindowView([]) for _ in range(n_lanes)]
+        self.bins = [[] for _ in range(n_lanes)]
+
+    def weigh(self, batch, watched):
+        """Weigh each lane's (gap in seconds after its last weigh, bin) samples."""
+        for window, bins, samples in zip(self.windows, self.bins, batch):
+            times = window.weigh_times
+            for gap, b in samples:
+                times.append((times[-1] if times else 0.0) + gap)
+                bins.append(b)
+            if samples:
+                window.slide(bins, len(bins), self.size, watched)
+
+
+def prefix_sums(rung, windows, t_s):
+    """A walk's prediction after each bin of `rung`, from 0.0, over every lane."""
+    divisors = [max(w.span_s(), t_s) / 60.0 for w in windows]
+    predicted, sums = 0.0, [0.0]
+    for b in [*rung.direct, *(b for b, _ in rung.trim)]:
+        rate = 0.0
+        for window, divisor in zip(windows, divisors):
+            count = window.counts.get(b)
+            if count:
+                rate += count / divisor
+        predicted += rate
+        sums.append(predicted)
+    return sums
+
+
+@st.composite
+def certificate_runs(draw):
+    """Windows moving through weighs, evictions and span changes (gaps of 0 s
+    give equal times), and recipes whose bands sit on or off bin edges. Each
+    recipe's target is picked (`picks`) as an exact prefix sum of a walk's
+    prediction at some epoch, so that `predicted == target` ties occur."""
+    binw = draw(st.sampled_from([0.1, 2.5, 10.0]))
+    t_s = draw(st.sampled_from([0.5, 5.0, 60.0]))
+    size = draw(st.integers(1, 12))
+    n_lanes = draw(st.integers(1, 3))
+    reach = [sorted(draw(st.sets(st.sampled_from(TAGS)))) for _ in range(n_lanes)]
+    trims = [draw(st.booleans()) for _ in range(n_lanes)]
+    position = st.integers(0, 10).map(float) | st.floats(0.0, 10.0)
+    bands = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(position)
+        hi = lo + draw(st.integers(1, 5).map(float) | st.floats(0.05, 5.0))
+        trim = draw(st.just(0.0) | st.integers(1, 4).map(float) | st.floats(0.0, 4.0))
+        bands.append((draw(st.sampled_from(TAGS)), draw(st.integers(1, 3)), lo, hi, trim))
+    sample = st.tuples(st.sampled_from([0.0, 0.25, 1.0, 7.0, 60.0]), st.integers(0, 12))
+    epochs = draw(
+        st.lists(
+            st.lists(st.lists(sample, max_size=4), min_size=n_lanes, max_size=n_lanes),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    picks = [(draw(st.integers(0, len(epochs) - 1)), draw(st.integers(0, 30))) for _ in bands]
+    return binw, t_s, size, reach, trims, bands, epochs, picks
+
+
+def certificate_controller(run):
+    """A controller over fresh plant windows for `run`, and those windows. Each
+    recipe's target is the prefix sum its pick names (`certificate_runs`)."""
+    binw, t_s, size, reach, trims, bands, epochs, picks = run
+    lanes = [f"l{i}" for i in range(len(reach))]
+    routes = RouteCatalog(
+        reachable={ln: frozenset(["strips", *tags]) for ln, tags in zip(lanes, reach)},
+        has_trimmer=dict(zip(lanes, trims)),
+    )
+    config = ControllerConfig(
+        window_size=size, recompute_interval_s=t_s, bin_width_g=binw, warmup_s=0.0
+    )
+
+    def recipes_with(targets):
+        return [
+            recipe(tag, priority, target, lo * binw, hi * binw, trim * binw)
+            for (tag, priority, lo, hi, trim), target in zip(bands, targets)
+        ] + [DEFAULT]
+
+    rungs = recipe_ladder(tuple(recipes_with([1.0] * len(bands))), binw).rungs
+    # the ladder lists rungs in priority order, `bands` in declaration order
+    order = sorted(range(len(bands)), key=lambda i: (bands[i][1], i))
+    sums = {}
+    probe = PlantWindows(len(lanes), size)
+    for epoch, batch in enumerate(epochs):
+        probe.weigh(batch, range(0))
+        for i, rung in zip(order, rungs):
+            sums[epoch, i] = prefix_sums(rung, probe.windows, t_s)
+    targets = []
+    for i, (epoch, k) in enumerate(picks):
+        options = sums[epoch, i]
+        targets.append(options[k % len(options)])
+    windows = PlantWindows(len(lanes), size)
+    controller = ProductionController(config, routes, recipes_with(targets), windows.windows)
+    return controller, windows
+
+
+class TestCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_runs())
+    # the band ends on a bin edge at 0.1 g bins (max 0.5 g), so bin 4 is both
+    # its last direct bin and its first trim bin, and a walk counts it twice:
+    # one more fillet in bin 4 adds 2/min, and the walk that stopped after bin
+    # 5 (at 7/min against 6/min) now stops before it
+    @example((0.1, 60.0, 12, [["d0"]], [True], [("d0", 1, 2.0, 5.0, 3.0)],
+              [[[(0.0, 2), (0.0, 3), (0.0, 4), (0.0, 5), (0.0, 5), (0.0, 5)]], [[]],
+               [[(0.0, 4)]]],
+              [(2, 4)]))
+    # no fillet enters a band bin, but the span grows from 1 to 10 min: bin 1
+    # falls from 2/min to 0.2/min, below the target of 0.3/min, and bin 2 joins
+    @example((10.0, 0.5, 12, [["d0"]], [False], [("d0", 1, 1.0, 4.0, 0.0)],
+              [[[(0.0, 1), (60.0, 1), (0.0, 2)]], [[(0.0, 12)]], [[(540.0, 12)]]],
+              [(2, 2)]))
+    def test_kept_strategies_equal_a_walk_at_every_epoch(self, run):
+        controller, windows = certificate_controller(run)
+        epochs = run[6]
+        for batch in epochs:
+            windows.weigh(batch, controller.watched)
+            controller.recompute(0.0)
+            assert in_order(controller.strategies) == in_order(controller.compute_strategies())
+        assert controller.recomputes == len(epochs)
+
+    def test_unmoved_plant_windows_keep_the_strategy(self):
+        # bin 10 alone predicts 4/min against a target of 3/min. The first walk
+        # leaves no certificate, the second does, and nothing moves after it.
+        windows = PlantWindows(1, 100)
+        controller = ProductionController(
+            ControllerConfig(window_size=100, bin_width_g=10.0, warmup_s=0.0),
+            RouteCatalog({"a": frozenset({"d0", "strips"})}, {"a": True}),
+            [recipe("d0", 1, 3, 100, 200, 0), DEFAULT],
+            windows.windows,
+        )
+        windows.weigh([[(0.0, 10), (0.0, 11), (30.0, 10)]], controller.watched)
+        for _ in range(5):
+            controller.recompute(0.0)
+        assert list(controller.strategies["a"]) == [10]
+        assert (controller.recomputes, controller.walks) == (5, 2)
+
+    def test_reference_windows_walk_at_every_recompute(self):
+        # the reference windows (`des_oracle.LaneWindow`) keep no tallies, so
+        # no walk over them leaves a certificate
+        lane = [(0.0, 105.0), (0.0, 115.0), (30.0, 105.0)]
+        ctrl = make_controller({"a": lane}, [recipe("d0", 1, 3, 100, 200, 0), DEFAULT])
+        for _ in range(5):
+            ctrl.recompute(0.0)
+        assert list(ctrl.strategies["a"]) == [10]
+        assert (ctrl.recomputes, ctrl.walks) == (5, 5)

@@ -10,7 +10,6 @@ from flowdse.controller import ControllerConfig
 from flowdse.evaluator import (
     KpiVector,
     ParetoFront,
-    brute_force_front,
     dominates,
     result_columns,
     score,
@@ -20,6 +19,7 @@ from flowdse.evaluator import (
 )
 from flowdse.plant import RunTallies
 from flowdse.scenario import LaneInflow, Recipe, Scenario, TruncatedNormalWeights, load_scenario
+from pareto_oracle import brute_force_front
 
 DATA = Path(__file__).parent.parent / "src" / "flowdse" / "data"
 

@@ -770,6 +770,46 @@ class TestWindowsMatchCalendar:
         assert seen[sweep] == seen[calendar]
 
 
+class TestCertificateInThePlant:
+    """Recomputes that keep the strategy (`controller` module doc) against a
+    fresh walk, over the sweep's windows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cells())
+    def test_kept_strategies_equal_a_walk_at_every_recompute(self, cell):
+        space, config, scenario, seed, drain_every, chunk = cell
+        sim = PlantSimulation(space, config, scenario, seed)
+        controller = sim.controller
+        recompute = controller.recompute
+
+        def checked_recompute(time_s):
+            recompute(time_s)
+            walked = controller.compute_strategies()
+            assert [(lane, list(s.items())) for lane, s in controller.strategies.items()] == [
+                (lane, list(s.items())) for lane, s in walked.items()
+            ]
+
+        controller.recompute = checked_recompute
+        tallies = run_sweep(sim, drain_every, chunk)
+        assert tallies.walks == controller.walks <= tallies.recomputes
+
+    def test_poisson_scenario_skips_most_recomputes(self, case_space, case_configs):
+        # scenario1 with Poisson lanes, windows of 2000 and a recompute every
+        # 5 s; design 0 reads lanes 3 and 4, like the benchmark's long run
+        base = load_scenario(DATA / "scenario1.json")
+        scenario = dataclasses.replace(
+            base,
+            inflow=tuple(dataclasses.replace(lane, process="poisson") for lane in base.inflow),
+            horizon_s=1800.0,
+            controller=dataclasses.replace(
+                base.controller, window_size=2000, recompute_interval_s=5.0
+            ),
+        )
+        tallies = PlantSimulation(case_space, case_configs[0], scenario, seed=1).run()
+        assert tallies.recomputes == 349
+        assert tallies.walks <= 0.2 * tallies.recomputes
+
+
 def run_sweep(sweep, drain_every, chunk):
     """`sweep.run()` with the module's DRAIN_EVERY and CHUNK set as given."""
     saved = plant_module.DRAIN_EVERY, plant_module.CHUNK

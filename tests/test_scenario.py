@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from des_oracle import accepts
 from flowdse.kernel import derive_seed
 from flowdse.scenario import (
     MAX_WEIGHT_BINS,
@@ -350,8 +351,8 @@ class TestCompatibility:
 class TestRecipe:
     def test_accepts_is_inclusive_on_both_ends(self):
         r = Recipe("a", 1, 10, 100, 200, 0)
-        assert r.accepts(100) and r.accepts(200)
-        assert not r.accepts(99.999) and not r.accepts(200.001)
+        assert accepts(r, 100) and accepts(r, 200)
+        assert not accepts(r, 99.999) and not accepts(r, 200.001)
 
     def test_default_marker(self):
         assert Recipe("x", None, None, 0, 1000, 0).is_default
