@@ -13,7 +13,9 @@ failed operation can be read afterwards. The script prints one line per run
 quartiles, their ratio, and in how many pairs the change was better (ties count
 for neither side), one summary per workload once every workload has run.
 Metric names, units and directions come from the change's BENCHMARK.json. Each
-workload's results are also written to --logs as <workload>-pairs.json.
+workload's results are also written to --logs as <workload>-pairs.json, with
+each checkout's `git rev-parse HEAD` and whether it had uncommitted changes,
+as read before the first run; the summary prints them too.
 """
 
 from __future__ import annotations
@@ -51,6 +53,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, log: Path
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def checkout_state(checkout: Path) -> dict:
+    """The checkout's path, HEAD commit and whether `git status` shows any
+    change to it; HEAD and dirty are None outside a git work tree."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    if head.returncode or status.returncode:
+        return {"path": str(checkout), "head": None, "dirty": None}
+    return {"path": str(checkout), "head": head.stdout.strip(), "dirty": bool(status.stdout)}
+
+
+def describe(state: dict) -> str:
+    if state["head"] is None:
+        return f"{state['path']} (not a git work tree)"
+    return f"{state['head']}{' with uncommitted changes' if state['dirty'] else ''}"
+
+
 def spread(values: list[float]) -> tuple[float, float, float]:
     """Median and the two quartiles."""
     if len(values) < 2:
@@ -59,7 +79,7 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
-def run_pairs(sides: dict, workload: str, args, metrics: list) -> list[dict]:
+def run_pairs(sides: dict, states: dict, workload: str, args, metrics: list) -> list[dict]:
     """Alternating pairs of one workload, each run printed as it ends."""
     pairs = []
     for k, seed in enumerate(args.seeds):
@@ -76,13 +96,17 @@ def run_pairs(sides: dict, workload: str, args, metrics: list) -> list[dict]:
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
         pairs.append(pair)
     (args.logs / f"{workload}-pairs.json").write_text(
-        json.dumps(pairs, indent=1) + "\n", encoding="utf-8"
+        json.dumps({"checkouts": states, "pairs": pairs}, indent=1) + "\n", encoding="utf-8"
     )
     return pairs
 
 
-def summarise(workload: str, pairs: list[dict], seeds: list[int], metrics: list) -> None:
+def summarise(
+    workload: str, pairs: list[dict], states: dict, seeds: list[int], metrics: list
+) -> None:
     print(f"\n{workload}: {len(pairs)} pairs, seeds {seeds[0]}..{seeds[-1]}")
+    for side in SIDES:
+        print(f"  {side}: {describe(states[side])}")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         got = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -113,9 +137,10 @@ def main(argv=None) -> int:
     metrics = benchmark["end_to_end"]
     args.logs.mkdir(parents=True, exist_ok=True)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    results = {w: run_pairs(sides, w, args, metrics) for w in args.workload}
+    states = {side: checkout_state(path) for side, path in sides.items()}
+    results = {w: run_pairs(sides, states, w, args, metrics) for w in args.workload}
     for workload, pairs in results.items():
-        summarise(workload, pairs, args.seeds, metrics)
+        summarise(workload, pairs, states, args.seeds, metrics)
     return 0
 
 

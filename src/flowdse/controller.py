@@ -47,7 +47,9 @@ each widened by a rounding slack that grows with the number of terms the
 rung may sum. Otherwise, or after a flip, it walks again. Only windows that
 keep the tallies (`plant.WindowView`) certify a walk; over any other window
 every recompute walks. A controller's first walk leaves no certificate
-either: a plant that recomputes once would never read it.
+either: a plant that recomputes once would never read it. Nor do the windows
+watch any bin for flips before the second walk, which resets the tallies
+(`ProductionController.watched`).
 """
 
 from __future__ import annotations
@@ -234,7 +236,10 @@ class ProductionController:
         self.config = config
         ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
         self.default_assignment = ladder.default_assignment
-        self.watched = ladder.watched
+        # the bins whose presence flips the windows tally: none until `_certify`,
+        # since the walk that leaves the first certificate resets the tallies
+        self.watched = range(0)
+        self._watched = ladder.watched
         self.windows = dict(zip(routes.lanes, windows, strict=True))
         # the design-dependent half of the ladder: per rung, the positions (in
         # window order) of the lanes that reach its destination, and of those
@@ -258,6 +263,7 @@ class ProductionController:
         tally their changes (module doc). A plant that recomputes once never
         reads one, so this runs before the second walk, not the first."""
         windows = list(self.windows.values())
+        self.watched = self._watched
         if all(hasattr(window, "flips") for window in windows):
             read = sorted({i for _, lanes, _ in self._rungs for i in lanes})
             self._read = [(i, windows[i]) for i in read]

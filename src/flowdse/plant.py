@@ -45,34 +45,48 @@ the replay takes the run's arrivals into the lists, computing their weigh and
 assign times and drawing their weights and bins (a lane's weight stream feeds
 only that lane, in arrival order, so drawing ahead draws the same values),
 adds their weights to the injected mass in calendar order and writes their
-`arrive` trace rows. Then at each stop it weighs, assigns and adds the masses
-due (`drain`, `flush`), and at a recompute stop recomputes the strategies.
-The offsets are constants, so a lane weighs, and assigns, in arrival order:
-the window's end and an assign cursor mark how far each has got. Each
-fillet's bin is computed once; the weigh moves the window over it
-(`WindowView.slide`, which also tallies what the controller's certificate
-reads) and the assign looks it up in the lane's strategy, inline. The assign group is
-dropped up to the assign cursor, and the window group up to the window's
-start or the assign cursor, whichever comes first, each once the part to drop
-holds DRAIN_EVERY fillets.
+`arrive` trace rows. Then at each stop it weighs the fillets due (`weigh`),
+and at a recompute stop recomputes the strategies, which reads the windows.
+It assigns the fillets due and adds the masses due (`assign`, `flush`) only
+at a recompute that replaces the strategies, at each DRAIN_EVERY stop, which
+bounds the lists, and at the end. The offsets are constants, so a lane
+weighs, and assigns, in arrival order: the window's end and an assign cursor
+mark how far each has got. Each fillet's bin is computed once; the weigh
+moves the window over it (`WindowView.slide`, which also tallies what the
+controller's certificate reads) and the assign looks it up in the lane's
+strategy, inline. The assign group is dropped up to the assign cursor, and
+the window group up to the window's start or the assign cursor, whichever
+comes first, each once the part to drop holds DRAIN_EVERY fillets.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
 fillet arrived before recompute j-1 ran (recompute 0 is scheduled at
 construction, after every first arrival); an assign iff its weigh ran before
 recompute j-1. So no fillet arriving at or after e_j is weighed or assigned
-before e_j, and the lists may hold the rest of the run: a drain at a
+before e_j, and the lists may hold the rest of the run: an assign pass at a
 DRAIN_EVERY stop may take some of those fillets early, but only ones that the
-drain before e_j would take anyway, under the same strategy. The integer
-tallies (counts, recipe counts, band violations) are taken at assignment, for
-fillets absorbed by the horizon. The masses are summed in calendar order:
-before e_j, the trims and absorptions timed before it are applied sorted by
-(time, assign time, weigh time, fillet id); a flush at a DRAIN_EVERY stop
-adds only those timed before its last arrival.
+pass before e_j would take anyway, under the same strategy.
+
+Skipping the assign pass at a recompute that keeps the strategies object is
+exact. A fillet's fate depends only on its weight and on the strategy in
+force at its assignment, and a kept recompute leaves the same object in
+force. The tie rules make the cutoff only grow from stop to stop, so the next
+pass takes every fillet a skipped one would have taken. At a recompute that
+replaces the strategies, the pass runs after it, under the object the
+skipped stops kept: a walk builds fresh dicts and leaves that one as it was.
+The integer tallies (counts, recipe counts, band violations) are taken at
+assignment, for fillets absorbed by the horizon. The masses are summed in
+calendar order: a flush at a recompute stop at e_j applies the trims and
+absorptions timed before e_j, sorted by (time, assign time, weigh time,
+fillet id). Each one added after it is timed at or after its assignment, and
+so at or after e_j; a skipped flush therefore merges into the next one
+without changing the order of the sum. A flush at a DRAIN_EVERY stop adds
+only those timed before its last arrival.
 
 Working memory in `run` is bounded by each lane's window (two lists), its
-fillets in flight, DRAIN_EVERY passed ones and a run (fewer than CHUNK a lane
-+ DRAIN_EVERY arrivals); a first cell that records its calendar adds the
+fillets in flight, those due since the last assign pass (fewer than
+DRAIN_EVERY arrivals), DRAIN_EVERY passed ones and a run (fewer than CHUNK a
+lane + DRAIN_EVERY arrivals); a first cell that records its calendar adds the
 record, 17 bytes an arrival, to the memo. Trace mode writes each fillet's
 rows at its arrival, weigh and assignment, including an `enter` row per hop,
 so the fused conveyor hops stay observable; the final stable sort by (time,
@@ -180,7 +194,7 @@ class LaneRuntime:
 
     lane: str
     rate_per_min: float
-    sampler: object  # weight source with .sample(rng) and .draw(rng, n)
+    sampler: object  # weight source with .draw(rng, n)
     weights_rng: random.Random
     arrivals_rng: random.Random | None  # None = deterministic arrivals
     weigh_offset_s: float  # origin arrival -> weighing arrival
@@ -526,24 +540,20 @@ class PlantSimulation:
         trims: list[tuple] = []  # (time, assign time, weigh time, id, cut): calendar order
         absorbs: list[tuple] = []  # (time, assign time, weigh time, id, tag, final mass)
         live: list[tuple] = []  # (id, mass) of fillets assigned but not absorbed by the horizon
-        weighs = assigns = applied = 0  # events run by the drains and the flushes
+        weighs = assigns = applied = 0  # events run by the weigh, assign and flush passes
         trim_mass = 0.0
 
-        def drain(e: float, a1: float, e1: float, a2: float) -> None:
-            """Weigh, then assign, every fillet whose weigh or assign comes before
-            recompute j, due at `e`. Ties at `e` (module doc) need a1 and a2, the
-            fillets arrived when recomputes j-1 and j-2 ran, and e1, j-1's time."""
-            nonlocal weighs, assigns
-            strategies = controller.strategies
-            default = controller.default_assignment
+        def weigh(e: float, a1: float) -> None:
+            """Weigh every fillet whose weigh comes before recompute j, due at
+            `e`. Ties at `e` (module doc) need a1, the fillets arrived when
+            recompute j-1 ran."""
+            nonlocal weighs
             window_size = controller.config.window_size
             watched = controller.watched
-            for i, flow in enumerate(flows):
-                (lane, lane_routes, window, lane_weighs, lane_bins,
-                 lane_assigns, lane_weights, lane_ids) = flow
-                skew = skews[i]
-                # weigh, in window-group indices: times are sorted, and equal
-                # times run in id order
+            for flow, skew in zip(flows, skews):
+                lane, _, window, lane_weighs, lane_bins, _, lane_weights, lane_ids = flow
+                # in window-group indices: times are sorted, and equal times
+                # run in id order
                 start, n = window.hi, len(lane_weighs)
                 end = bisect_left(lane_weighs, e, start, n)
                 while end < n and lane_weighs[end] == e and lane_ids[end - skew] <= a1:
@@ -559,8 +569,19 @@ class PlantSimulation:
                         )
                     weighs += end - start
 
-                # assign, in assign-group positions, from the weighed fillets;
-                # equal assign times run in weigh order, then id order (module doc)
+        def assign(e: float, e1: float, a2: float, strategies: dict) -> None:
+            """Assign, under `strategies`, every weighed fillet whose assign
+            comes before recompute j, due at `e`. Ties at `e` (module doc) need
+            e1, recompute j-1's time, and a2, the fillets arrived when recompute
+            j-2 ran."""
+            nonlocal assigns
+            default = controller.default_assignment
+            for i, flow in enumerate(flows):
+                (lane, lane_routes, window, lane_weighs, lane_bins,
+                 lane_assigns, lane_weights, lane_ids) = flow
+                skew = skews[i]
+                # in assign-group positions, from the weighed fillets; equal
+                # assign times run in weigh order, then id order
                 start, n = assigned[i], window.hi - skew
                 end = bisect_left(lane_assigns, e, start, n)
                 while end < n and lane_assigns[end] == e and (
@@ -675,8 +696,8 @@ class PlantSimulation:
                 del absorbs[:n]
                 applied += n
 
-        # the pending recompute j: its time e, and a1, e1, a2 as `drain` takes them;
-        # with none left, everything up to the horizon comes first
+        # the pending recompute j: its time e, and a1, e1, a2 as `weigh` and
+        # `assign` take them; with none left, everything up to the horizon comes first
         interval = scenario.controller.recompute_interval_s
         if scenario.controller.warmup_s <= horizon:
             e, a1, e1, a2 = scenario.controller.warmup_s, 0, -inf, 0
@@ -724,21 +745,30 @@ class PlantSimulation:
                 taken = ends
                 for fid, now, recompute in stops:
                     if recompute:
-                        drain(e, a1, e1, a2)
-                        flush(now)
+                        weigh(e, a1)
+                        kept = controller.strategies
                         controller.recompute(now)  # through the attribute: it may be wrapped
                         recomputes += 1
+                        if controller.strategies is not kept:
+                            # what is due before e was due under the strategy
+                            # kept since the last assign pass; a walk leaves
+                            # that object as it was
+                            assign(e, e1, a2, kept)
+                            flush(now)
                         nxt = now + interval
                         if nxt <= horizon:
                             e, a1, e1, a2 = nxt, fid, now, a1
                         else:
                             e, a1, e1, a2 = horizon, inf, inf, inf
                     elif now < inf:
-                        # after a drain, a fillet not yet assigned is assigned at or after
-                        # e >= now, or arrives later: nothing before now is still to come
-                        drain(e, a1, e1, a2)
+                        # after an assign pass, a fillet not yet assigned is assigned at
+                        # or after e >= now, or arrives later: nothing before now is
+                        # still to come
+                        weigh(e, a1)
+                        assign(e, e1, a2, controller.strategies)
                         flush(now)
-        drain(horizon, inf, inf, inf)
+        weigh(horizon, inf)
+        assign(horizon, inf, inf, controller.strategies)
         flush(math.nextafter(horizon, inf))  # everything at or before the horizon
 
         # still in flight at the horizon, in fillet id order as injected

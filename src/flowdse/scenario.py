@@ -67,19 +67,15 @@ class TruncatedNormalWeights:
     def heaviest_g(self) -> float:
         return self.upper_g
 
-    def sample(self, rng) -> float:
-        while True:
-            w = rng.gauss(self.mean_g, self.stddev_g)
-            if self.lower_g <= w <= self.upper_g:
-                return w
-
     def draw(self, rng, n: int) -> list[float]:
-        """`n` calls of `sample(rng)`, in one call.
+        """`n` weights: `rng.gauss(mean_g, stddev_g)` variates, each drawn
+        again while outside [lower_g, upper_g].
 
         The normal variates are made as `random.Random.gauss` makes them, in
         half the time: Box-Muller pairs from two `random()` calls, the second
         of each pair kept in `rng.gauss_next` for the next variate, so that
-        `draw` and `sample` read one stream (`tests/test_scenario.py::TestDraw`).
+        `draw` and `rng.gauss` share one stream. `tests/test_scenario.py::TestDraw`
+        holds `draw` to the weight-at-a-time `tests/des_oracle.py::sample`.
         """
         uniform, spare = rng.random, rng.gauss_next
         mean, stddev, lower, upper = self.mean_g, self.stddev_g, self.lower_g, self.upper_g
@@ -111,15 +107,13 @@ class EmpiricalWeights:
     def heaviest_g(self) -> float:
         return max(self.values)
 
-    def sample(self, rng) -> float:
-        return self.values[rng.randrange(len(self.values))]
-
     def draw(self, rng, n: int) -> list[float]:
-        """`n` calls of `sample(rng)`, in one call.
+        """`n` weights: `values[rng.randrange(len(values))]`, `n` times.
 
         Each index is drawn as `rng.randrange(len(values))` draws it, in a
         quarter of the time: `getrandbits` of the length's bit count, drawn
-        again while out of range (`tests/test_scenario.py::TestDraw`).
+        again while out of range. `tests/test_scenario.py::TestDraw` holds
+        `draw` to the weight-at-a-time `tests/des_oracle.py::sample`.
         """
         values, getrandbits, k = self.values, rng.getrandbits, len(self.values)
         bits = k.bit_length()

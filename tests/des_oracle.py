@@ -6,8 +6,9 @@ one event per fillet per arrival, weigh, assign, trim and absorb, and one per
 recompute. Both are copied unchanged from `flowdse.kernel` and `flowdse.plant`
 as they stood before `PlantSimulation.run` became a sweep; only the imports,
 the seeding of the random streams (`random.Random(derive_seed(...))`, the
-same draws), the controller and the band test (`accepts`, once a `Recipe`
-method) differ. Tests run the same cell through both
+same draws), the controller, the band test (`accepts`, once a `Recipe`
+method) and the weight draw (`sample`, once a method of each weight source)
+differ. Tests run the same cell through both
 and require identical tallies and trace rows.
 
 The controller is a `ReferenceController`: the strategy builder of
@@ -35,7 +36,18 @@ from flowdse.designspace import (
 )
 from flowdse.kernel import derive_seed, left_sum
 from flowdse.plant import LaneRuntime, RoutingFault, RunTallies
-from flowdse.scenario import Scenario
+from flowdse.scenario import EmpiricalWeights, Scenario
+
+
+def sample(source, rng) -> float:
+    """One weight from a scenario's weight source, as the engine drew one per
+    arrival before it drew them a batch at a time (`draw`)."""
+    if isinstance(source, EmpiricalWeights):
+        return source.values[rng.randrange(len(source.values))]
+    while True:
+        w = rng.gauss(source.mean_g, source.stddev_g)
+        if source.lower_g <= w <= source.upper_g:
+            return w
 
 
 def accepts(recipe, post_trim_weight_g: float) -> bool:
@@ -264,7 +276,7 @@ class PlantSimulation:
         fillet = Fillet(
             fillet_id=self.kernel.next_entity_id(),
             lane=runtime.lane,
-            weight_g=runtime.sampler.sample(runtime.weights_rng),
+            weight_g=sample(runtime.sampler, runtime.weights_rng),
             arrived_at=now,
         )
         t = self.tallies

@@ -497,6 +497,25 @@ class TestLifetime:
         ]
         assert peaks[1] < 2 * peaks[0]
 
+    def test_memory_does_not_grow_with_the_horizon_when_recomputes_keep_the_strategy(self):
+        # a Poisson lane recomputing every 10 s from 60 s on, against a target
+        # no window reaches: after the second walk every recompute keeps the
+        # strategy, so the assigns wait for the DRAIN_EVERY stops, not a walk
+        space = one_lane_space()
+        band = dataclasses.replace(BAND, target_per_min=1e6)
+        peaks = []
+        for horizon in (600.0, 6000.0):
+            scenario = make_scenario(
+                [band, STRIPS],
+                [LaneInflow("lane", 120.0, narrow(280.0), "poisson")],
+                horizon=horizon,
+                controller=ControllerConfig(warmup_s=60.0),
+            )
+            sim = PlantSimulation(space, only_config(space), scenario, seed=1)
+            peaks.append(run_peak(sim))
+        assert (sim.tallies.recomputes, sim.tallies.walks) == (595, 2)
+        assert peaks[1] < 2 * peaks[0]
+
     def test_memory_does_not_grow_with_the_horizon_on_a_memo_hit(self, monkeypatch):
         monkeypatch.setattr(plant_module, "CALENDARS", {})
         first, hit, arrivals = [], [], []
@@ -735,6 +754,40 @@ class TestSweepMatchesCalendar:
         sweep = PlantSimulation(space, config, scenario, seed, trace=True)
         got = run_sweep(sweep, drain_every, chunk)
         # repr: every float to the bit, dicts in insertion order
+        assert repr(got) == repr(expected)
+        assert sweep.trace_rows == calendar.trace_rows
+
+    @pytest.mark.parametrize("drain_every", [7, 1024])
+    def test_assigns_deferred_over_kept_strategies(self, drain_every):
+        # Two lanes at 60 fillets/min, every latency 1 s and a recompute a
+        # second: each assign lands on a recompute instant. Windows of 200 keep
+        # the strategy for dozens of recomputes at a time, and each walk
+        # replaces it, so the sweep assigns the fillets due meanwhile under the
+        # strategy it kept, at the walk's recompute or every 7 arrivals.
+        space = parallel_lanes_space([([1.0] * 5, True)] * 2)
+        band = dataclasses.replace(BAND, target_per_min=25.0)
+        weights = EmpiricalWeights("inline", (155.0, 175.0, 240.0))
+        inflow = [LaneInflow(f"lane{i}", 60.0, weights) for i in range(2)]
+        controller = ControllerConfig(
+            window_size=200, recompute_interval_s=1.0, bin_width_g=10.0, warmup_s=5.0
+        )
+        scenario = make_scenario([band, STRIPS], inflow, 300.0, controller)
+        calendar = CalendarPlant(space, only_config(space), scenario, 1, trace=True)
+        expected = calendar.run()
+        sweep = PlantSimulation(space, only_config(space), scenario, 1, trace=True)
+        recompute, kept = sweep.controller.recompute, []
+
+        def watched_recompute(time_s):
+            strategies = sweep.controller.strategies
+            recompute(time_s)
+            kept.append(sweep.controller.strategies is strategies)
+
+        sweep.controller.recompute = watched_recompute
+        got = run_sweep(sweep, drain_every, plant_module.CHUNK)
+        runs = "".join("k" if k else "w" for k in kept).split("w")
+        assert len(kept) == 296 and max(map(len, runs[:-1])) >= 30
+        assert got.walks == kept.count(False) <= 40
+        assert {row[0] % 1.0 for row in sweep.trace_rows if row[4] == "assign"} == {0.0}
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
 

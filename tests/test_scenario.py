@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from des_oracle import accepts
+from des_oracle import accepts, sample
 from flowdse.kernel import derive_seed
 from flowdse.scenario import (
     MAX_WEIGHT_BINS,
@@ -287,7 +287,7 @@ class TestWeightSamples:
         source = parse_scenario(raw, base_dir=tmp_path).inflow[0].weights
         assert source.values == (100.0, 150.5, 200.0)
         rng = random.Random(derive_seed(1, "w"))
-        draws = {source.sample(rng) for _ in range(200)}
+        draws = {sample(source, rng) for _ in range(200)}
         assert draws == {100.0, 150.5, 200.0}
 
 
@@ -297,18 +297,18 @@ class TestTruncatedNormal:
         source = TruncatedNormalWeights(300, 60, 50, 400)
         rng = random.Random(derive_seed(seed, "w"))
         for _ in range(50):
-            assert 50 <= source.sample(rng) <= 400
+            assert 50 <= sample(source, rng) <= 400
 
     def test_sampling_is_reproducible(self):
         source = TruncatedNormalWeights(300, 60, 50, 400)
-        a = [source.sample(random.Random(derive_seed(5, "w"))) for _ in range(1)]
-        b = [source.sample(random.Random(derive_seed(5, "w"))) for _ in range(1)]
+        a = [sample(source, random.Random(derive_seed(5, "w"))) for _ in range(1)]
+        b = [sample(source, random.Random(derive_seed(5, "w"))) for _ in range(1)]
         assert a == b
 
     def test_mean_roughly_matches_for_wide_bounds(self):
         source = TruncatedNormalWeights(300, 30, 50, 550)
         rng = random.Random(derive_seed(11, "w"))
-        draws = [source.sample(rng) for _ in range(4000)]
+        draws = [sample(source, rng) for _ in range(4000)]
         mean = sum(draws) / len(draws)
         assert math.isclose(mean, 300, rel_tol=0.01)
 
@@ -361,8 +361,9 @@ class TestRecipe:
 
 class TestDraw:
     """`draw(rng, n)`, which the plant fills its lanes with, against n calls of
-    `sample(rng)` on a twin generator: the same values, in the same order, and
-    the generator left in the same state, however the n draws are split."""
+    `des_oracle.sample(source, rng)` on a twin generator: the same values, in
+    the same order, and the generator left in the same state, however the n
+    draws are split."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -391,7 +392,7 @@ class TestDraw:
         drawn = []
         for n in splits:
             drawn += source.draw(drawn_rng, n)
-        sampled = [source.sample(sampled_rng) for _ in range(sum(splits))]
+        sampled = [sample(source, sampled_rng) for _ in range(sum(splits))]
         assert drawn == sampled
         # a following sample sees the same generator state
-        assert source.sample(drawn_rng) == source.sample(sampled_rng)
+        assert sample(source, drawn_rng) == sample(source, sampled_rng)
