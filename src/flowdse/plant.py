@@ -68,20 +68,17 @@ DRAIN_EVERY stop may take some of those fillets early, but only ones that the
 pass before e_j would take anyway, under the same strategy.
 
 Skipping the assign pass at a recompute that keeps the strategies object is
-exact. A fillet's fate depends only on its weight and on the strategy in
-force at its assignment, and a kept recompute leaves the same object in
-force. The tie rules make the cutoff only grow from stop to stop, so the next
-pass takes every fillet a skipped one would have taken. At a recompute that
-replaces the strategies, the pass runs after it, under the object the
-skipped stops kept: a walk builds fresh dicts and leaves that one as it was.
-The integer tallies (counts, recipe counts, band violations) are taken at
+exact: a fillet's fate depends only on its weight and on the strategy in
+force at its assignment, which a kept recompute leaves in force, and the tie
+rules make the cutoff only grow, so the next pass takes what a skipped one
+would have. At a recompute that replaces the strategies, that pass runs
+under the object the skipped stops kept, which the walk left as it was. The
+integer tallies (counts, recipe counts, band violations) are taken at
 assignment, for fillets absorbed by the horizon. The masses are summed in
-calendar order: a flush at a recompute stop at e_j applies the trims and
-absorptions timed before e_j, sorted by (time, assign time, weigh time,
-fillet id). Each one added after it is timed at or after its assignment, and
-so at or after e_j; a skipped flush therefore merges into the next one
-without changing the order of the sum. A flush at a DRAIN_EVERY stop adds
-only those timed before its last arrival.
+calendar order: a flush at time `now` applies the trims and absorptions
+timed before it, sorted by (time, assign time, weigh time, fillet id). One
+added later is timed at or after its assignment, so at or after `now`, and a
+skipped flush merges into the next without changing the order of the sum.
 
 Working memory in `run` is bounded by each lane's window (two lists), its
 fillets in flight, those due since the last assign pass (fewer than
@@ -750,9 +747,7 @@ class PlantSimulation:
                         controller.recompute(now)  # through the attribute: it may be wrapped
                         recomputes += 1
                         if controller.strategies is not kept:
-                            # what is due before e was due under the strategy
-                            # kept since the last assign pass; a walk leaves
-                            # that object as it was
+                            # what is due before e was due under `kept` (module doc)
                             assign(e, e1, a2, kept)
                             flush(now)
                         nxt = now + interval
