@@ -15,7 +15,9 @@ for neither side), one summary per workload once every workload has run.
 Metric names, units and directions come from the change's BENCHMARK.json. Each
 workload's results are also written to --logs as <workload>-pairs.json, with
 each checkout's `git rev-parse HEAD` and whether it had uncommitted changes,
-as read before the first run; the summary prints them too.
+as read before the first run; the summary prints them too. The file is
+rewritten after every pair, so a run that fails (the script then stops)
+leaves the pairs finished before it on disk.
 """
 
 from __future__ import annotations
@@ -80,8 +82,11 @@ def spread(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_pairs(sides: dict, states: dict, workload: str, args, metrics: list) -> list[dict]:
-    """Alternating pairs of one workload, each run printed as it ends."""
+    """Alternating pairs of one workload, each run printed as it ends; the
+    pairs file is written again after each pair, so a failed run keeps the
+    pairs finished before it."""
     pairs = []
+    record = args.logs / f"{workload}-pairs.json"
     for k, seed in enumerate(args.seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         pair = {"seed": seed, "first": order[0]}
@@ -95,9 +100,9 @@ def run_pairs(sides: dict, states: dict, workload: str, args, metrics: list) -> 
             print(f"{workload} seed {seed} {side:6s} correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
         pairs.append(pair)
-    (args.logs / f"{workload}-pairs.json").write_text(
-        json.dumps({"checkouts": states, "pairs": pairs}, indent=1) + "\n", encoding="utf-8"
-    )
+        record.write_text(
+            json.dumps({"checkouts": states, "pairs": pairs}, indent=1) + "\n", encoding="utf-8"
+        )
     return pairs
 
 

@@ -19,44 +19,43 @@ The arrival calendar (`calendar_runs`). Only arrivals (one chain per lane)
 and recomputes schedule their own successors, so a heap of at most lanes + 1
 chain heads, keyed (time, rank of the scheduling event), gives them in
 calendar order; that order numbers the fillets. The calendar stops at each
-recompute, every DRAIN_EVERY arrivals and at the end, and hands on the
-arrivals in between: their lanes in calendar order, and each lane's fillet
-ids and arrival times. It hands them on a run at a time, a run being the
-stops up to the first that ends at least CHUNK arrivals a lane after the
-last run (`ArrivalCalendar`), so that the replay pays its per-lane costs once
-a run, not once a stop. A lane's arrival times are drawn CHUNK at a time, none after
-the horizon.
+recompute, every DRAIN_EVERY arrivals and at the end. It hands on the stops
+and their arrivals a run at a time (`ArrivalCalendar`), a run ending at the
+first stop by which it holds at least CHUNK arrivals a lane, so that the
+replay pays its per-lane costs once a run, not once a stop. A lane's arrival
+times are drawn CHUNK at a time, none after the horizon.
 
 The memo. With every lane deterministic, the calendar depends only on the
 lane rates, the horizon, the warm-up, the recompute interval and DRAIN_EVERY,
-not on the design or the seed. The first cell of such a scenario records it
-in compact arrays (a lane index, a fillet id and an arrival time per arrival,
-17 bytes, and a few numbers per stop and per run) into `CALENDARS`, and every
-later cell with the same key replays the record. The memo holds at most
-CALENDAR_MEMO_ARRIVALS arrivals in all; a calendar that would not fit is
-computed afresh in each cell and never stored, and so is every calendar with
-a Poisson lane, whose arrival times come from the cell's own stream.
+not on the design or the seed. The first cell of such a scenario stores in
+`CALENDARS` the runs it streams, each in arrays (`ArrivalCalendar.compact`,
+17 bytes an arrival and 17 a stop), and every later cell with the same key
+replays them. The memo holds at most CALENDAR_MEMO_ARRIVALS arrivals and
+stops in all, the stops estimated from the horizon, the recompute interval
+and the arrivals; a calendar that would not fit is computed afresh in each
+cell and never stored, and so is every calendar with a Poisson lane, whose
+arrival times come from the cell's own stream.
 
 The replay (`run`). Each lane keeps its fillets in lists indexed by position
 in the lane, in two groups: the window group, weigh times and weight bins,
 which the controller's window on the lane reads (`WindowView`); and the
 assign group, assign times, weights and fillet ids. At the start of each run
-the replay takes the run's arrivals into the lists, computing their weigh and
-assign times and drawing their weights and bins (a lane's weight stream feeds
-only that lane, in arrival order, so drawing ahead draws the same values),
-adds their weights to the injected mass in calendar order and writes their
-`arrive` trace rows. Then at each stop it weighs the fillets due (`weigh`),
-and at a recompute stop recomputes the strategies, which reads the windows.
-It assigns the fillets due and adds the masses due (`assign`, `flush`) only
-at a recompute that replaces the strategies, at each DRAIN_EVERY stop, which
-bounds the lists, and at the end. The offsets are constants, so a lane
-weighs, and assigns, in arrival order: the window's end and an assign cursor
-mark how far each has got. Each fillet's bin is computed once; the weigh
-moves the window over it (`WindowView.slide`, which also tallies what the
-controller's certificate reads) and the assign looks it up in the lane's
-strategy, inline. The assign group is dropped up to the assign cursor, and
-the window group up to the window's start or the assign cursor, whichever
-comes first, each once the part to drop holds DRAIN_EVERY fillets.
+the replay appends each lane's arrivals in the run to its lists, computing
+their weigh and assign times and drawing their weights and bins (a lane's
+weight stream feeds only that lane, in arrival order, so drawing ahead draws
+the same values), adds their weights to the injected mass in calendar order
+and writes their `arrive` trace rows. Then at each stop it weighs the fillets
+due (`weigh`), and at a recompute stop recomputes the strategies, which reads
+the windows. It assigns the fillets due and adds the masses due (`assign`,
+`flush`) only at a recompute that replaces the strategies, at each
+DRAIN_EVERY stop, which bounds the lists, and at the end. The offsets are
+constants, so a lane weighs, and assigns, in arrival order: the window's end
+and an assign cursor mark how far each has got. Each fillet's bin is computed
+once; the weigh moves the window over it (`WindowView.slide`, which also
+tallies what the controller's certificate reads) and the assign looks it up
+in the lane's strategy, inline. The assign group is dropped up to the assign
+cursor, and the window group up to the window's start or the assign cursor,
+whichever comes first, each once the part to drop holds DRAIN_EVERY fillets.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
@@ -84,10 +83,10 @@ Working memory in `run` is bounded by each lane's window (two lists), its
 fillets in flight, those due since the last assign pass (fewer than
 DRAIN_EVERY arrivals), DRAIN_EVERY passed ones and a run (fewer than CHUNK a
 lane + DRAIN_EVERY arrivals); a first cell that records its calendar adds the
-record, 17 bytes an arrival, to the memo. Trace mode writes each fillet's
-rows at its arrival, weigh and assignment, including an `enter` row per hop,
-so the fused conveyor hops stay observable; the final stable sort by (time,
-fillet id) puts them in calendar order.
+record, 17 bytes an arrival and 17 a stop, to the memo. Trace mode writes
+each fillet's rows at its arrival, weigh and assignment, including an `enter`
+row per hop, so the fused conveyor hops stay observable; the final stable
+sort by (time, fillet id) puts them in calendar order.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import add
 from typing import Sequence
 
 from flowdse.controller import ProductionController
@@ -118,8 +116,9 @@ DRAIN_EVERY = 1024
 # a lane's arrival times are drawn this many at a time, and the replay takes
 # arrivals in at least this many at a time
 CHUNK = 256
-# arrivals the memo of deterministic calendars holds in all (`CALENDARS`, 17
-# bytes each); a calendar that would take it past this is computed in each cell
+# arrivals and stops the memo of deterministic calendars holds in all
+# (`CALENDARS`, 17 bytes each); a calendar that would take it past this is
+# computed in each cell
 CALENDAR_MEMO_ARRIVALS = 1_000_000
 
 
@@ -222,76 +221,46 @@ class RunTallies:
 
 @dataclass(slots=True)
 class ArrivalCalendar:
-    """Runs of a calendar's stops with their arrivals, in flat sequences.
+    """One run of a calendar: a span of whole stops holding at least CHUNK
+    arrivals a lane, but for the last run, whose arrivals the replay takes in
+    at once.
 
     A stop is (fillets arrived by then, its time, whether it recomputes); the
-    last is the end, at time inf. A run is a span of whole stops that holds at
-    least CHUNK arrivals a lane, but for the last run; the replay takes a run's
-    arrivals in at once. Per lane, `ids` and `times` hold the fillet ids and
-    arrival times, the first at lane position `first[i]`; `order` holds each
-    arrival's lane in calendar order, from fillet `first_fid` + 1; per stop,
-    `fids`, `at` and `recomputes` hold its numbers; per run, `cuts` holds the
-    count of stops through its last and `ends`, one entry per lane, the lane
-    position after the lane's last arrival in it. The memo keeps a whole
-    calendar in arrays (`compact`); `calendar_runs` yields one run at a time,
-    in lists."""
+    last stop of the last run is the end, at time inf. Per lane, `ids` and
+    `times` hold the fillet ids and arrival times of the lane's arrivals in the
+    run, which follow on from its arrivals in the run before; `order` holds
+    each arrival's lane in calendar order; per stop, `fids`, `at` and
+    `recomputes` hold its numbers. `calendar_runs` yields runs in lists, and
+    the memo keeps them in arrays (`compact`)."""
 
-    first: list[int]
     ids: list
     times: list
     order: Sequence[int]
-    first_fid: int
     fids: Sequence[int]
     at: Sequence[float]
     recomputes: Sequence[bool]
-    cuts: Sequence[int]
-    ends: Sequence[int]
 
-    @classmethod
-    def compact(cls, n_lanes: int) -> ArrivalCalendar:
-        """An empty calendar in arrays: 17 bytes an arrival (with up to 256 lanes)."""
+    def compact(self) -> ArrivalCalendar:
+        """This run in arrays: 17 bytes an arrival (with up to 256 lanes) and
+        17 a stop."""
+        n_lanes = len(self.ids)
         lane = "B" if n_lanes <= 1 << 8 else "H" if n_lanes <= 1 << 16 else "q"
-        return cls(
-            [0] * n_lanes, [array("q") for _ in range(n_lanes)],
-            [array("d") for _ in range(n_lanes)], array(lane), 0,
-            array("q"), array("d"), array("b"), array("q"), array("q"),
+        return ArrivalCalendar(
+            [array("q", ids) for ids in self.ids], [array("d", times) for times in self.times],
+            array(lane, self.order), array("q", self.fids), array("d", self.at),
+            array("b", self.recomputes),
         )
 
-    def extend(self, then: ArrivalCalendar) -> None:
-        """Append `then`, the calendar's runs that follow this one's."""
-        stops = len(self.fids)
-        for ids, times, then_ids, then_times in zip(self.ids, self.times, then.ids, then.times):
-            ids.extend(then_ids)
-            times.extend(then_times)
-        self.order.extend(then.order)
-        self.fids.extend(then.fids)
-        self.at.extend(then.at)
-        self.recomputes.extend(then.recomputes)
-        self.cuts.extend(stops + cut for cut in then.cuts)
-        self.ends.extend(then.ends)
 
-    def runs(self):
-        """Per run: the lanes of its arrivals in calendar order, per lane the
-        lane position after its last arrival, and its stops."""
-        n = len(self.ids)
-        k = start = 0
-        for r, cut in enumerate(self.cuts):
-            end = self.fids[cut - 1] - self.first_fid
-            yield (
-                self.order[start:end], self.ends[r * n:r * n + n],
-                zip(self.fids[k:cut], self.at[k:cut], self.recomputes[k:cut]),
-            )
-            k, start = cut, end
-
-
-# recorded calendars by (lane rates, horizon, warm-up, recompute interval,
-# DRAIN_EVERY): each is a pure function of its key, so every cell may share it
-CALENDARS: dict[tuple, ArrivalCalendar] = {}
+# recorded calendars, as their runs, by (lane rates, horizon, warm-up,
+# recompute interval, DRAIN_EVERY): each is a pure function of its key, so
+# every cell may share it
+CALENDARS: dict[tuple, tuple[ArrivalCalendar, ...]] = {}
 
 
 def calendar_runs(lanes, horizon, warmup, interval, drain_every, chunk):
-    """Compute the arrival calendar (module doc) and yield it a run at a time,
-    each as an ArrivalCalendar of one run. `lanes` are LaneRuntimes: their
+    """Compute the arrival calendar (module doc) and yield its runs, as
+    ArrivalCalendars in lists. `lanes` are LaneRuntimes: their
     rates, and the arrival streams of the Poisson ones."""
     n_lanes = len(lanes)
     # per lane, arrival times drawn: those arrived in this run, then those to come
@@ -331,29 +300,24 @@ def calendar_runs(lanes, horizon, warmup, interval, drain_every, chunk):
             last_at[i] = at
         return len(times) > arrived[i]
 
-    # the run being gathered: its first lane positions and fillet, each
-    # arrival's lane, per lane its fillet ids, and per stop its numbers
-    first, first_fid = [0] * n_lanes, 0
+    # the run being gathered: each arrival's lane, per lane its fillet ids,
+    # and per stop its numbers
     order: list[int] = []
     ids: list[list[int]] = [[] for _ in lanes]
     fids, stop_at, recomputes = [], [], []
 
-    def cut(fid: int) -> ArrivalCalendar:
+    def cut() -> ArrivalCalendar:
         """The run gathered, whose last stop has just been recorded."""
-        nonlocal first, first_fid
-        ends = list(map(add, first, arrived))
         times = []
         for i, lane_times in enumerate(ahead):
             times.append(lane_times[:arrived[i]])
             del lane_times[:arrived[i]]
             arrived[i] = 0
         run = ArrivalCalendar(
-            first, [lane_ids[:] for lane_ids in ids], times, order[:], first_fid,
-            fids[:], stop_at[:], recomputes[:], [len(fids)], ends,
+            [lane_ids[:] for lane_ids in ids], times, order[:], fids[:], stop_at[:], recomputes[:]
         )
         for gathered in (order, *ids, fids, stop_at, recomputes):
             gathered.clear()
-        first, first_fid = ends, fid
         return run
 
     # chain heads: (time, rank of the event that scheduled it, lane index or
@@ -382,8 +346,8 @@ def calendar_runs(lanes, horizon, warmup, interval, drain_every, chunk):
             stop_fid(fid)
             stop_time(now)
             stop_recomputes(True)
-            if fid - first_fid >= run_size:
-                yield cut(fid)
+            if len(order) >= run_size:
+                yield cut()
             nxt = now + interval
             if nxt <= horizon:
                 heapreplace(heads, (nxt, rank, -1))
@@ -405,18 +369,18 @@ def calendar_runs(lanes, horizon, warmup, interval, drain_every, chunk):
                 stop_fid(fid)
                 stop_time(now)
                 stop_recomputes(False)
-                if fid - first_fid >= run_size:
-                    yield cut(fid)
+                if len(order) >= run_size:
+                    yield cut()
         rank += 1
     stop_fid(fid)
     stop_time(math.inf)
     stop_recomputes(False)
-    yield cut(fid)
+    yield cut()
 
 
 def arrival_calendar(lanes, scenario: Scenario):
-    """One cell's calendar, as ArrivalCalendars: the memo's record, or the runs
-    of `calendar_runs`, recorded into the memo on the way or not (module doc)."""
+    """One cell's calendar, as its runs: the memo's record, or the runs of
+    `calendar_runs`, recorded into the memo on the way or not (module doc)."""
     horizon = scenario.horizon_s
     warmup = scenario.controller.warmup_s
     interval = scenario.controller.recompute_interval_s
@@ -426,23 +390,28 @@ def arrival_calendar(lanes, scenario: Scenario):
         return runs
     rates = tuple(lane.rate_per_min for lane in lanes)
     key = (rates, horizon, warmup, interval, drain_every)
-    calendar = CALENDARS.get(key)
-    if calendar is not None:
-        return (calendar,)
-    # a deterministic lane's arrival count, as `parse_scenario` bounds it
+    record = CALENDARS.get(key)
+    if record is not None:
+        return record
+    # a deterministic lane's arrival count, as `parse_scenario` bounds it, and
+    # the stops: recomputes, DRAIN_EVERY stops and the end
     arrivals = sum(rate * horizon / 60.0 for rate in rates)
-    if arrivals + sum(len(c.order) for c in CALENDARS.values()) > CALENDAR_MEMO_ARRIVALS:
+    stops = horizon / interval + arrivals / drain_every + 1
+    stored = sum(len(run.order) + len(run.fids) for record in CALENDARS.values() for run in record)
+    if arrivals + stops + stored > CALENDAR_MEMO_ARRIVALS:
         return runs
-    return _recorded(key, runs, len(lanes))
+    return _recorded(key, runs)
 
 
-def _recorded(key: tuple, runs, n_lanes: int):
-    """Pass `runs` on, recording them; store the record once the last is out."""
-    calendar = ArrivalCalendar.compact(n_lanes)
+def _recorded(key: tuple, runs):
+    """Pass `runs` on in arrays, recording them; store the record once the
+    last is out."""
+    record = []
     for run in runs:
-        calendar.extend(run)
+        run = run.compact()
+        record.append(run)
         yield run
-    CALENDARS[key] = calendar
+    CALENDARS[key] = tuple(record)
 
 
 class PlantSimulation:
@@ -517,16 +486,14 @@ class PlantSimulation:
         lanes = list(self.lane_runtimes.values())
         n_lanes = len(lanes)
         windows = [controller.windows[lane.lane] for lane in lanes]
-        # what a drain reads per lane, in one tuple: the lane's lists by position
-        # in the lane, the window group (weigh times, the window's own list, and
-        # weight bins) and the assign group (assign times, weights, fillet ids)
+        # what `weigh` and `assign` read per lane, in one tuple: the lane's
+        # lists by position in the lane, the window group (weigh times, the
+        # window's own list, and weight bins) and the assign group (assign
+        # times, weights, fillet ids)
         flows = [
             (lane, self.routes[lane.lane], window, window.weigh_times, [], [], [], [])
             for lane, window in zip(lanes, windows)
         ]
-        # per lane, the lane position after the last fillet taken in: the end of
-        # the run being replayed
-        taken = [0] * n_lanes
         # cursors: fillets assigned, in the assign group; fillets weighed are
         # each window's `hi`, in the window group
         assigned = [0] * n_lanes
@@ -700,68 +667,60 @@ class PlantSimulation:
             e, a1, e1, a2 = scenario.controller.warmup_s, 0, -inf, 0
         else:
             e, a1, e1, a2 = horizon, inf, inf, inf
-        def take_in(i: int, start: int, end: int, first: int, ids, times) -> list[float]:
-            """Add lane i's fillets at lane positions [start, end) to its lists,
-            from a calendar's `first`, `ids` and `times`; their weights."""
-            lane, _, _, lane_weighs, lane_bins, lane_assigns, lane_weights, lane_ids = flows[i]
-            lane_ids += ids[start - first:end - first]
+
+        def take_in(flow: tuple, ids, times) -> list[float]:
+            """Add a lane's fillets `ids`, arriving at `times`, to its lists
+            (`flow`); their weights."""
+            lane, _, _, lane_weighs, lane_bins, lane_assigns, lane_weights, lane_ids = flow
+            lane_ids += ids
             offset = lane.weigh_offset_s
-            weigh = [at + offset for at in times[start - first:end - first]]
+            weigh = [at + offset for at in times]
             lane_weighs += weigh
             offset = lane.assign_offset_s
             lane_assigns += [w + offset for w in weigh]
-            drawn = lane.sampler.draw(lane.weights_rng, end - start)
+            drawn = lane.sampler.draw(lane.weights_rng, len(ids))
             lane_weights += drawn
             lane_bins += [int(g // bin_width) for g in drawn]
             return drawn
 
         fid = recomputes = 0
         injected_mass = 0.0
-        for calendar in arrival_calendar(lanes, scenario):
-            feeds = list(zip(calendar.first, calendar.ids, calendar.times))
-            for order, ends, stops in calendar.runs():
-                # take the run's arrivals in
-                fresh = [  # per lane, their weights
-                    take_in(i, start, end, *feeds[i]) if end > start else ()
-                    for i, (start, end) in enumerate(zip(taken, ends))
-                ]
-                nexts = [iter(weights).__next__ for weights in fresh]
-                for i in order:  # added in calendar order, as the arrivals ran
-                    injected_mass += nexts[i]()
-                if trace is not None:
-                    rows = [
-                        zip(times[start - first:end - first], ids[start - first:end - first], weights)
-                        for start, end, (first, ids, times), weights
-                        in zip(taken, ends, feeds, fresh)
-                    ]
-                    for i in order:
-                        at, arrival, weight = next(rows[i])
-                        trace.append(
-                            (round(at, 9), lanes[i].lane, arrival, round(weight, 6), "arrive")
-                        )
-                taken = ends
-                for fid, now, recompute in stops:
-                    if recompute:
-                        weigh(e, a1)
-                        kept = controller.strategies
-                        controller.recompute(now)  # through the attribute: it may be wrapped
-                        recomputes += 1
-                        if controller.strategies is not kept:
-                            # what is due before e was due under `kept` (module doc)
-                            assign(e, e1, a2, kept)
-                            flush(now)
-                        nxt = now + interval
-                        if nxt <= horizon:
-                            e, a1, e1, a2 = nxt, fid, now, a1
-                        else:
-                            e, a1, e1, a2 = horizon, inf, inf, inf
-                    elif now < inf:
-                        # after an assign pass, a fillet not yet assigned is assigned at
-                        # or after e >= now, or arrives later: nothing before now is
-                        # still to come
-                        weigh(e, a1)
-                        assign(e, e1, a2, controller.strategies)
+        for run in arrival_calendar(lanes, scenario):
+            # take the run's arrivals in, each lane's following on from its last
+            # run's; per lane, their weights
+            fresh = list(map(take_in, flows, run.ids, run.times))
+            nexts = [iter(weights).__next__ for weights in fresh]
+            for i in run.order:  # added in calendar order, as the arrivals ran
+                injected_mass += nexts[i]()
+            if trace is not None:
+                rows = list(map(zip, run.times, run.ids, fresh))
+                for i in run.order:
+                    at, arrival, weight = next(rows[i])
+                    trace.append(
+                        (round(at, 9), lanes[i].lane, arrival, round(weight, 6), "arrive")
+                    )
+            for fid, now, recompute in zip(run.fids, run.at, run.recomputes):
+                if recompute:
+                    weigh(e, a1)
+                    kept = controller.strategies
+                    controller.recompute(now)  # through the attribute: it may be wrapped
+                    recomputes += 1
+                    if controller.strategies is not kept:
+                        # what is due before e was due under `kept` (module doc)
+                        assign(e, e1, a2, kept)
                         flush(now)
+                    nxt = now + interval
+                    if nxt <= horizon:
+                        e, a1, e1, a2 = nxt, fid, now, a1
+                    else:
+                        e, a1, e1, a2 = horizon, inf, inf, inf
+                elif now < inf:
+                    # after an assign pass, a fillet not yet assigned is assigned at
+                    # or after e >= now, or arrives later: nothing before now is
+                    # still to come
+                    weigh(e, a1)
+                    assign(e, e1, a2, controller.strategies)
+                    flush(now)
         weigh(horizon, inf)
         assign(horizon, inf, inf, controller.strategies)
         flush(math.nextafter(horizon, inf))  # everything at or before the horizon

@@ -470,7 +470,8 @@ class TestLifetime:
             gc.enable()
 
     def test_memory_does_not_grow_with_the_horizon(self):
-        # warm-up past the horizon: no recompute ever drains the lanes
+        # warm-up past the horizon: no recompute ever runs, so only the
+        # DRAIN_EVERY stops assign
         space = one_lane_space()
         peaks = []
         for horizon in (600.0, 6000.0):
@@ -887,21 +888,27 @@ def calendar_settings(drain_every, chunk, memo_arrivals=plant_module.CALENDAR_ME
             setattr(plant_module, name, value)
 
 
-def calendar_facts(calendars):
-    """A calendar's stops, runs and arrivals as plain lists, for comparing."""
-    stops, runs, arrivals = [], [], []
-    for calendar in calendars:
-        position = list(calendar.first)  # per lane, the lane position of its next arrival
-        for order, ends, run_stops in calendar.runs():
-            run_stops = [(fid, now, bool(recompute)) for fid, now, recompute in run_stops]
-            stops += run_stops
-            runs.append((run_stops[-1][0], list(ends)))
-            for lane in order:
-                k = position[lane] - calendar.first[lane]
-                arrivals.append((calendar.ids[lane][k], lane, calendar.times[lane][k]))
-                position[lane] += 1
-            assert position == list(ends)
-    return stops, runs, arrivals
+def calendar_facts(runs):
+    """A calendar's stops, runs and arrivals as plain lists, for comparing: per
+    run, its last stop's fillet count and per lane the lane position after it."""
+    stops, ends, arrivals = [], [], []
+    position = None  # per lane, the lane position of its next arrival
+    for run in runs:
+        position = position or [0] * len(run.ids)
+        run_stops = [(fid, now, bool(recompute)) for fid, now, recompute in zip(
+            run.fids, run.at, run.recomputes
+        )]
+        stops += run_stops
+        start = list(position)
+        for lane in run.order:
+            k = position[lane] - start[lane]
+            arrivals.append((run.ids[lane][k], lane, run.times[lane][k]))
+            position[lane] += 1
+        # each lane's part of the run is its arrivals in the order, all of them
+        assert [len(ids) for ids in run.ids] == [b - a for a, b in zip(start, position)]
+        assert [len(times) for times in run.times] == [len(ids) for ids in run.ids]
+        ends.append((run_stops[-1][0], list(position)))
+    return stops, ends, arrivals
 
 
 def deterministic(scenario):
@@ -979,13 +986,35 @@ class TestArrivalCalendar:
         space, config, scenario, seed, _, _ = skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2)
         calendar = CalendarPlant(space, config, scenario, seed, trace=True)
         expected = calendar.run()
-        # two lanes at 60 fillets/min for 120 s: 240 arrivals
-        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=239):
+        # two lanes at 60 fillets/min for 120 s: 240 arrivals; a recompute a
+        # second, so the cap counts 120 + 240 / 1024 + 1 stops, 361.2 in all
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=361):
             for _ in range(2):
                 sweep = PlantSimulation(space, config, scenario, seed, trace=True)
                 assert repr(sweep.run()) == repr(expected)
                 assert sweep.trace_rows == calendar.trace_rows
                 assert not plant_module.CALENDARS
-        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=240):
-            PlantSimulation(space, config, scenario, seed).run()
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=362):
+            # the first cell records the calendar, the second replays the record
+            for stored in (0, 1):
+                assert len(plant_module.CALENDARS) == stored
+                sweep = PlantSimulation(space, config, scenario, seed, trace=True)
+                assert repr(sweep.run()) == repr(expected)
+                assert sweep.trace_rows == calendar.trace_rows
             assert len(plant_module.CALENDARS) == 1
+
+    def test_cap_counts_stops_as_well_as_arrivals(self):
+        # one lane at 6 fillets/min for 36000 s and a recompute every 0.5 s from
+        # 0 s on: 3600 arrivals, and 36000 / 0.5 + 3600 / 1024 + 1 stops, 75604.5
+        # in all; a stop takes as many bytes in the memo as an arrival
+        space = one_lane_space()
+        scenario = make_scenario(
+            [BAND, STRIPS], [LaneInflow("lane", 6.0, narrow(280.0))], horizon=36000.0,
+            controller=ControllerConfig(recompute_interval_s=0.5, warmup_s=0.0),
+        )
+        lanes = list(PlantSimulation(space, only_config(space), scenario, 1).lane_runtimes.values())
+        for cap, stored in ((10 * 3600, 0), (75604, 0), (75605, 1)):
+            with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, cap):
+                stops, _, arrivals = calendar_facts(plant_module.arrival_calendar(lanes, scenario))
+                assert (len(arrivals), len(stops)) == (3600, 72005)
+                assert len(plant_module.CALENDARS) == stored
