@@ -390,9 +390,9 @@ def arrival_calendar(lanes, scenario: Scenario):
         return runs
     rates = tuple(lane.rate_per_min for lane in lanes)
     key = (rates, horizon, warmup, interval, drain_every)
-    record = CALENDARS.get(key)
-    if record is not None:
-        return record
+    memo_runs = CALENDARS.get(key)
+    if memo_runs is not None:
+        return memo_runs
     # a deterministic lane's arrival count, as `parse_scenario` bounds it, and
     # the stops: recomputes, DRAIN_EVERY stops and the end
     arrivals = sum(rate * horizon / 60.0 for rate in rates)
