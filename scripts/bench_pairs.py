@@ -10,9 +10,12 @@ and the change first when k is odd. Each run's standard output and standard erro
 go to their own file under --logs, so an exception that made a run count a
 failed operation can be read afterwards. The script prints one line per run
 (its metrics and its `failed` count), then per metric each side's median and
-quartiles, their ratio, and in how many pairs the change was better (ties count
-for neither side), one summary per workload once every workload has run.
-Metric names, units and directions come from the change's BENCHMARK.json. Each
+quartiles, their ratio, in how many pairs the change was better (ties count
+for neither side) and whether the change's median is worse than the parent's
+by more than the metric's `bound`, a fraction of the parent's median; then each
+side's failed operations out of those attempted. One summary per workload is
+printed once every workload has run. Metric names, units, directions and
+bounds come from the change's BENCHMARK.json. Each
 workload's results are also written to --logs as <workload>-pairs.json, with
 each checkout's `git rev-parse HEAD` and whether it had uncommitted changes,
 as read before the first run; the summary prints them too. The file is
@@ -106,6 +109,13 @@ def run_pairs(sides: dict, states: dict, workload: str, args, metrics: list) -> 
     return pairs
 
 
+def worse_by(metric: dict, parent: float, change: float) -> float:
+    """How much worse the change's value is than the parent's, as a fraction of
+    the parent's; negative when it is better."""
+    lost = change - parent if metric["better"] == "lower" else parent - change
+    return lost / parent
+
+
 def summarise(
     workload: str, pairs: list[dict], states: dict, seeds: list[int], metrics: list
 ) -> None:
@@ -123,8 +133,15 @@ def summarise(
               f"[{pq1:.6g}, {pq3:.6g}]  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
               f"ratio {cm / pm:.4f}  change better in {wins}/{len(pairs)}; "
               f"parent quartile spread {pq3 - pq1:.6g}, medians differ by {abs(cm - pm):.6g}")
-    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
-    print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
+        worse, bound = worse_by(m, pm, cm), m["bound"]
+        print(f"    {'PAST' if worse > bound else 'within'} its bound: the change's median is "
+              f"{worse:+.2%} worse than the parent's (bound {bound:.0%})")
+    shares = []
+    for side in SIDES:
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        shares.append(f"{side} {failed}/{attempted}")
+    print(f"  failed operations: {', '.join(shares)}")
 
 
 def main(argv=None) -> int:

@@ -254,6 +254,9 @@ class ProductionController:
             if lanes:
                 trim_lanes = tuple(i for i in lanes if routes.has_trimmer[names[i]])
                 self._rungs.append((rung, lanes, trim_lanes))
+        # the positions of the lanes some rung reads: no walk reads the others'
+        # windows, so their strategies stay empty
+        self.read_lanes = frozenset(i for _, lanes, _ in self._rungs for i in lanes)
         self.strategies: dict[str, dict[int, BinAssignment]] = {}
         self.recomputes = 0
         self.walks = 0  # recomputes that walked the ladder
@@ -265,8 +268,7 @@ class ProductionController:
         windows = list(self.windows.values())
         self.watched = self._watched
         if all(hasattr(window, "flips") for window in windows):
-            read = sorted({i for _, lanes, _ in self._rungs for i in lanes})
-            self._read = [(i, windows[i]) for i in read]
+            self._read = [(i, windows[i]) for i in sorted(self.read_lanes)]
         # the rounding slack: a walk sums at most `widest` bins of every lane
         # into one prediction, and each operation on a term adds a relative
         # error of at most 2**-53

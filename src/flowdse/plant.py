@@ -95,9 +95,9 @@ import heapq
 import math
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 from flowdse.controller import ProductionController
@@ -486,6 +486,9 @@ class PlantSimulation:
         lanes = list(self.lane_runtimes.values())
         n_lanes = len(lanes)
         windows = [controller.windows[lane.lane] for lane in lanes]
+        # per lane, whether some rung reads its window (`read_lanes`)
+        names = list(controller.windows)
+        reads = [names.index(lane.lane) in controller.read_lanes for lane in lanes]
         # what `weigh` and `assign` read per lane, in one tuple: the lane's
         # lists by position in the lane, the window group (weigh times, the
         # window's own list, and weight bins) and the assign group (assign
@@ -514,7 +517,7 @@ class PlantSimulation:
             nonlocal weighs
             window_size = controller.config.window_size
             watched = controller.watched
-            for flow, skew in zip(flows, skews):
+            for flow, skew, read in zip(flows, skews, reads):
                 lane, _, window, lane_weighs, lane_bins, _, lane_weights, lane_ids = flow
                 # in window-group indices: times are sorted, and equal times
                 # run in id order
@@ -523,7 +526,10 @@ class PlantSimulation:
                 while end < n and lane_weighs[end] == e and lane_ids[end - skew] <= a1:
                     end += 1
                 if end > start:
-                    window.slide(lane_bins, end, window_size, watched)
+                    if read:
+                        window.slide(lane_bins, end, window_size, watched)
+                    else:  # a window no rung reads holds nothing: only the cursor moves
+                        window.lo = window.hi = end
                     if trace is not None:
                         module = lane.weigh_module
                         trace.extend(
@@ -557,71 +563,89 @@ class PlantSimulation:
                     continue
                 lane_id = lane.lane
                 strategy = strategies.get(lane_id)
-                lookup = strategy.get if strategy else {}.get
-                for s, weight, b, weighed, fid in zip(
-                    lane_assigns[start:end], lane_weights[start:end],
-                    lane_bins[start + skew:end + skew], lane_weighs[start + skew:end + skew],
-                    lane_ids[start:end],
-                ):
-                    assignment = lookup(b, default)
-                    tag = assignment.destination
-                    route = lane_routes.get(tag)
-                    if route is None:
-                        raise RoutingFault(
-                            f"lane {lane_id} was assigned unreachable destination {tag!r}"
-                        )
-                    cut = assignment.trim_g
-                    absorb_at = s + route.destination_offset_s
-                    trim_at = inf
-                    if cut is None:
-                        final = weight
-                    else:
-                        if route.trim_offset_s is None:
+                if not strategy and trace is None:
+                    # every fillet takes the default route, in one block: the
+                    # build checked that route, and the absorb times are sorted
+                    tag = default.destination
+                    offset = lane_routes[tag].destination_offset_s
+                    due = lane_assigns[start:end]
+                    absorb_times = [s + offset for s in due]
+                    k = bisect_right(absorb_times, horizon)
+                    cut = start + k  # the fillets before it are absorbed by the horizon
+                    if k:
+                        absorbs.extend(zip(
+                            absorb_times, due, lane_weighs[start + skew:cut + skew],
+                            lane_ids[start:cut], repeat(tag), lane_weights[start:cut],
+                        ))
+                        counts[tag] = counts.get(tag, 0) + k
+                        recipe_counts[default.recipe_index] += k
+                    live.extend(zip(lane_ids[cut:end], lane_weights[cut:end]))
+                else:
+                    lookup = strategy.get if strategy else {}.get
+                    for s, weight, b, weighed, fid in zip(
+                        lane_assigns[start:end], lane_weights[start:end],
+                        lane_bins[start + skew:end + skew], lane_weighs[start + skew:end + skew],
+                        lane_ids[start:end],
+                    ):
+                        assignment = lookup(b, default)
+                        tag = assignment.destination
+                        route = lane_routes.get(tag)
+                        if route is None:
                             raise RoutingFault(
-                                f"trim instruction on lane {lane_id} but no trimmer on the "
-                                f"route to {tag!r}"
+                                f"lane {lane_id} was assigned unreachable destination {tag!r}"
                             )
-                        trim_at = s + route.trim_offset_s
-                        final = weight - cut
-                        if trim_at <= horizon:
-                            if cut >= weight:
+                        cut = assignment.trim_g
+                        absorb_at = s + route.destination_offset_s
+                        trim_at = inf
+                        if cut is None:
+                            final = weight
+                        else:
+                            if route.trim_offset_s is None:
                                 raise RoutingFault(
-                                    f"trim instruction {cut} g >= fillet weight {weight} g"
+                                    f"trim instruction on lane {lane_id} but no trimmer on the "
+                                    f"route to {tag!r}"
                                 )
-                            trims.append((trim_at, s, weighed, fid, cut))
-                    if absorb_at <= horizon:
-                        absorbs.append((absorb_at, s, weighed, fid, tag, final))
-                        counts[tag] = counts.get(tag, 0) + 1
-                        index = assignment.recipe_index
-                        recipe_counts[index] += 1
-                        band = bands[index]
-                        if band is not None:
-                            trimmed = cut or 0.0
-                            if not band[0] <= final <= band[1] or trimmed > band[2]:
-                                t.band_violations += 1
-                    else:
-                        live.append((fid, final if trim_at <= horizon else weight))
-                    if trace is not None:
-                        shown = round(weight, 6)
-                        trace.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
-                        # a fillet cut at the trimmer gets a trim row there instead of an enter row
-                        cut_at = route.trimmer_id if cut is not None else None
-                        trace.extend(
-                            (round(s + offset, 9), module_id, fid, shown, "enter")
-                            for module_id, offset in route.hops
-                            if module_id != cut_at
-                        )
-                        # the final sort by (time, id) is stable: these stay after
-                        # the rows above, trim before absorb, as the calendar ran them
-                        if trim_at <= horizon:
-                            trace.append(
-                                (round(trim_at, 9), route.trimmer_id, fid, round(final, 6), "trim")
-                            )
+                            trim_at = s + route.trim_offset_s
+                            final = weight - cut
+                            if trim_at <= horizon:
+                                if cut >= weight:
+                                    raise RoutingFault(
+                                        f"trim instruction {cut} g >= fillet weight {weight} g"
+                                    )
+                                trims.append((trim_at, s, weighed, fid, cut))
                         if absorb_at <= horizon:
-                            trace.append(
-                                (round(absorb_at, 9), route.destination_id, fid,
-                                 round(final, 6), "absorb")
+                            absorbs.append((absorb_at, s, weighed, fid, tag, final))
+                            counts[tag] = counts.get(tag, 0) + 1
+                            index = assignment.recipe_index
+                            recipe_counts[index] += 1
+                            band = bands[index]
+                            if band is not None:
+                                trimmed = cut or 0.0
+                                if not band[0] <= final <= band[1] or trimmed > band[2]:
+                                    t.band_violations += 1
+                        else:
+                            live.append((fid, final if trim_at <= horizon else weight))
+                        if trace is not None:
+                            shown = round(weight, 6)
+                            trace.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
+                            # a fillet cut at the trimmer gets a trim row there instead
+                            # of an enter row
+                            cut_at = route.trimmer_id if cut is not None else None
+                            trace.extend(
+                                (round(s + offset, 9), module_id, fid, shown, "enter")
+                                for module_id, offset in route.hops
+                                if module_id != cut_at
                             )
+                            # the final sort by (time, id) is stable: these stay after
+                            # the rows above, trim before absorb, as the calendar ran them
+                            if trim_at <= horizon:
+                                trace.append((round(trim_at, 9), route.trimmer_id, fid,
+                                              round(final, 6), "trim"))
+                            if absorb_at <= horizon:
+                                trace.append(
+                                    (round(absorb_at, 9), route.destination_id, fid,
+                                     round(final, 6), "absorb")
+                                )
                 assigns += end - start
                 # drop what no cursor reads again: the assign group up to the
                 # assign cursor, the window group up to the window's start or

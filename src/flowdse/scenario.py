@@ -247,6 +247,8 @@ def _parse_weights(raw: dict, base_dir: Path, where: str):
             raise ScenarioError(f"{where}.weights.file: missing")
         name = raw["file"]
         _string(name, f"{where}.weights.file")
+        if "\0" in name:  # no file can be named so: opening it raises ValueError
+            raise ScenarioError(f"{where}.weights.file: holds a NUL byte, {name!r}")
         path = Path(name)
         if not path.is_absolute():
             path = base_dir / path
@@ -289,6 +291,8 @@ def parse_scenario(raw: dict, base_dir: Path, fallback_id: str = "scenario") -> 
     _object(raw, fallback_id)
     scenario_id = raw.get("id", fallback_id)
     _string(scenario_id, f"{fallback_id}.id")
+    if "\0" in scenario_id:  # it names the trace file of `flowdse simulate --trace`
+        raise ScenarioError(f"{fallback_id}.id: holds a NUL byte, {scenario_id!r}")
     recipes_raw = raw.get("recipes", [])
     _array(recipes_raw, f"{scenario_id}.recipes")
     if not recipes_raw:

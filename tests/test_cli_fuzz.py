@@ -69,3 +69,33 @@ def test_one_bad_field_exits_0_or_1(name):
         assert "Traceback" not in err.getvalue()
 
     one_field()
+
+
+EMPIRICAL_FILE = ("inflow", 0, "weights")
+
+
+@pytest.mark.parametrize(
+    "name, path, value, field",
+    [
+        ("validate", ("id",), "a\0b", ".id:"),
+        ("simulate", ("id",), "a\0b", ".id:"),
+        ("simulate", ("id",), "a/b", "scenario id 'a/b'"),
+        ("validate", EMPIRICAL_FILE, {"kind": "empirical", "file": "w\0.txt"}, "weights.file"),
+        ("simulate", EMPIRICAL_FILE, {"kind": "empirical", "file": "w\0.txt"}, "weights.file"),
+    ],
+)
+def test_a_name_no_file_can_take_exits_1_and_names_the_field(name, path, value, field, tmp_path):
+    (tmp_path / "space.json").write_text(json.dumps(MINI_SPACE))
+    (tmp_path / "scenario.json").write_text(json.dumps(edited(SCENARIO, path, value)))
+    argv = command(name, tmp_path) if name == "simulate" else [
+        "validate", "--space", str(tmp_path / "space.json"),
+        "--scenario", str(tmp_path / "scenario.json"),
+    ]
+    if name == "simulate":
+        argv.append("--trace")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1, err.getvalue()
+    assert field in out.getvalue() + err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -17,7 +17,9 @@ from flowdse.scenario import ScenarioError, parse_scenario
 DATA = Path(__file__).resolve().parent.parent / "src" / "flowdse" / "data"
 
 DELETE = object()
-POOL = [None, True, -1, 1.5, 2**70, 1e308, "", "x", "nan", [], {}, [1], DELETE]
+# "a\0b" and "a/b" cannot be part of a file name: the scenario id names the
+# trace file and `weights.file` names a weight file
+POOL = [None, True, -1, 1.5, 2**70, 1e308, "", "x", "nan", "a\0b", "a/b", [], {}, [1], DELETE]
 SECONDS_PER_EXAMPLE = 5
 
 

@@ -517,6 +517,24 @@ class TestLifetime:
         assert (sim.tallies.recomputes, sim.tallies.walks) == (595, 2)
         assert peaks[1] < 2 * peaks[0]
 
+    def test_memory_does_not_grow_with_the_horizon_on_a_lane_no_recipe_reads(self):
+        # only the default recipe: no rung reads the lane, so its window holds
+        # nothing and every recompute leaves its strategy empty
+        space = one_lane_space()
+        peaks = []
+        for horizon in (600.0, 6000.0):
+            scenario = make_scenario(
+                [STRIPS],
+                [LaneInflow("lane", 120.0, narrow(280.0), "poisson")],
+                horizon=horizon,
+                controller=ControllerConfig(warmup_s=60.0),
+            )
+            sim = PlantSimulation(space, only_config(space), scenario, seed=1)
+            peaks.append(run_peak(sim))
+        assert sim.controller.read_lanes == frozenset()
+        assert sim.tallies.recomputes == 595
+        assert peaks[1] < 2 * peaks[0]
+
     def test_memory_does_not_grow_with_the_horizon_on_a_memo_hit(self, monkeypatch):
         monkeypatch.setattr(plant_module, "CALENDARS", {})
         first, hit, arrivals = [], [], []
@@ -757,6 +775,9 @@ class TestSweepMatchesCalendar:
         # repr: every float to the bit, dicts in insertion order
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
+        # untraced, empty strategies assign in one block per lane
+        untraced = run_sweep(PlantSimulation(space, config, scenario, seed), drain_every, chunk)
+        assert repr(untraced) == repr(expected)
 
     @pytest.mark.parametrize("drain_every", [7, 1024])
     def test_assigns_deferred_over_kept_strategies(self, drain_every):
@@ -795,7 +816,9 @@ class TestSweepMatchesCalendar:
 
 class TestWindowsMatchCalendar:
     """The sweep's windows, views into its lane lists, against the calendar's
-    reference windows (`tests/des_oracle.py`) as each recompute reads them."""
+    reference windows (`tests/des_oracle.py`) as each recompute reads them.
+    Only the lanes some rung reads (`read_lanes`) keep their windows in the
+    sweep; on the others every strategy stays empty, in both plants."""
 
     @settings(max_examples=300, deadline=None)
     @given(sweep_cells())
@@ -812,10 +835,12 @@ class TestWindowsMatchCalendar:
 
             def recorded(time_s, controller=controller, recompute=controller.recompute,
                          windows=windows):
-                windows.append(
-                    [(lane, dict(w.counts), w.span_s()) for lane, w in controller.windows.items()]
-                )
+                lanes = list(controller.windows.items())
+                read = [lanes[i] for i in sorted(controller.read_lanes)]
+                windows.append([(lane, dict(w.counts), w.span_s()) for lane, w in read])
                 recompute(time_s)
+                unread = {lane for lane, _ in lanes} - {lane for lane, _ in read}
+                assert not any(controller.strategies.get(lane) for lane in unread)
 
             controller.recompute = recorded
         calendar.run()
