@@ -14,7 +14,9 @@ ladder shared by every controller of a scenario (`recipe_ladder`): per
 recipe, in priority order, its direct bins, its trim bins with their trim
 amounts, and the `BinAssignment` objects that strategies hand out. Each
 controller adds the design's half once, at construction: per recipe, the
-lanes that reach its destination and those of them that can trim. A
+lanes that reach its destination and those of them that can trim. Their
+union is `read_lanes`, the lanes whose windows a walk reads; every other
+lane's strategy stays empty, and the plant's window on it holds nothing. A
 recompute then builds only what the live windows decide: one rate divisor
 per lane and the fresh strategy dicts, filled by a walk up the ladder that
 reads each window's bin counts directly.

@@ -38,24 +38,38 @@ arrival times come from the cell's own stream.
 
 The replay (`run`). Each lane keeps its fillets in lists indexed by position
 in the lane, in two groups: the window group, weigh times and weight bins,
-which the controller's window on the lane reads (`WindowView`); and the
-assign group, assign times, weights and fillet ids. At the start of each run
-the replay appends each lane's arrivals in the run to its lists, computing
-their weigh and assign times and drawing their weights and bins (a lane's
-weight stream feeds only that lane, in arrival order, so drawing ahead draws
-the same values), adds their weights to the injected mass in calendar order
-and writes their `arrive` trace rows. Then at each stop it weighs the fillets
-due (`weigh`), and at a recompute stop recomputes the strategies, which reads
-the windows. It assigns the fillets due and adds the masses due (`assign`,
-`flush`) only at a recompute that replaces the strategies, at each
-DRAIN_EVERY stop, which bounds the lists, and at the end. The offsets are
-constants, so a lane weighs, and assigns, in arrival order: the window's end
-and an assign cursor mark how far each has got. Each fillet's bin is computed
-once; the weigh moves the window over it (`WindowView.slide`, which also
-tallies what the controller's certificate reads) and the assign looks it up
-in the lane's strategy, inline. The assign group is dropped up to the assign
-cursor, and the window group up to the window's start or the assign cursor,
-whichever comes first, each once the part to drop holds DRAIN_EVERY fillets.
+which the controller's window on the lane reads (`WindowView`) where a rung
+reads the lane (below); and the assign group, assign times, weights and
+fillet ids. At the start of each run the replay appends each lane's arrivals
+in the run to its lists, computing their weigh and assign times and drawing
+their weights and bins (a lane's weight stream feeds only that lane, in
+arrival order, so drawing ahead draws the same values), adds their weights to
+the injected mass in calendar order and writes their `arrive` trace rows.
+Then at each stop it weighs the fillets due (`weigh`), and at a recompute
+stop recomputes the strategies, which reads the windows. It assigns the
+fillets due and adds the masses due (`assign`, `flush`) only at a recompute
+that replaces the strategies, at each DRAIN_EVERY stop, which bounds the
+lists, and at the end. The offsets are constants, so a lane weighs, and
+assigns, in arrival order: the window's end and an assign cursor mark how far
+each has got. Each fillet's bin is computed once; the weigh moves the window
+over it (`WindowView.slide`, which also tallies what the controller's
+certificate reads) and the assign looks it up in the lane's strategy, inline.
+The assign group is dropped up to the assign cursor, and the window group up
+to the window's start or the assign cursor, whichever comes first, each once
+the part to drop holds DRAIN_EVERY fillets.
+
+Where no bin can be claimed, the sweep skips the control work. On a lane that
+no rung reads (`ProductionController.read_lanes`: it reaches no non-default
+recipe's destination) the weigh moves only the cursor, and the window holds
+nothing; no walk reads that window, so it reaches neither a strategy nor a
+certificate, and the lane's strategy stays empty. An untraced assign pass
+under an empty strategy (on such a lane, on every lane before the first walk,
+and on a lane a walk left empty) sends every fillet due to the default route
+in one block, since every bin looks up the default there: the absorb times
+are the assign times plus one offset, so they stay sorted and the horizon
+cuts them with one bisection. The build checked that route, so the block
+raises no RoutingFault. It adds the same absorb tuples and counts as the
+per-fillet loop, which traced cells keep for their rows.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
@@ -79,7 +93,7 @@ timed before it, sorted by (time, assign time, weigh time, fillet id). One
 added later is timed at or after its assignment, so at or after `now`, and a
 skipped flush merges into the next without changing the order of the sum.
 
-Working memory in `run` is bounded by each lane's window (two lists), its
+Working memory in `run` is bounded by each read lane's window (two lists), its
 fillets in flight, those due since the last assign pass (fewer than
 DRAIN_EVERY arrivals), DRAIN_EVERY passed ones and a run (fewer than CHUNK a
 lane + DRAIN_EVERY arrivals); a first cell that records its calendar adds the
@@ -486,9 +500,9 @@ class PlantSimulation:
         lanes = list(self.lane_runtimes.values())
         n_lanes = len(lanes)
         windows = [controller.windows[lane.lane] for lane in lanes]
-        # per lane, whether some rung reads its window (`read_lanes`)
-        names = list(controller.windows)
-        reads = [names.index(lane.lane) in controller.read_lanes for lane in lanes]
+        # per lane, whether some rung reads its window (`read_lanes`, whose
+        # positions follow the compiled design's lane order, as `lanes` does)
+        reads = [i in controller.read_lanes for i in range(n_lanes)]
         # what `weigh` and `assign` read per lane, in one tuple: the lane's
         # lists by position in the lane, the window group (weigh times, the
         # window's own list, and weight bins) and the assign group (assign
@@ -571,15 +585,15 @@ class PlantSimulation:
                     due = lane_assigns[start:end]
                     absorb_times = [s + offset for s in due]
                     k = bisect_right(absorb_times, horizon)
-                    cut = start + k  # the fillets before it are absorbed by the horizon
+                    stop = start + k  # the fillets before it are absorbed by the horizon
                     if k:
                         absorbs.extend(zip(
-                            absorb_times, due, lane_weighs[start + skew:cut + skew],
-                            lane_ids[start:cut], repeat(tag), lane_weights[start:cut],
+                            absorb_times, due, lane_weighs[start + skew:stop + skew],
+                            lane_ids[start:stop], repeat(tag), lane_weights[start:stop],
                         ))
                         counts[tag] = counts.get(tag, 0) + k
                         recipe_counts[default.recipe_index] += k
-                    live.extend(zip(lane_ids[cut:end], lane_weights[cut:end]))
+                    live.extend(zip(lane_ids[stop:end], lane_weights[stop:end]))
                 else:
                     lookup = strategy.get if strategy else {}.get
                     for s, weight, b, weighed, fid in zip(
