@@ -11,9 +11,11 @@ go to their own file under --logs, so an exception that made a run count a
 failed operation can be read afterwards. The script prints one line per run
 (its metrics and its `failed` count), then per metric each side's median and
 quartiles, their ratio, in how many pairs the change was better (ties count
-for neither side) and whether the change's median is worse than the parent's
-by more than the metric's `bound`, a fraction of the parent's median; then each
-side's failed operations out of those attempted. One summary per workload is
+for neither side), whether the change's median is worse than the parent's
+by more than the metric's `bound`, a fraction of the parent's median, and
+whether the pairs show a gain: the change better in at least 9 of every 10
+pairs, and its median better than the parent's by more than the parent's
+quartile spread; then each side's failed operations out of those attempted. One summary per workload is
 printed once every workload has run. Metric names, units, directions and
 bounds come from the change's BENCHMARK.json. Each
 workload's results are also written to --logs as <workload>-pairs.json, with
@@ -136,6 +138,12 @@ def summarise(
         worse, bound = worse_by(m, pm, cm), m["bound"]
         print(f"    {'PAST' if worse > bound else 'within'} its bound: the change's median is "
               f"{worse:+.2%} worse than the parent's (bound {bound:.0%})")
+        # a gain is shown by 9 wins in 10 pairs and medians apart by more than
+        # the parent's quartile spread, in the better direction
+        gain = (pm - cm) if lower else (cm - pm)
+        shown = 10 * wins >= 9 * len(pairs) and gain > pq3 - pq1
+        print(f"    gain {'shown' if shown else 'not shown'}: change better in {wins}/{len(pairs)} "
+              f"(needs 9/10), median better by {gain:.6g} (needs more than {pq3 - pq1:.6g})")
     shares = []
     for side in SIDES:
         failed = sum(p[side]["failed"] for p in pairs)

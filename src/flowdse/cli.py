@@ -42,8 +42,20 @@ INPUT_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that exits 1 on a bad command line, as on any other bad input:
+    exit code 2 is kept for runtime failures. Subparsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _seed(text: str) -> int:
-    value = int(text, 0)
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
@@ -62,7 +74,7 @@ def _threshold(text: str) -> tuple[str, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowdse",
         description="Design-space exploration for modular flow-production lines.",
     )

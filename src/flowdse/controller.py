@@ -282,7 +282,9 @@ class ProductionController:
         """Bring every lane's strategy up to date at the plant's instant
         `time_s`: keep the current `strategies` object when the last walk's
         certificate proves that a walk would build the same strategies (module
-        doc), else walk the ladder again (`compute_strategies`)."""
+        doc), else walk the ladder again (`compute_strategies`). A walk that
+        rebuilds the strategies in force keeps the object too, so `strategies`
+        is replaced only when its content changes."""
         self.recomputes += 1
         certificate = self._certificate
         if certificate is not None:
@@ -313,7 +315,9 @@ class ProductionController:
             self._certify()
         # a replaced `compute_strategies` leaves no certificate behind
         self._walked = None
-        self.strategies = self.compute_strategies()
+        strategies = self.compute_strategies()
+        if strategies != self.strategies:
+            self.strategies = strategies
         self.walks += 1
         self._certificate = certificate = self._walked
         if certificate is not None:

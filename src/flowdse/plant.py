@@ -126,7 +126,7 @@ from flowdse.scenario import Scenario
 
 # a sweep weighs and assigns what it can at least this often, in arrivals, so
 # fillets do not pile up when recomputes are rare or absent
-DRAIN_EVERY = 1024
+DRAIN_EVERY = 512
 # a lane's arrival times are drawn this many at a time, and the replay takes
 # arrivals in at least this many at a time
 CHUNK = 256

@@ -822,3 +822,16 @@ class TestCertificate:
             ctrl.recompute(0.0)
         assert list(ctrl.strategies["a"]) == [10]
         assert (ctrl.recomputes, ctrl.walks) == (5, 5)
+
+    def test_walk_that_rebuilds_the_strategy_keeps_the_object(self):
+        # over the reference windows every recompute walks; with the windows
+        # unchanged each walk rebuilds the strategy in force, which stays
+        lane = [(0.0, 105.0), (0.0, 115.0), (30.0, 105.0)]
+        ctrl = make_controller({"a": lane}, [recipe("d0", 1, 3, 100, 200, 0), DEFAULT])
+        seen = []
+        for _ in range(5):
+            ctrl.recompute(0.0)
+            seen.append(ctrl.strategies)
+        assert (ctrl.recomputes, ctrl.walks) == (5, 5)
+        assert all(strategies is seen[0] for strategies in seen)
+        assert list(seen[0]["a"]) == [10]

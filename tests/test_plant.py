@@ -469,9 +469,13 @@ class TestLifetime:
         finally:
             gc.enable()
 
-    def test_memory_does_not_grow_with_the_horizon(self):
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
         # warm-up past the horizon: no recompute ever runs, so only the
-        # DRAIN_EVERY stops assign
+        # DRAIN_EVERY stops assign. No cell stores its calendar, so each peak
+        # is the sweep's own over a streamed calendar, whatever ran before;
+        # the memo's cost has its own test (`..._on_a_memo_hit`)
+        monkeypatch.setattr(plant_module, "CALENDARS", {})
+        monkeypatch.setattr(plant_module, "CALENDAR_MEMO_ARRIVALS", 0)
         space = one_lane_space()
         peaks = []
         for horizon in (600.0, 6000.0):
@@ -782,12 +786,15 @@ class TestSweepMatchesCalendar:
     @pytest.mark.parametrize("drain_every", [7, 1024])
     def test_assigns_deferred_over_kept_strategies(self, drain_every):
         # Two lanes at 60 fillets/min, every latency 1 s and a recompute a
-        # second: each assign lands on a recompute instant. Windows of 200 keep
-        # the strategy for dozens of recomputes at a time, and each walk
-        # replaces it, so the sweep assigns the fillets due meanwhile under the
-        # strategy it kept, at the walk's recompute or every 7 arrivals.
+        # second: each assign lands on a recompute instant. Bin 15 pools about
+        # 40 fillets/min, the target, so the walk claims bin 15 alone or bins
+        # 15 and 17 as the windows of 200 drift across it. Most walks rebuild
+        # the strategy in force and keep it, for dozens of recomputes at a
+        # time; each change replaces it, so the sweep assigns the fillets due
+        # meanwhile under the strategy it kept, at that recompute or every 7
+        # arrivals.
         space = parallel_lanes_space([([1.0] * 5, True)] * 2)
-        band = dataclasses.replace(BAND, target_per_min=25.0)
+        band = dataclasses.replace(BAND, target_per_min=40.0)
         weights = EmpiricalWeights("inline", (155.0, 175.0, 240.0))
         inflow = [LaneInflow(f"lane{i}", 60.0, weights) for i in range(2)]
         controller = ControllerConfig(
@@ -797,18 +804,19 @@ class TestSweepMatchesCalendar:
         calendar = CalendarPlant(space, only_config(space), scenario, 1, trace=True)
         expected = calendar.run()
         sweep = PlantSimulation(space, only_config(space), scenario, 1, trace=True)
-        recompute, kept = sweep.controller.recompute, []
+        recompute, kept, changed = sweep.controller.recompute, [], []
 
         def watched_recompute(time_s):
             strategies = sweep.controller.strategies
             recompute(time_s)
             kept.append(sweep.controller.strategies is strategies)
+            changed.append(sweep.controller.strategies != strategies)
 
         sweep.controller.recompute = watched_recompute
         got = run_sweep(sweep, drain_every, plant_module.CHUNK)
         runs = "".join("k" if k else "w" for k in kept).split("w")
         assert len(kept) == 296 and max(map(len, runs[:-1])) >= 30
-        assert got.walks == kept.count(False) <= 40
+        assert kept.count(False) == changed.count(True) <= 40 < got.walks
         assert {row[0] % 1.0 for row in sweep.trace_rows if row[4] == "assign"} == {0.0}
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
@@ -862,11 +870,17 @@ class TestCertificateInThePlant:
         recompute = controller.recompute
 
         def checked_recompute(time_s):
+            before = controller.strategies
             recompute(time_s)
             walked = controller.compute_strategies()
             assert [(lane, list(s.items())) for lane, s in controller.strategies.items()] == [
                 (lane, list(s.items())) for lane, s in walked.items()
             ]
+            # the object is replaced exactly when its content changes
+            assert (controller.strategies is before) == (
+                [(lane, list(s.items())) for lane, s in controller.strategies.items()]
+                == [(lane, list(s.items())) for lane, s in before.items()]
+            )
 
         controller.recompute = checked_recompute
         tallies = run_sweep(sim, drain_every, chunk)
@@ -1039,7 +1053,7 @@ class TestArrivalCalendar:
         )
         lanes = list(PlantSimulation(space, only_config(space), scenario, 1).lane_runtimes.values())
         for cap, stored in ((10 * 3600, 0), (75604, 0), (75605, 1)):
-            with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, cap):
+            with calendar_settings(1024, plant_module.CHUNK, cap):
                 stops, _, arrivals = calendar_facts(plant_module.arrival_calendar(lanes, scenario))
                 assert (len(arrivals), len(stops)) == (3600, 72005)
                 assert len(plant_module.CALENDARS) == stored

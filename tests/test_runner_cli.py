@@ -1088,12 +1088,32 @@ class TestCli:
         assert "inflow[0].weights: bounds [600.0, 650.0]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("bad", ["-1", "18446744073709551616", "1.5"])
+    @pytest.mark.parametrize("bad", ["-1", "18446744073709551616", "1.5", "abc"])
     def test_seed_must_be_a_64_bit_integer(self, bad, capsys):
-        with pytest.raises(SystemExit):
+        # a bad flag value is an input error: exit 1, as the CLI doc says
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "--space", "x", "--design", "0", "--scenario", "y",
                   "--seed", bad])
-        capsys.readouterr()
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "seed must" in err
+        assert "_seed" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--space", "x", "--scenario", "y", "--out", "z", "--jobs", "two"],
+        ["bogus"],
+    ])
+    def test_bad_command_line_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert "usage: flowdse" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--help"])
+        assert exit_info.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_hex_seed_accepted(self, mini, capsys):
         code = main(
@@ -1110,10 +1130,11 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", ["noequals", "=0.5", "s1=high"])
     def test_threshold_syntax_is_checked(self, bad, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["explore", "--space", "x", "--scenario", "y", "--out", "z",
                   "--min-attainment", bad])
-        capsys.readouterr()
+        assert exit_info.value.code == 1
+        assert "--min-attainment" in capsys.readouterr().err
 
     # a NaN ratio would be "met" by every KPI
     @pytest.mark.parametrize("ratio", ["nan", "-0.5"])
