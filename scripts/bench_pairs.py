@@ -15,10 +15,10 @@ for neither side), whether the change's median is worse than the parent's
 by more than the metric's `bound`, a fraction of the parent's median, and
 whether the pairs show a gain: the change better in at least 9 of every 10
 pairs, and its median better than the parent's by more than the parent's
-quartile spread; then each side's failed operations out of those attempted. One summary per workload is
-printed once every workload has run. Metric names, units, directions and
-bounds come from the change's BENCHMARK.json. Each
-workload's results are also written to --logs as <workload>-pairs.json, with
+quartile spread; then each side's failed operations out of those attempted.
+One summary per workload is printed once every workload has run. Metric
+names, units, directions and bounds come from the change's BENCHMARK.json.
+Each workload's results are also written to --logs as <workload>-pairs.json, with
 each checkout's `git rev-parse HEAD` and whether it had uncommitted changes,
 as read before the first run; the summary prints them too. The file is
 rewritten after every pair, so a run that fails (the script then stops)

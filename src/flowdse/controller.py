@@ -52,6 +52,13 @@ every recompute walks. A controller's first walk leaves no certificate
 either: a plant that recomputes once would never read it. Nor do the windows
 watch any bin for flips before the second walk, which resets the tallies
 (`ProductionController.watched`).
+
+A walk's own result certifies the strategies once more: a walk that rebuilds
+the strategies in force keeps the current object, so `strategies` is
+replaced only when its content changes, and the plant, which assigns at each
+replacement, assigns no sooner than a change needs. Every value is a
+`BinAssignment` the ladder hands out, so comparing the dicts mostly compares
+identities.
 """
 
 from __future__ import annotations

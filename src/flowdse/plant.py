@@ -48,15 +48,16 @@ the injected mass in calendar order and writes their `arrive` trace rows.
 Then at each stop it weighs the fillets due (`weigh`), and at a recompute
 stop recomputes the strategies, which reads the windows. It assigns the
 fillets due and adds the masses due (`assign`, `flush`) only at a recompute
-that replaces the strategies, at each DRAIN_EVERY stop, which bounds the
-lists, and at the end. The offsets are constants, so a lane weighs, and
-assigns, in arrival order: the window's end and an assign cursor mark how far
-each has got. Each fillet's bin is computed once; the weigh moves the window
-over it (`WindowView.slide`, which also tallies what the controller's
-certificate reads) and the assign looks it up in the lane's strategy, inline.
-The assign group is dropped up to the assign cursor, and the window group up
-to the window's start or the assign cursor, whichever comes first, each once
-the part to drop holds DRAIN_EVERY fillets.
+that replaces the strategies, which a recompute does only when their content
+changes, at each DRAIN_EVERY stop, which bounds the lists, and at the end.
+The offsets are constants, so a lane weighs, and assigns, in arrival order:
+the window's end and an assign cursor mark how far each has got. Each
+fillet's bin is computed once; the weigh moves the window over it
+(`WindowView.slide`, which also tallies what the controller's certificate
+reads) and the assign looks it up in the lane's strategy, inline. The assign
+group is dropped up to the assign cursor, and the window group up to the
+window's start or the assign cursor, whichever comes first, each once the
+part to drop holds DRAIN_EVERY fillets.
 
 Where no bin can be claimed, the sweep skips the control work. On a lane that
 no rung reads (`ProductionController.read_lanes`: it reaches no non-default
@@ -84,9 +85,11 @@ Skipping the assign pass at a recompute that keeps the strategies object is
 exact: a fillet's fate depends only on its weight and on the strategy in
 force at its assignment, which a kept recompute leaves in force, and the tie
 rules make the cutoff only grow, so the next pass takes what a skipped one
-would have. At a recompute that replaces the strategies, that pass runs
-under the object the skipped stops kept, which the walk left as it was. The
-integer tallies (counts, recipe counts, band violations) are taken at
+would have. A recompute keeps the object both when its certificate holds and
+when its walk rebuilds the strategies in force (`controller` module doc): the
+content in force is the same either way. At a recompute that replaces the
+strategies, that pass runs under the object the skipped stops kept, which the
+walk left as it was. The integer tallies (counts, recipe counts, band violations) are taken at
 assignment, for fillets absorbed by the horizon. The masses are summed in
 calendar order: a flush at time `now` applies the trims and absorptions
 timed before it, sorted by (time, assign time, weigh time, fillet id). One
@@ -96,7 +99,10 @@ skipped flush merges into the next without changing the order of the sum.
 Working memory in `run` is bounded by each read lane's window (two lists), its
 fillets in flight, those due since the last assign pass (fewer than
 DRAIN_EVERY arrivals), DRAIN_EVERY passed ones and a run (fewer than CHUNK a
-lane + DRAIN_EVERY arrivals); a first cell that records its calendar adds the
+lane + DRAIN_EVERY arrivals). Passes run only at strategy changes, which can
+be hundreds of recomputes apart, so the DRAIN_EVERY stops alone bound the
+largest pass and the absorb and trim tuples it holds until its flush, the
+peak of a long cell; a first cell that records its calendar adds the
 record, 17 bytes an arrival and 17 a stop, to the memo. Trace mode writes
 each fillet's rows at its arrival, weigh and assignment, including an `enter`
 row per hop, so the fused conveyor hops stay observable; the final stable
@@ -125,7 +131,8 @@ from flowdse.kernel import derive_seed, left_sum
 from flowdse.scenario import Scenario
 
 # a sweep weighs and assigns what it can at least this often, in arrivals, so
-# fillets do not pile up when recomputes are rare or absent
+# fillets do not pile up when recomputes are rare or absent or keep the
+# strategy; this alone bounds the largest assign pass and its transient tuples
 DRAIN_EVERY = 512
 # a lane's arrival times are drawn this many at a time, and the replay takes
 # arrivals in at least this many at a time
