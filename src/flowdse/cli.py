@@ -6,7 +6,8 @@ batch and writes results.csv, pareto.json, plot.csv plus a resumable journal;
 per-fillet trace; `validate` statically checks input files and prints the
 configuration counts.
 
-Exit codes: 0 success, 1 invalid inputs, 2 runtime failure.
+Exit codes: 0 success, 1 invalid inputs, 2 runtime failure, 130 interrupted
+(Ctrl-C); an interrupted `explore` resumes when run again.
 """
 
 from __future__ import annotations
@@ -220,6 +221,10 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        resume = "; the journal keeps the finished cells, and the same command resumes"
+        print(f"interrupted{resume if args.command == 'explore' else ''}", file=sys.stderr)
+        return 130
     except Exception as err:  # simulation bugs must abort loudly, not pass silently
         traceback.print_exc()
         print(f"runtime failure: {err}", file=sys.stderr)

@@ -26,11 +26,12 @@ each walk also leaves a certificate, and a recompute keeps the current
 strategies while it holds (the idea of kinetic data structures: Basch,
 Guibas & Hershberger, "Data structures for mobile data", J. Algorithms
 31(1), 1999). The certificate holds, per lane that some rung reads, the
-walk's divisor, and per rung the prediction at its last passing
-`predicted < target` test and at its failing one. The windows tally, since
-the last walk, the samples they gained and evicted and the presence flips (a
+walk's divisor and the window's tallies as they stood at the walk, and per
+rung the prediction at its last passing `predicted < target` test and at its
+failing one. The windows keep the tallies as running totals, which only the
+plant writes: the samples they gained and evicted and the presence flips (a
 bin count going 0 -> 1 or 1 -> 0) among the bins the ladder reads
-(`RecipeLadder.watched`).
+(`RecipeLadder.watched`). A recompute reads how far they moved since the walk.
 
 Why keeping is exact. With no presence flip on a read lane, each rung visits
 the same (lane, bin) terms in the same order and claims the same bins,
@@ -49,9 +50,7 @@ each widened by a rounding slack that grows with the number of terms the
 rung may sum. Otherwise, or after a flip, it walks again. Only windows that
 keep the tallies (`plant.WindowView`) certify a walk; over any other window
 every recompute walks. A controller's first walk leaves no certificate
-either: a plant that recomputes once would never read it. Nor do the windows
-watch any bin for flips before the second walk, which resets the tallies
-(`ProductionController.watched`).
+either: a plant that recomputes once would never read it.
 
 A walk's own result certifies the strategies once more: a walk that rebuilds
 the strategies in force keeps the current object, so `strategies` is
@@ -227,16 +226,6 @@ class ProductionController:
     """Per-replication strategy builder: one strategy per lane, rebuilt from
     the lanes' windows at each recompute that its certificate cannot spare."""
 
-    # Until `_certify` runs, walks leave no certificate. Then `_read` holds the
-    # lanes a walk reads, with their positions, and `_up` and `_down` widen the
-    # certificate by its rounding slack. `_certificate` is the last walk's, as
-    # the walk left it in `_walked`: per read lane (window, divisor), and per
-    # rung (target, prediction at the last passing test and at the failing
-    # one, repeats), each widened by the slack.
-    _read: list[tuple[int, object]] | None = None
-    _up = _down = 1.0
-    _certificate = _walked = None
-
     def __init__(
         self, config: ControllerConfig, routes: RouteCatalog, recipes, windows, heaviest_g=math.inf
     ) -> None:
@@ -245,10 +234,7 @@ class ProductionController:
         self.config = config
         ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
         self.default_assignment = ladder.default_assignment
-        # the bins whose presence flips the windows tally: none until `_certify`,
-        # since the walk that leaves the first certificate resets the tallies
-        self.watched = range(0)
-        self._watched = ladder.watched
+        self.watched = ladder.watched  # the bins whose presence flips the windows tally
         self.windows = dict(zip(routes.lanes, windows, strict=True))
         # the design-dependent half of the ladder: per rung, the positions (in
         # window order) of the lanes that reach its destination, and of those
@@ -266,16 +252,10 @@ class ProductionController:
         # the positions of the lanes some rung reads: no walk reads the others'
         # windows, so their strategies stay empty
         self.read_lanes = frozenset(i for _, lanes, _ in self._rungs for i in lanes)
-        self.strategies: dict[str, dict[int, BinAssignment]] = {}
-        self.recomputes = 0
-        self.walks = 0  # recomputes that walked the ladder
-
-    def _certify(self) -> None:
-        """Have this and every later walk leave a certificate, if the windows
-        tally their changes (module doc). A plant that recomputes once never
-        reads one, so this runs before the second walk, not the first."""
+        # the read lanes with their windows, if the windows tally (module doc);
+        # else None, and no walk leaves a certificate
         windows = list(self.windows.values())
-        self.watched = self._watched
+        self._read = None
         if all(hasattr(window, "flips") for window in windows):
             self._read = [(i, windows[i]) for i in sorted(self.read_lanes)]
         # the rounding slack: a walk sums at most `widest` bins of every lane
@@ -284,6 +264,14 @@ class ProductionController:
         widest = max((len(r.direct) + len(r.trim) for r, _, _ in self._rungs), default=0)
         slack = (widest * len(windows) + 8) * 2.0**-49
         self._up, self._down = 1.0 + slack, 1.0 - slack
+        # the last walk's certificate, as the walk left it in `_walked`: per
+        # read lane (window, divisor, added, evicted, flips), and per rung
+        # (target, prediction at the last passing test and at the failing one,
+        # repeats), each widened by the slack
+        self._certificate = self._walked = None
+        self.strategies: dict[str, dict[int, BinAssignment]] = {}
+        self.recomputes = 0
+        self.walks = 0  # recomputes that walked the ladder
 
     def recompute(self, time_s: float) -> None:
         """Bring every lane's strategy up to date at the plant's instant
@@ -298,8 +286,8 @@ class ProductionController:
             lanes, bounds = certificate
             t_s = self.config.recompute_interval_s
             low, high, gained, evicted = math.inf, 0.0, 0.0, 0.0
-            for window, divisor in lanes:
-                if window.flips:
+            for window, divisor, added, out, flips in lanes:
+                if window.flips != flips:
                     break
                 d = max(window.span_s(), t_s) / 60.0
                 ratio = divisor / d
@@ -307,8 +295,8 @@ class ProductionController:
                     high = ratio
                 if ratio < low:
                     low = ratio
-                gained += window.added / d
-                evicted += window.evicted / d
+                gained += (window.added - added) / d
+                evicted += (window.evicted - out) / d
             else:
                 for target, passed, failed, repeats in bounds:
                     if not (
@@ -318,18 +306,13 @@ class ProductionController:
                         break
                 else:
                     return
-        if self.walks == 1:
-            self._certify()
         # a replaced `compute_strategies` leaves no certificate behind
         self._walked = None
         strategies = self.compute_strategies()
         if strategies != self.strategies:
             self.strategies = strategies
         self.walks += 1
-        self._certificate = certificate = self._walked
-        if certificate is not None:
-            for window, _ in certificate[0]:
-                window.added = window.evicted = window.flips = 0
+        self._certificate = self._walked
 
     def compute_strategies(self) -> dict[str, dict[int, BinAssignment]]:
         """One walk up the ladder over the live bin counts.
@@ -343,8 +326,8 @@ class ProductionController:
         predict an absurd rate. So every `predicted < target` test sees the
         same float as a sum of per-lane, per-bin rates would.
 
-        Over tallying windows the walk also leaves its certificate in
-        `_walked`, for `recompute` to keep.
+        Over tallying windows every walk but the first also leaves its
+        certificate in `_walked`, for `recompute` to keep.
         """
         t_s = self.config.recompute_interval_s
         strategies: dict[str, dict[int, BinAssignment]] = {}
@@ -405,6 +388,7 @@ class ProductionController:
                         predicted += rate
             bounds.append((target, passed * up, failed * down, rung.repeats * up))
 
-        if self._read is not None:
-            self._walked = ([(window, states[i][2]) for i, window in self._read], bounds)
+        if self._read is not None and self.walks:
+            lanes = [(w, states[i][2], w.added, w.evicted, w.flips) for i, w in self._read]
+            self._walked = (lanes, bounds)
         return strategies

@@ -153,10 +153,10 @@ class WindowView:
     lists, its last `window_size` weighed fillets (`hi` is the weigh cursor),
     and `counts`, how many of them fall in each weight bin.
 
-    It also tallies the fillets it gained and evicted and its presence flips,
-    counts going 0 -> 1 or 1 -> 0, among the controller's watched bins. The
-    controller resets them at each walk that leaves a certificate
-    (`controller` module doc)."""
+    It also keeps running totals, written only by `slide`, of the fillets it
+    gained and evicted and of its presence flips (counts going 0 -> 1 or
+    1 -> 0) among the controller's watched bins; a controller's certificate
+    reads how far they moved since its walk (`controller` module doc)."""
 
     weigh_times: list
     lo: int = 0

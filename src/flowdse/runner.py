@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -133,6 +134,13 @@ def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) 
     _WORKER["space"] = load_design_space(space_path)
     _WORKER["scenarios"] = [load_scenario(p) for p in scenario_paths]
     _WORKER["clamp"] = clamp
+
+
+def _init_pool_worker(*args) -> None:
+    """`_init_worker` in a pool process, which leaves Ctrl-C to the parent:
+    the parent stops the pool and reports, so a worker prints no traceback."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _init_worker(*args)
 
 
 def run_cell(
@@ -390,7 +398,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         else:
             pool = Pool(
                 processes=jobs,
-                initializer=_init_worker,
+                initializer=_init_pool_worker,
                 initargs=(plan.space_path, plan.scenario_paths, plan.clamp),
             )
             if plan.stop_first:

@@ -735,9 +735,10 @@ def certificate_runs(draw):
     return binw, t_s, size, reach, trims, bands, epochs, picks
 
 
-def certificate_controller(run):
-    """A controller over fresh plant windows for `run`, and those windows. Each
-    recipe's target is the prefix sum its pick names (`certificate_runs`)."""
+def certificate_controller(run, windows=None):
+    """A controller for `run` over `windows`, fresh plant windows by default,
+    and those windows. Each recipe's target is the prefix sum its pick names
+    (`certificate_runs`)."""
     binw, t_s, size, reach, trims, bands, epochs, picks = run
     lanes = [f"l{i}" for i in range(len(reach))]
     routes = RouteCatalog(
@@ -767,7 +768,7 @@ def certificate_controller(run):
     for i, (epoch, k) in enumerate(picks):
         options = sums[epoch, i]
         targets.append(options[k % len(options)])
-    windows = PlantWindows(len(lanes), size)
+    windows = windows or PlantWindows(len(lanes), size)
     controller = ProductionController(config, routes, recipes_with(targets), windows.windows)
     return controller, windows
 
@@ -797,6 +798,24 @@ class TestCertificate:
             assert in_order(controller.strategies) == in_order(controller.compute_strategies())
         assert controller.recomputes == len(epochs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_runs())
+    # bin 0 fills at epoch 4, where only the first controller recomputes: the
+    # second, whose certificate is from epoch 3, must still see the flip at 6
+    @example((0.1, 0.5, 1, [["d0"]], [False], [("d0", 1, 0.0, 1.0, 0.0)],
+              [[[]], [[]], [[]], [[]], [[(0.0, 0)]], [[]], [[]]], [(4, 1)]))
+    def test_controllers_sharing_windows_each_keep_a_walk(self, run):
+        # one window per lane serves two controllers; the second recomputes at
+        # every third epoch only, so its certificate outlives the first's walks
+        controller, windows = certificate_controller(run)
+        other, _ = certificate_controller(run, windows)
+        for epoch, batch in enumerate(run[6]):
+            windows.weigh(batch, controller.watched)
+            for ctrl in (controller, other) if epoch % 3 == 0 else (controller,):
+                ctrl.recompute(0.0)
+                assert in_order(ctrl.strategies) == in_order(ctrl.compute_strategies())
+        assert other.recomputes == (len(run[6]) + 2) // 3
+
     def test_unmoved_plant_windows_keep_the_strategy(self):
         # bin 10 alone predicts 4/min against a target of 3/min. The first walk
         # leaves no certificate, the second does, and nothing moves after it.
@@ -808,8 +827,12 @@ class TestCertificate:
             windows.windows,
         )
         windows.weigh([[(0.0, 10), (0.0, 11), (30.0, 10)]], controller.watched)
+        window = windows.windows[0]
+        tallies = (window.added, window.evicted, window.flips)
         for _ in range(5):
             controller.recompute(0.0)
+            # only the plant writes the tallies
+            assert (window.added, window.evicted, window.flips) == tallies
         assert list(controller.strategies["a"]) == [10]
         assert (controller.recomputes, controller.walks) == (5, 2)
 

@@ -4,8 +4,10 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -465,7 +467,9 @@ class PoolRecorder:
 
     def __init__(self, processes, initializer, initargs):
         PoolRecorder.made.append(processes)
+        handler = signal.getsignal(signal.SIGINT)
         initializer(*initargs)
+        signal.signal(signal.SIGINT, handler)  # a worker's Ctrl-C setting, not this process's
 
     def imap(self, func, iterable, chunksize=1):
         return map(func, iterable)
@@ -1188,3 +1192,90 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout == "2 configurations, 2 distinct, 0 violations\n"
+
+
+class TestRealInterrupt:
+    """A real `explore --jobs 2` process, killed with its workers once its
+    journal holds k lines, resumes to the outputs of an uninterrupted run."""
+
+    OUTPUTS = ("results.csv", "plot.csv", "pareto.json", "journal.jsonl")
+
+    def test_killed_batch_resumes_to_the_uninterrupted_outputs(self, tmp_path):
+        # the case-study space, deduplicated, under scenario 1 cut to 120 s
+        scenario = json.loads((DATA / "scenario1.json").read_text())
+        scenario["horizon_s"] = 120
+        scenario_path = tmp_path / "scenario1.json"
+        scenario_path.write_text(json.dumps(scenario))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+        def explore_until(out, signum=None, lines=0):
+            """Run the batch into `out`; with `signum`, send it to the process
+            group once the journal holds `lines` lines. The exit code, stdout
+            and stderr."""
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "flowdse.cli", "explore",
+                 "--space", str(DATA / "case_study_space.json"),
+                 "--scenario", str(scenario_path), "--dedup", "--jobs", "2", "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                start_new_session=True,
+                # a shell that runs the tests in the background has them ignore
+                # SIGINT, and a child would inherit that
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            )
+            journal = out / "journal.jsonl"
+            try:
+                while signum is not None and proc.poll() is None:
+                    if journal.exists() and journal.read_bytes().count(b"\n") >= lines:
+                        os.killpg(proc.pid, signum)
+                        break
+                    time.sleep(0.001)
+                stdout, stderr = proc.communicate(timeout=60)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            return proc.returncode, stdout, stderr
+
+        started = time.perf_counter()
+        reference = tmp_path / "reference"
+        assert explore_until(reference)[0] == 0
+        total = (reference / "journal.jsonl").read_bytes().count(b"\n")
+        assert total == 289  # the header and 288 cells
+        # workers hand back 16 cells at a time, so "all but one" may see all
+        cases = [(signal.SIGKILL, 1), (signal.SIGKILL, total // 2),
+                 (signal.SIGKILL, total - 1), (signal.SIGINT, total // 2)]
+        for signum, lines in cases:
+            out = tmp_path / f"{signum.name}-{lines}"
+            code, _, stderr = explore_until(out, signum, lines)
+            if signum == signal.SIGINT:
+                assert code == 130
+                assert "Traceback" not in stderr
+                assert stderr.splitlines()[-1] == (
+                    "interrupted; the journal keeps the finished cells, and the same "
+                    "command resumes"
+                )
+            # every whole line past the header is a cell the resume keeps
+            kept = max(0, (out / "journal.jsonl").read_bytes().count(b"\n") - 1)
+            code, stdout, _ = explore_until(out)
+            assert code == 0
+            summary = json.loads(stdout)
+            assert (summary["cells_resumed"], summary["cells_executed"]) == (kept, 288 - kept)
+            for name in self.OUTPUTS:
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), (
+                    signum.name, lines, name)
+        assert time.perf_counter() - started < 10
+
+    def test_serial_explore_leaves_ctrl_c_to_the_process(self, mini, tmp_path):
+        # --jobs 1 runs the cells in this process: only pool workers ignore SIGINT
+        handler = signal.getsignal(signal.SIGINT)
+        run_explore(mini, tmp_path / "out", jobs=1)
+        assert signal.getsignal(signal.SIGINT) is handler
+
+    def test_ctrl_c_outside_explore_names_no_journal(self, monkeypatch, capsys):
+        def interrupted(*_args, **_kw):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("flowdse.cli.simulate_single", interrupted)
+        assert main(["simulate", "--space", "x", "--design", "0", "--scenario", "y"]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
