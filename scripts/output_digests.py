@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of a checkout's outputs, to check that a change keeps them
+byte-identical.
+
+    python3 scripts/output_digests.py --checkout ../parent --work /tmp/a > a.json
+    python3 scripts/output_digests.py --checkout . --work /tmp/b > b.json
+    python3 scripts/output_digests.py --compare a.json b.json
+
+For each benchmark workload the script writes its seed-1 inputs with the
+checkout's `perfbench/workloads.make_inputs`, then runs `flowdse explore` on
+them with the plan's flags (seed, replications, --dedup) at --jobs 1 and at
+--jobs 2. It also runs `flowdse simulate --trace` of case-study designs 37 and
+500 under the bundled scenario1 with seed 0. It prints one JSON object that maps
+each output file to its SHA-256: `<workload>/jobs<n>/<file>` for results.csv,
+plot.csv, pareto.json and journal.jsonl, and `simulate/<trace file>` for the
+two traces. Everything it writes goes under --work.
+
+--compare reads two such files, names every file whose digest differs or
+that only one of them has, and exits 1 if there is any; else it exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("case_study", "screening", "long_run")
+JOBS = (1, 2)
+EXPLORE_FILES = ("results.csv", "plot.csv", "pareto.json", "journal.jsonl")
+TRACED_DESIGNS = (37, 500)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def flowdse(checkout: Path, *args: str) -> None:
+    """Run the checkout's `flowdse` command line; stop if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, "-m", "flowdse.cli", *args]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode}")
+
+
+def make_inputs(checkout: Path):
+    """The checkout's `perfbench/workloads.make_inputs`."""
+    path = checkout / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_inputs
+
+
+def digests(checkout: Path, work: Path) -> dict[str, str]:
+    """Each output file's SHA-256, keyed as the module doc says."""
+    got = {}
+    write_inputs = make_inputs(checkout)
+    for workload in WORKLOADS:
+        inputs = work / workload / "inputs"
+        plan = write_inputs(workload, 1, inputs)
+        flags = ["--space", str(inputs / plan["space"]), "--seed", str(plan["base_seed"]),
+                 "--replications", str(plan["replications"])]
+        flags += ["--scenario", *(str(inputs / name) for name in plan["scenarios"])]
+        if plan["dedup"]:
+            flags.append("--dedup")
+        for jobs in JOBS:
+            out = work / workload / f"jobs{jobs}"
+            flowdse(checkout, "explore", *flags, "--jobs", str(jobs), "--out", str(out))
+            for name in EXPLORE_FILES:
+                got[f"{workload}/jobs{jobs}/{name}"] = sha256(out / name)
+    data = checkout / "src" / "flowdse" / "data"
+    out = work / "simulate"
+    for design in TRACED_DESIGNS:
+        flowdse(checkout, "simulate", "--space", str(data / "case_study_space.json"),
+                "--design", str(design), "--scenario", str(data / "scenario1.json"),
+                "--seed", "0", "--trace", "--out", str(out))
+        name = f"trace_design{design}_scenario1_seed0.csv"
+        got[f"simulate/{name}"] = sha256(out / name)
+    return got
+
+
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """The files whose digests differ, or that only one side has, in order."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to run")
+    parser.add_argument("--work", type=Path, help="directory for inputs and outputs")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two digest files instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(path.read_text(encoding="utf-8")) for path in args.compare)
+        names = differing(a, b)
+        for name in names:
+            print(f"differs: {name}")
+        print(f"{len(names)} of {len(a.keys() | b.keys())} files differ")
+        return 1 if names else 0
+    if args.work is None:
+        parser.error("--work is required unless --compare is given")
+    print(json.dumps(digests(args.checkout.resolve(), args.work.resolve()), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -180,12 +179,6 @@ def _cmd_simulate(args) -> int:
         clamp=not args.no_clamp,
     )
     if trace_rows is not None:
-        scenario_id = record["scenario"]
-        if any(sep and sep in scenario_id for sep in (os.sep, os.altsep)):
-            raise ScenarioError(
-                f"scenario id {scenario_id!r} holds a path separator, so it cannot name "
-                "the trace file"
-            )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = out_dir / (

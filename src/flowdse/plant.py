@@ -43,8 +43,8 @@ reads the lane (below); and the assign group, assign times, weights and
 fillet ids. At the start of each run the replay appends each lane's arrivals
 in the run to its lists, computing their weigh and assign times and drawing
 their weights and bins (a lane's weight stream feeds only that lane, in
-arrival order, so drawing ahead draws the same values), adds their weights to
-the injected mass in calendar order and writes their `arrive` trace rows.
+arrival order, so drawing ahead draws the same values), and adds their
+weights to the injected mass in calendar order.
 Then at each stop it weighs the fillets due (`weigh`), and at a recompute
 stop recomputes the strategies, which reads the windows. It assigns the
 fillets due and adds the masses due (`assign`, `flush`) only at a recompute
@@ -63,14 +63,13 @@ Where no bin can be claimed, the sweep skips the control work. On a lane that
 no rung reads (`ProductionController.read_lanes`: it reaches no non-default
 recipe's destination) the weigh moves only the cursor, and the window holds
 nothing; no walk reads that window, so it reaches neither a strategy nor a
-certificate, and the lane's strategy stays empty. An untraced assign pass
-under an empty strategy (on such a lane, on every lane before the first walk,
-and on a lane a walk left empty) sends every fillet due to the default route
-in one block, since every bin looks up the default there: the absorb times
-are the assign times plus one offset, so they stay sorted and the horizon
-cuts them with one bisection. The build checked that route, so the block
-raises no RoutingFault. It adds the same absorb tuples and counts as the
-per-fillet loop, which traced cells keep for their rows.
+certificate, and the lane's strategy stays empty. An assign pass under an
+empty strategy (on such a lane, on every lane before the first walk, and on a
+lane a walk left empty) sends every fillet due to the default route in one
+block, since every bin looks up the default there: the absorb times are the
+assign times plus one offset, so they stay sorted and the horizon cuts them
+with one bisection. The build checked that route, so the block raises no
+RoutingFault. It adds the same absorb tuples and counts as the per-fillet loop.
 
 Before recompute j at e_j, each lane weighs, then assigns, the fillets whose
 weigh or assign comes first. At e_j itself, a weigh comes first iff its
@@ -98,15 +97,21 @@ skipped flush merges into the next without changing the order of the sum.
 
 Working memory in `run` is bounded by each read lane's window (two lists), its
 fillets in flight, those due since the last assign pass (fewer than
-DRAIN_EVERY arrivals), DRAIN_EVERY passed ones and a run (fewer than CHUNK a
-lane + DRAIN_EVERY arrivals). Passes run only at strategy changes, which can
-be hundreds of recomputes apart, so the DRAIN_EVERY stops alone bound the
-largest pass and the absorb and trim tuples it holds until its flush, the
-peak of a long cell; a first cell that records its calendar adds the
-record, 17 bytes an arrival and 17 a stop, to the memo. Trace mode writes
-each fillet's rows at its arrival, weigh and assignment, including an `enter`
-row per hop, so the fused conveyor hops stay observable; the final stable
-sort by (time, fillet id) puts them in calendar order.
+DRAIN_EVERY arrivals), DRAIN_EVERY passed ones, a run (fewer than CHUNK a
+lane + DRAIN_EVERY arrivals) and the pass log (below). Passes run only at
+strategy changes, which can be hundreds of recomputes apart, so the
+DRAIN_EVERY stops alone bound the largest pass and the absorb and trim tuples
+it holds until its flush, the peak of a long cell; a first cell that records
+its calendar adds the record, 17 bytes an arrival and 17 a stop, to the memo.
+
+The trace. Per lane, each assign pass logs the id of the last fillet it
+assigned and the strategy it used, merged into the entry before if that holds
+the same object. After the run, a traced plant rebuilds its rows from the log
+(`_rebuild_rows`), with the lane streams reseeded and the calendar read again:
+each fillet's `arrive` and `weigh` rows and, if a pass assigned it, under the
+strategy of the first entry at or after its id, `assign`, an `enter` per hop,
+`trim` and `absorb`. A stable sort by (time, fillet id) gives calendar order,
+as rows that tie are one fillet's, already in order.
 """
 
 from __future__ import annotations
@@ -453,6 +458,7 @@ class PlantSimulation:
             )
         self.config = config
         self.scenario = scenario
+        self.seed = seed
         design = compile_design(space, config)
         self.catalog = design.catalog
         windows = [WindowView([]) for _ in self.catalog.lanes]
@@ -496,7 +502,6 @@ class PlantSimulation:
         controller = self.controller
         bin_width = controller.config.bin_width_g
         drain_every = DRAIN_EVERY
-        trace = self.trace_rows
         t = self.tallies
         recipe_counts = t.recipe_counts
         # per recipe index: None for the default, else what a band check reads
@@ -524,6 +529,8 @@ class PlantSimulation:
         # per lane, a fillet's index in the window group less its index in the
         # assign group: the groups drop their prefixes apart
         skews = [0] * n_lanes
+        # per lane, the pass log (module doc): [id of the last fillet assigned, strategy]
+        passes: list[list[list]] = [[] for _ in lanes]
         counts: dict[str, int] = {}
         trims: list[tuple] = []  # (time, assign time, weigh time, id, cut): calendar order
         absorbs: list[tuple] = []  # (time, assign time, weigh time, id, tag, final mass)
@@ -539,7 +546,7 @@ class PlantSimulation:
             window_size = controller.config.window_size
             watched = controller.watched
             for flow, skew, read in zip(flows, skews, reads):
-                lane, _, window, lane_weighs, lane_bins, _, lane_weights, lane_ids = flow
+                _, _, window, lane_weighs, lane_bins, _, _, lane_ids = flow
                 # in window-group indices: times are sorted, and equal times
                 # run in id order
                 start, n = window.hi, len(lane_weighs)
@@ -551,13 +558,6 @@ class PlantSimulation:
                         window.slide(lane_bins, end, window_size, watched)
                     else:  # a window no rung reads holds nothing: only the cursor moves
                         window.lo = window.hi = end
-                    if trace is not None:
-                        module = lane.weigh_module
-                        trace.extend(
-                            (round(lane_weighs[p], 9), module, lane_ids[p - skew],
-                             round(lane_weights[p - skew], 6), "weigh")
-                            for p in range(start, end)
-                        )
                     weighs += end - start
 
         def assign(e: float, e1: float, a2: float, strategies: dict) -> None:
@@ -567,7 +567,7 @@ class PlantSimulation:
             j-2 ran."""
             nonlocal assigns
             default = controller.default_assignment
-            for i, flow in enumerate(flows):
+            for i, (flow, log) in enumerate(zip(flows, passes)):
                 (lane, lane_routes, window, lane_weighs, lane_bins,
                  lane_assigns, lane_weights, lane_ids) = flow
                 skew = skews[i]
@@ -584,7 +584,10 @@ class PlantSimulation:
                     continue
                 lane_id = lane.lane
                 strategy = strategies.get(lane_id)
-                if not strategy and trace is None:
+                if not log or log[-1][1] is not strategy:
+                    log.append([0, strategy])
+                log[-1][0] = lane_ids[end - 1]
+                if not strategy:
                     # every fillet takes the default route, in one block: the
                     # build checked that route, and the absorb times are sorted
                     tag = default.destination
@@ -602,7 +605,7 @@ class PlantSimulation:
                         recipe_counts[default.recipe_index] += k
                     live.extend(zip(lane_ids[stop:end], lane_weights[stop:end]))
                 else:
-                    lookup = strategy.get if strategy else {}.get
+                    lookup = strategy.get
                     for s, weight, b, weighed, fid in zip(
                         lane_assigns[start:end], lane_weights[start:end],
                         lane_bins[start + skew:end + skew], lane_weighs[start + skew:end + skew],
@@ -646,27 +649,6 @@ class PlantSimulation:
                                     t.band_violations += 1
                         else:
                             live.append((fid, final if trim_at <= horizon else weight))
-                        if trace is not None:
-                            shown = round(weight, 6)
-                            trace.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
-                            # a fillet cut at the trimmer gets a trim row there instead
-                            # of an enter row
-                            cut_at = route.trimmer_id if cut is not None else None
-                            trace.extend(
-                                (round(s + offset, 9), module_id, fid, shown, "enter")
-                                for module_id, offset in route.hops
-                                if module_id != cut_at
-                            )
-                            # the final sort by (time, id) is stable: these stay after
-                            # the rows above, trim before absorb, as the calendar ran them
-                            if trim_at <= horizon:
-                                trace.append((round(trim_at, 9), route.trimmer_id, fid,
-                                              round(final, 6), "trim"))
-                            if absorb_at <= horizon:
-                                trace.append(
-                                    (round(absorb_at, 9), route.destination_id, fid,
-                                     round(final, 6), "absorb")
-                                )
                 assigns += end - start
                 # drop what no cursor reads again: the assign group up to the
                 # assign cursor, the window group up to the window's start or
@@ -732,18 +714,10 @@ class PlantSimulation:
         injected_mass = 0.0
         for run in arrival_calendar(lanes, scenario):
             # take the run's arrivals in, each lane's following on from its last
-            # run's; per lane, their weights
-            fresh = list(map(take_in, flows, run.ids, run.times))
-            nexts = [iter(weights).__next__ for weights in fresh]
+            # run's, and read their weights back per lane
+            nexts = [iter(drawn).__next__ for drawn in map(take_in, flows, run.ids, run.times)]
             for i in run.order:  # added in calendar order, as the arrivals ran
                 injected_mass += nexts[i]()
-            if trace is not None:
-                rows = list(map(zip, run.times, run.ids, fresh))
-                for i in run.order:
-                    at, arrival, weight = next(rows[i])
-                    trace.append(
-                        (round(at, 9), lanes[i].lane, arrival, round(weight, 6), "arrive")
-                    )
             for fid, now, recompute in zip(run.fids, run.at, run.recomputes):
                 if recompute:
                     weigh(e, a1)
@@ -771,9 +745,8 @@ class PlantSimulation:
         flush(math.nextafter(horizon, inf))  # everything at or before the horizon
 
         # still in flight at the horizon, in fillet id order as injected
-        for i, flow in enumerate(flows):
-            *_, weights, ids = flow
-            live += zip(ids[assigned[i]:], weights[assigned[i]:])
+        for (*_, weights, ids), done in zip(flows, assigned):
+            live += zip(ids[done:], weights[done:])
         live.sort()
         t.injected = fid
         t.injected_mass_g = injected_mass
@@ -783,8 +756,50 @@ class PlantSimulation:
         t.in_flight = len(live)
         t.in_flight_mass_g = left_sum(mass for _, mass in live)
         t.events = fid + recomputes + weighs + assigns + applied
-        t.recomputes = controller.recomputes
-        t.walks = controller.walks
-        if trace is not None:
-            trace.sort(key=lambda row: (row[0], row[2]))
+        t.recomputes, t.walks = controller.recomputes, controller.walks
+        self._rebuild_rows(passes)
         return t
+
+    def _rebuild_rows(self, passes: list[list[list]]) -> None:
+        """Rebuild a traced run's rows from its pass log `passes` (module doc)."""
+        rows = self.trace_rows
+        if rows is None:
+            return
+        horizon, bin_width = self.scenario.horizon_s, self.controller.config.bin_width_g
+        default = self.controller.default_assignment
+        lanes = list(self.lane_runtimes.values())
+        for lane in lanes:
+            lane.weights_rng.seed(derive_seed(self.seed, f"weights:{lane.lane}"))
+            if lane.arrivals_rng is not None:
+                lane.arrivals_rng.seed(derive_seed(self.seed, f"arrivals:{lane.lane}"))
+        runs = list(arrival_calendar(lanes, self.scenario))
+        for i, (lane, log) in enumerate(zip(lanes, passes)):
+            ids = [fid for run in runs for fid in run.ids[i]]
+            times = [at for run in runs for at in run.times[i]]
+            lasts = [last for last, _ in log]
+            weights = lane.sampler.draw(lane.weights_rng, len(ids))
+            for fid, at, weight in zip(ids, times, weights):
+                shown = round(weight, 6)
+                weighed = at + lane.weigh_offset_s
+                rows.append((round(at, 9), lane.lane, fid, shown, "arrive"))
+                if weighed <= horizon:
+                    rows.append((round(weighed, 9), lane.weigh_module, fid, shown, "weigh"))
+                if not lasts or fid > lasts[-1]:
+                    continue  # not assigned by the horizon
+                strategy = log[bisect_left(lasts, fid)][1]
+                assignment = (strategy or {}).get(int(weight // bin_width), default)
+                route, cut = self.routes[lane.lane][assignment.destination], assignment.trim_g
+                s = weighed + lane.assign_offset_s
+                rows.append((round(s, 9), lane.assign_module, fid, shown, "assign"))
+                # a fillet cut at the trimmer gets a trim row there, not an enter row
+                cut_at = route.trimmer_id if cut is not None else None
+                rows.extend((round(s + offset, 9), module_id, fid, shown, "enter")
+                            for module_id, offset in route.hops if module_id != cut_at)
+                final = round(weight if cut is None else weight - cut, 6)
+                if cut is not None and s + route.trim_offset_s <= horizon:
+                    rows.append((round(s + route.trim_offset_s, 9), route.trimmer_id, fid, final,
+                                 "trim"))
+                if s + route.destination_offset_s <= horizon:
+                    rows.append((round(s + route.destination_offset_s, 9), route.destination_id,
+                                 fid, final, "absorb"))
+        rows.sort(key=lambda row: (row[0], row[2]))

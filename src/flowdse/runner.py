@@ -131,6 +131,7 @@ _WORKER: dict = {}
 
 
 def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) -> None:
+    _WORKER.pop("parent", None)  # the --jobs 1 path runs cells in the parent itself
     _WORKER["space"] = load_design_space(space_path)
     _WORKER["scenarios"] = [load_scenario(p) for p in scenario_paths]
     _WORKER["clamp"] = clamp
@@ -138,9 +139,11 @@ def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) 
 
 def _init_pool_worker(*args) -> None:
     """`_init_worker` in a pool process, which leaves Ctrl-C to the parent:
-    the parent stops the pool and reports, so a worker prints no traceback."""
+    the parent stops the pool and reports, so a worker prints no traceback.
+    It records its parent for `_run_cell`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _init_worker(*args)
+    _WORKER["parent"] = os.getppid()
 
 
 def run_cell(
@@ -160,7 +163,12 @@ def run_cell(
 def _run_cell(
     cell: tuple[DesignConfiguration, int, int, int]
 ) -> tuple[tuple[int, int, int], float, str]:
-    """One cell of `explore`: its key, its KPI and its record as JSON text."""
+    """One cell of `explore`: its key, its KPI and its record as JSON text. A
+    pool worker whose parent died exits first, as no journal takes its record
+    any more: the pool catches only `Exception`, so `SystemExit` ends it."""
+    parent = _WORKER.get("parent")
+    if parent is not None and os.getppid() != parent:
+        raise SystemExit(f"worker {os.getpid()}: parent {parent} is gone")
     config, scenario_index, replication, base_seed = cell
     seed = cell_seed(base_seed, config.index, scenario_index, replication)
     record, _ = run_cell(
@@ -177,7 +185,8 @@ def simulate_single(
     trace: bool = False,
     clamp: bool = True,
 ) -> tuple[dict, list[tuple] | None]:
-    """One replication with its exact cell inputs; optionally with a trace."""
+    """One replication with its exact cell inputs; optionally with a trace,
+    whose file name the scenario id must be able to take."""
     space = load_design_space(space_path)
     config = None
     if design_index >= 0:  # enumeration order is fixed, so the index is a position
@@ -186,6 +195,11 @@ def simulate_single(
         count = sum(1 for _ in enumerate_configurations(space))
         raise PlanError(f"design index {design_index} out of range 0..{count - 1}")
     scenario = load_scenario(scenario_path)
+    if trace and any(sep and sep in scenario.scenario_id for sep in (os.sep, os.altsep)):
+        raise PlanError(
+            f"scenario id {scenario.scenario_id!r} holds a path separator, so it cannot name "
+            "the trace file"
+        )
     _check_compatibility(space, [scenario])
     return run_cell(space, config, scenario, seed, clamp, trace=trace)
 

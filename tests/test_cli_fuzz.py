@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdse import runner
 from flowdse.cli import main
 from test_input_fuzz import POOL, edited, field_paths
 from test_runner_cli import MINI_SCENARIO, MINI_SPACE
@@ -84,7 +85,17 @@ EMPIRICAL_FILE = ("inflow", 0, "weights")
         ("simulate", EMPIRICAL_FILE, {"kind": "empirical", "file": "w\0.txt"}, "weights.file"),
     ],
 )
-def test_a_name_no_file_can_take_exits_1_and_names_the_field(name, path, value, field, tmp_path):
+def test_a_name_no_file_can_take_exits_1_and_names_the_field(
+    name, path, value, field, tmp_path, monkeypatch
+):
+    # the command refuses the name before it simulates: no cell runs
+    ran, run_cell = [], runner.run_cell
+
+    def recorded(*args, **kw):
+        ran.append(args)
+        return run_cell(*args, **kw)
+
+    monkeypatch.setattr(runner, "run_cell", recorded)
     (tmp_path / "space.json").write_text(json.dumps(MINI_SPACE))
     (tmp_path / "scenario.json").write_text(json.dumps(edited(SCENARIO, path, value)))
     argv = command(name, tmp_path) if name == "simulate" else [
@@ -99,3 +110,4 @@ def test_a_name_no_file_can_take_exits_1_and_names_the_field(name, path, value, 
     assert code == 1, err.getvalue()
     assert field in out.getvalue() + err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert not ran

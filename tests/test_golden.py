@@ -133,7 +133,7 @@ def digests(name: str, trace: bool = True) -> dict[str, str]:
 def test_outputs_match_the_golden_digests(name):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests(name) == golden[name]
-    # untraced, the sweep takes its fast paths: the same tallies and record
+    # untraced, the same sweep with no rows rebuilt after it: the same tallies and record
     untraced = digests(name, trace=False)
     assert untraced == {key: golden[name][key] for key in ("tallies", "record")}
 

@@ -1,0 +1,49 @@
+"""`scripts/output_digests.py --compare` on synthetic digest files: it names
+every file whose digest differs or that only one file lists, and exits 1 when
+there is any, else 0."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+output_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(output_digests)
+
+DIGESTS = {
+    "case_study/jobs1/results.csv": "a" * 64,
+    "screening/jobs2/journal.jsonl": "b" * 64,
+    "simulate/trace_design37_scenario1_seed0.csv": "c" * 64,
+}
+
+
+def compare(tmp_path, capsys, a, b):
+    """The exit code of `--compare` on `a` and `b`, and the lines it printed."""
+    paths = []
+    for name, digests in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(digests), encoding="utf-8")
+    code = output_digests.main(["--compare", *map(str, paths)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_identical_digests_exit_0(tmp_path, capsys):
+    code, lines = compare(tmp_path, capsys, DIGESTS, dict(DIGESTS))
+    assert code == 0
+    assert lines == ["0 of 3 files differ"]
+
+
+def test_every_differing_file_is_named_and_exits_1(tmp_path, capsys):
+    changed = dict(DIGESTS)
+    changed["case_study/jobs1/results.csv"] = "d" * 64
+    del changed["simulate/trace_design37_scenario1_seed0.csv"]
+    changed["long_run/jobs1/pareto.json"] = "e" * 64
+    code, lines = compare(tmp_path, capsys, DIGESTS, changed)
+    assert code == 1
+    assert lines == [
+        "differs: case_study/jobs1/results.csv",
+        "differs: long_run/jobs1/pareto.json",
+        "differs: simulate/trace_design37_scenario1_seed0.csv",
+        "3 of 4 files differ",
+    ]

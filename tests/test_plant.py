@@ -779,7 +779,7 @@ class TestSweepMatchesCalendar:
         # repr: every float to the bit, dicts in insertion order
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
-        # untraced, empty strategies assign in one block per lane
+        # untraced, the same sweep with no rows rebuilt after it
         untraced = run_sweep(PlantSimulation(space, config, scenario, seed), drain_every, chunk)
         assert repr(untraced) == repr(expected)
 
@@ -820,6 +820,65 @@ class TestSweepMatchesCalendar:
         assert {row[0] % 1.0 for row in sweep.trace_rows if row[4] == "assign"} == {0.0}
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
+
+
+class TestTraceReplay:
+    """A traced plant rebuilds its rows after the run, from its pass log, its
+    lane streams reseeded and its calendar read again: the rows are the event
+    calendar's (`tests/des_oracle.py`) whichever way the calendar is read, and
+    the tallies are those of the same cell untraced, which runs the same
+    sweep."""
+
+    @staticmethod
+    def check(space, config, scenario, seed, calendar):
+        sweep = PlantSimulation(space, config, scenario, seed, trace=True)
+        got = sweep.run()
+        assert sweep.trace_rows == calendar.trace_rows
+        untraced = PlantSimulation(space, config, scenario, seed).run()
+        assert repr(got) == repr(untraced)
+        assert (got.events, got.walks) == (untraced.events, untraced.walks)
+        return got
+
+    def test_rows_from_every_source_of_the_calendar(self, monkeypatch):
+        space, config, scenario, seed, _, _ = skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2)
+        calendar = CalendarPlant(space, config, scenario, seed, trace=True)
+        expected = calendar.run()
+        # per call of `arrival_calendar`, the sweep's then the replay's: whether
+        # it gave the memo's record
+        hits, read = [], plant_module.arrival_calendar
+
+        def arrival_calendar(lanes, scenario):
+            runs = read(lanes, scenario)
+            hits.append(isinstance(runs, tuple))
+            return runs
+
+        monkeypatch.setattr(plant_module, "arrival_calendar", arrival_calendar)
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK):
+            # the first cell records the calendar, which its replay then reads
+            # back; the second reads the record in both
+            for stored, sources in ((0, [False, True]), (1, [True, True])):
+                assert len(plant_module.CALENDARS) == stored
+                hits.clear()
+                assert repr(self.check(space, config, scenario, seed, calendar)) == repr(expected)
+                assert hits[:2] == sources
+        with calendar_settings(plant_module.DRAIN_EVERY, plant_module.CHUNK, memo_arrivals=0):
+            hits.clear()
+            assert repr(self.check(space, config, scenario, seed, calendar)) == repr(expected)
+            assert hits[:2] == [False, False]
+            assert not plant_module.CALENDARS
+
+    def test_poisson_rows_with_a_drain_every_7_arrivals(self):
+        # the skewed cell's two lanes, Poisson: the replay draws the arrivals
+        # again from the reseeded streams; the trimmer cuts some fillets
+        space, config, scenario, seed, _, _ = skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2)
+        inflow = tuple(dataclasses.replace(lane, process="poisson") for lane in scenario.inflow)
+        scenario = dataclasses.replace(scenario, inflow=inflow)
+        calendar = CalendarPlant(space, config, scenario, seed, trace=True)
+        expected = calendar.run()
+        with calendar_settings(7, plant_module.CHUNK):
+            got = self.check(space, config, scenario, seed, calendar)
+        assert repr(got) == repr(expected)
+        assert got.walks > 1 and got.trim_mass_g > 0
 
 
 class TestWindowsMatchCalendar:

@@ -505,6 +505,32 @@ class TestPoolSize:
         assert pool_recorder.made == [2]
 
 
+class TestOrphanedWorker:
+    """A pool worker records its parent, and once it has another (the parent
+    died) it exits before its next cell; `--jobs 1` runs the cells in the
+    parent itself and never checks."""
+
+    def test_a_worker_whose_parent_is_gone_stops_before_its_cell(self, mini, monkeypatch):
+        monkeypatch.setattr(runner, "_WORKER", {})
+        handler = signal.getsignal(signal.SIGINT)
+        runner._init_pool_worker(str(mini["space"]), (str(mini["scenario"]),), True)
+        signal.signal(signal.SIGINT, handler)  # a worker's Ctrl-C setting, not this process's
+        assert runner._WORKER["parent"] == os.getppid()
+        cell = (next(runner.enumerate_configurations(runner._WORKER["space"])), 0, 0, 42)
+        assert runner._run_cell(cell)[0] == (0, 0, 0)
+        ran = []
+        monkeypatch.setattr(runner, "run_cell", lambda *args: ran.append(args))
+        runner._WORKER["parent"] = os.getppid() + 1  # as if re-parented
+        with pytest.raises(SystemExit):
+            runner._run_cell(cell)
+        assert not ran
+
+    def test_serial_explore_ignores_a_recorded_parent(self, mini, tmp_path, monkeypatch):
+        monkeypatch.setitem(runner._WORKER, "parent", os.getppid() + 1)
+        report = run_explore(mini, tmp_path / "out", jobs=1)
+        assert report.cells_executed == 2
+
+
 class TestJobsDefault:
     def test_unset_means_one(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
