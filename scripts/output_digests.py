@@ -9,11 +9,14 @@ byte-identical.
 For each benchmark workload the script writes its seed-1 inputs with the
 checkout's `perfbench/workloads.make_inputs`, then runs `flowdse explore` on
 them with the plan's flags (seed, replications, --dedup) at --jobs 1 and at
---jobs 2. It also runs `flowdse simulate --trace` of case-study designs 37 and
+--jobs 2. It then resumes the --jobs 2 run from a copy of its journal cut to
+the header, half of its cell lines and half of the next line, as a kill can
+leave it. It also runs `flowdse simulate --trace` of case-study designs 37 and
 500 under the bundled scenario1 with seed 0. It prints one JSON object that maps
-each output file to its SHA-256: `<workload>/jobs<n>/<file>` for results.csv,
-plot.csv, pareto.json and journal.jsonl, and `simulate/<trace file>` for the
-two traces. Everything it writes goes under --work.
+each output file to its SHA-256: `<workload>/jobs<n>/<file>` and
+`<workload>/resumed/<file>` for results.csv, plot.csv, pareto.json and
+journal.jsonl, and `simulate/<trace file>` for the two traces. Everything it
+writes goes under --work.
 
 --compare reads two such files, names every file whose digest differs or
 that only one of them has, and exits 1 if there is any; else it exits 0.
@@ -60,6 +63,15 @@ def make_inputs(checkout: Path):
     return module.make_inputs
 
 
+def cut_journal(data: bytes) -> bytes:
+    """The journal `data` cut to its header, half of its cell lines (rounded
+    down) and the first half of the next line, if there is one."""
+    head, *cells = data.splitlines(keepends=True)
+    kept = len(cells) // 2
+    torn = cells[kept][: len(cells[kept]) // 2] if kept < len(cells) else b""
+    return head + b"".join(cells[:kept]) + torn
+
+
 def digests(checkout: Path, work: Path) -> dict[str, str]:
     """Each output file's SHA-256, keyed as the module doc says."""
     got = {}
@@ -77,6 +89,13 @@ def digests(checkout: Path, work: Path) -> dict[str, str]:
             flowdse(checkout, "explore", *flags, "--jobs", str(jobs), "--out", str(out))
             for name in EXPLORE_FILES:
                 got[f"{workload}/jobs{jobs}/{name}"] = sha256(out / name)
+        resumed = work / workload / "resumed"
+        resumed.mkdir(parents=True, exist_ok=True)
+        cut = cut_journal((work / workload / "jobs2" / "journal.jsonl").read_bytes())
+        (resumed / "journal.jsonl").write_bytes(cut)
+        flowdse(checkout, "explore", *flags, "--jobs", "2", "--out", str(resumed))
+        for name in EXPLORE_FILES:
+            got[f"{workload}/resumed/{name}"] = sha256(resumed / name)
     data = checkout / "src" / "flowdse" / "data"
     out = work / "simulate"
     for design in TRACED_DESIGNS:

@@ -3,17 +3,20 @@
 A run plan expands into cells, one per (design, scenario, replication).
 `run_cell`, the one cell path, builds a cell, runs it and scores it into its
 flat record; `explore` runs it for every cell and `simulate` for one. Cells
-are independent, so they fan out over a worker pool. The space is enumerated
-once, in the parent: each cell carries its design's configuration, and a
-worker loads only the space and the scenarios, compiling each distinct lane
-wiring once (`compile_design`). Every cell's record is appended to a journal
-file before anything else happens with it, which makes interrupted batches
-resumable without recomputation. The journal is also the record store: a
-worker hands back its record as JSON text, the parent writes it as a journal
-line and keeps only the cell's KPI and the line's byte offset, and results.csv
-is streamed back from those lines, for fresh and resumed cells alike. Results
-are keyed and sorted by cell, so the output files are identical for any
-worker count.
+are independent, so they fan out over a worker pool in batches. The space is
+enumerated once, in the parent, and the pool starts on the first cells while
+the parent is still enumerating: each cell carries its design's
+configuration, and a worker loads only the space and the scenarios, compiling
+each distinct lane wiring once (`compile_design`). Batches hold up to 64
+cells and shrink toward the end of the run, so that no worker is left with a
+long last batch while the others idle (guided self-scheduling). Every cell's record is appended
+to a journal file before anything else happens with it, which makes
+interrupted batches resumable without recomputation. The journal is also the
+record store: a worker hands back its batch as the batch's journal lines, one
+text block, the parent writes the block and keeps only each cell's KPI and
+line offset, and results.csv is streamed back from those lines, for fresh and
+resumed cells alike. Results are keyed and sorted by cell, so the output files
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import json
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Iterable, Iterator
 
 from flowdse.designspace import (
@@ -140,7 +145,7 @@ def _init_worker(space_path: str, scenario_paths: tuple[str, ...], clamp: bool) 
 def _init_pool_worker(*args) -> None:
     """`_init_worker` in a pool process, which leaves Ctrl-C to the parent:
     the parent stops the pool and reports, so a worker prints no traceback.
-    It records its parent for `_run_cell`."""
+    It records its parent for `_run_cells`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _init_worker(*args)
     _WORKER["parent"] = os.getppid()
@@ -160,21 +165,29 @@ def run_cell(
     return record, sim.trace_rows
 
 
-def _run_cell(
-    cell: tuple[DesignConfiguration, int, int, int]
-) -> tuple[tuple[int, int, int], float, str]:
-    """One cell of `explore`: its key, its KPI and its record as JSON text. A
-    pool worker whose parent died exits first, as no journal takes its record
+def _run_cells(
+    batch: list[tuple[DesignConfiguration, int, int, int]]
+) -> tuple[list[tuple[tuple[int, int, int], float, int]], str]:
+    """A batch of `explore`'s cells: per cell its key, its KPI and the length
+    of its journal line, and the lines as one text block. A pool worker whose
+    parent died exits before its next cell, as no journal takes its records
     any more: the pool catches only `Exception`, so `SystemExit` ends it."""
     parent = _WORKER.get("parent")
-    if parent is not None and os.getppid() != parent:
-        raise SystemExit(f"worker {os.getpid()}: parent {parent} is gone")
-    config, scenario_index, replication, base_seed = cell
-    seed = cell_seed(base_seed, config.index, scenario_index, replication)
-    record, _ = run_cell(
-        _WORKER["space"], config, _WORKER["scenarios"][scenario_index], seed, _WORKER["clamp"]
-    )
-    return (config.index, scenario_index, replication), record["kpi"], json.dumps(record)
+    heads = []
+    lines = []
+    for config, scenario_index, replication, base_seed in batch:
+        if parent is not None and os.getppid() != parent:
+            raise SystemExit(f"worker {os.getpid()}: parent {parent} is gone")
+        seed = cell_seed(base_seed, config.index, scenario_index, replication)
+        record, _ = run_cell(
+            _WORKER["space"], config, _WORKER["scenarios"][scenario_index], seed, _WORKER["clamp"]
+        )
+        key = (config.index, scenario_index, replication)
+        # byte for byte what json.dumps({"cell": list(key), "result": record}) gives
+        line = '{"cell": ' + json.dumps(list(key)) + ', "result": ' + json.dumps(record) + "}\n"
+        heads.append((key, record["kpi"], len(line)))
+        lines.append(line)
+    return heads, "".join(lines)
 
 
 def simulate_single(
@@ -238,13 +251,33 @@ def _load_journal(
     """The cells a journal records, each as its KPI and the byte offset of its
     line, and the byte length of the journal's intact part.
 
-    Every record is written as one line and flushed, so a kill mid-write can
-    only tear the last line. A last line that is torn (no newline) or does
-    not parse is dropped: its cell runs again, and the caller truncates the
-    file to the intact length before appending. A header that is torn before
-    its newline leaves nothing to keep (length 0). Any other bad line is
-    corruption and a `PlanError`.
+    Records are written in blocks of whole lines, each block flushed, so a
+    kill mid-write can only tear the last line. A record counts only if its
+    cell is three ints, with the scenario and the replication inside the
+    fingerprint's counts, and its KPI is a number. A last line that is torn
+    (no newline), does not parse or does not count is dropped: its cell runs
+    again, and the caller truncates the file to the intact length before
+    appending. A header that is torn before its newline leaves nothing to keep
+    (length 0). Any other bad line is corruption and a `PlanError`. Whether
+    the plan runs each design index is left to the caller.
     """
+    scenario_count = len(fingerprint["scenarios_sha256"])
+    replications = fingerprint["replications"]
+
+    def entry_of(line: bytes) -> tuple[tuple[int, int, int], float]:
+        entry = json.loads(line)
+        cell = tuple(entry["cell"])
+        kpi = entry["result"]["kpi"]
+        if not (
+            len(cell) == 3
+            and all(type(i) is int for i in cell)
+            and 0 <= cell[1] < scenario_count
+            and 0 <= cell[2] < replications
+            and type(kpi) in (int, float)
+        ):
+            raise ValueError(f"unusable record {line!r}")
+        return cell, kpi
+
     completed: dict[tuple[int, int, int], tuple[float, int]] = {}
     if not path.exists():
         return completed, 0
@@ -275,8 +308,8 @@ def _load_journal(
                 break  # torn
             try:
                 if line.strip():
-                    entry = json.loads(line)
-                    completed[tuple(entry["cell"])] = (entry["result"]["kpi"], intact)
+                    cell, kpi = entry_of(line)
+                    completed[cell] = (kpi, intact)
             except (ValueError, KeyError, TypeError):
                 if not fh.read(1):
                     break  # an unparsable last line: drop it like a torn one
@@ -336,48 +369,35 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         raise PlanError(f"--jobs must be at least 1, got {plan.jobs}")
     ends["load"] = time.perf_counter()
 
-    configs = list(enumerate_configurations(space))
-    ends["enumerate"] = time.perf_counter()
-    say(f"{space.space_id}: {len(configs)} configurations")
-    if plan.dedup:
-        distinct = deduplicate(space, configs)
-        design_indices = [rep.index for rep, _ in distinct]
-        multiplicity = {rep.index: mult for rep, mult in distinct}
-        ends["dedup"] = time.perf_counter()
-        say(f"deduplicated to {len(distinct)} distinct designs")
-    else:
-        ends["dedup"] = ends["enumerate"]
-        design_indices = list(range(len(configs)))
-        multiplicity = {i: 1 for i in design_indices}
-
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     journal_path = out_dir / "journal.jsonl"
     fingerprint = plan.fingerprint(scenarios)
     completed, intact = _load_journal(journal_path, fingerprint)
-    if completed:
-        say(f"journal: {len(completed)} cells already done")
 
-    per_design = len(scenarios) * plan.replications
-    cells_total = len(design_indices) * per_design
     # a cell carries its configuration, so that no worker enumerates the space
-    pending = [
-        (configs[d], s, r, plan.base_seed)
-        for d in design_indices
+    configs: list[DesignConfiguration] = []
+    if plan.dedup:  # dedup needs the whole space first
+        configs.extend(enumerate_configurations(space))
+        ends["enumerate"] = time.perf_counter()
+        distinct = deduplicate(space, configs)
+        designs: Iterable[DesignConfiguration] = [rep for rep, _ in distinct]
+        ends["dedup"] = time.perf_counter()
+    else:
+
+        def enumerated() -> Iterator[DesignConfiguration]:
+            for config in enumerate_configurations(space):
+                configs.append(config)
+                yield config
+
+        designs = enumerated()
+    pending = (
+        (config, s, r, plan.base_seed)
+        for config in designs
         for s in range(len(scenarios))
         for r in range(plan.replications)
-        if (d, s, r) not in completed
-    ]
-
-    # newline="": the offsets kept below count bytes, and json.dumps writes ASCII
-    journal = open(journal_path, "a", encoding="utf-8", newline="")
-    journal.truncate(intact)  # drop a torn last line so the next record starts clean
-    offset = intact
-    if not intact:
-        header = json.dumps({"plan": fingerprint}) + "\n"
-        journal.write(header)
-        journal.flush()
-        offset = len(header)
+        if (config.index, s, r) not in completed
+    )
 
     # the journal keeps the records; the parent keeps each cell's KPI and line offset
     collected: dict[tuple[int, int, int], tuple[float, int]] = dict(completed)
@@ -400,47 +420,97 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
                 return False
         return True
 
-    executed = 0
-    pool = None
+    # The parent holds up to `lookahead` cells and hands the pool batches from
+    # their front while it enumerates. It takes the first ones before the pool
+    # starts, so that the pool has no more workers than cells to run.
+    lookahead = plan.jobs * 4 * 64
+    buffer = deque(islice(pending, lookahead))
+    jobs = min(plan.jobs, len(buffer))
+    feed: SimpleQueue = SimpleQueue()  # batches, then None
+    queued = executed = 0
+    journal = pool = None
     loop_started = time.perf_counter()
     try:
-        # no more workers than cells to run
-        jobs = min(plan.jobs, len(pending))
         if jobs <= 1:
             _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
-            stream = map(_run_cell, pending)
+            stream = map(_run_cells, iter(feed.get, None))
         else:
             pool = Pool(
                 processes=jobs,
                 initializer=_init_pool_worker,
                 initargs=(plan.space_path, plan.scenario_paths, plan.clamp),
             )
-            if plan.stop_first:
-                chunk = 1  # keep the journal aligned with evaluation order
-            else:
-                chunk = max(1, min(16, len(pending) // (jobs * 4) or 1))
-            stream = pool.imap(_run_cell, pending, chunksize=chunk)
+            stream = pool.imap(_run_cells, iter(feed.get, None))
 
-        for key, kpi, text in stream:
-            # byte for byte what json.dumps({"cell": list(key), "result": record}) gives
-            line = '{"cell": ' + json.dumps(list(key)) + ', "result": ' + text + "}\n"
-            journal.write(line)
+        def put_batch() -> int:
+            # 64 cells while the look-ahead is full, then fewer, down to one at
+            # the end; one under --stop-first, to keep the journal aligned with
+            # evaluation order
+            size = 1 if plan.stop_first else min(64, max(1, len(buffer) // (jobs * 4)))
+            feed.put([buffer.popleft() for _ in range(size)])
+            return size
+
+        for cell in pending:
+            if len(buffer) >= lookahead:
+                queued += put_batch()
+            buffer.append(cell)
+        while buffer:
+            queued += put_batch()
+        feed.put(None)
+        if not plan.dedup:
+            ends["enumerate"] = ends["dedup"] = time.perf_counter()
+
+        say(f"{space.space_id}: {len(configs)} configurations")
+        if plan.dedup:
+            design_indices = [config.index for config in designs]
+            multiplicity = {rep.index: mult for rep, mult in distinct}
+            say(f"deduplicated to {len(distinct)} distinct designs")
+        else:
+            design_indices = list(range(len(configs)))
+            multiplicity = dict.fromkeys(design_indices, 1)
+        strays = {d for d, _, _ in completed}.difference(design_indices)
+        if strays:
+            raise PlanError(
+                f"{journal_path} records design {min(strays)}, which this plan does not run; "
+                f"use a fresh --out directory or matching inputs"
+            )
+        if completed:
+            say(f"journal: {len(completed)} cells already done")
+        per_design = len(scenarios) * plan.replications
+        cells_total = len(design_indices) * per_design
+
+        # newline="": the offsets kept below count bytes, and json.dumps writes ASCII
+        journal = open(journal_path, "a", encoding="utf-8", newline="")
+        journal.truncate(intact)  # drop a torn last line so the next record starts clean
+        offset = intact
+        if not intact:
+            header = json.dumps({"plan": fingerprint}) + "\n"
+            journal.write(header)
             journal.flush()
-            collected[key] = (kpi, offset)
-            offset += len(line)
-            executed += 1
-            if executed % (per_design * 64) == 0 or executed == len(pending):
+            offset = len(header)
+
+        every = per_design * 64  # cells between progress lines
+        for heads, block in stream:
+            journal.write(block)
+            journal.flush()
+            for key, kpi, length in heads:
+                collected[key] = (kpi, offset)
+                offset += length
+            executed += len(heads)
+            if executed // every > (executed - len(heads)) // every or executed == queued:
                 say(progress_line(len(collected), cells_total, executed,
-                                  len(pending) - executed, time.perf_counter() - loop_started))
+                                  queued - executed, time.perf_counter() - loop_started))
             if plan.stop_first:
-                d = key[0]
+                d = heads[0][0][0]  # batches of one
                 if design_done(d) and meets_thresholds(d):
                     stopped_at = d
                     break
     finally:
-        journal.close()
+        feed.put(None)  # else the pool's task thread waits on the feed, and terminate() on it
+        if journal is not None:
+            journal.close()
         if pool is not None:
-            # every cell wanted is in, or stop-first stopped, or a cell raised
+            # every cell wanted is in, or stop-first stopped, or something raised
             pool.terminate()
             pool.join()
     ends["simulate"] = time.perf_counter()

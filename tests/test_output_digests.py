@@ -1,10 +1,13 @@
-"""`scripts/output_digests.py --compare` on synthetic digest files: it names
+"""`scripts/output_digests.py`: `--compare` on synthetic digest files names
 every file whose digest differs or that only one file lists, and exits 1 when
-there is any, else 0."""
+there is any, else 0; the journal cut of the resumed runs keeps the header,
+half of the cell lines and half of the next line."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
 spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
@@ -47,3 +50,22 @@ def test_every_differing_file_is_named_and_exits_1(tmp_path, capsys):
         "differs: simulate/trace_design37_scenario1_seed0.csv",
         "3 of 4 files differ",
     ]
+
+
+def test_cut_keeps_the_header_half_the_cells_and_half_the_next_line():
+    journal = b'{"plan": 1}\n' + b"".join(b"cell %d......\n" % i for i in range(5))
+    assert output_digests.cut_journal(journal) == (
+        b'{"plan": 1}\ncell 0......\ncell 1......\ncell 2'
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, cut",
+    [
+        (b"", b""),
+        (b"abcdef\n", b"abc"),
+        (b"ab\ncd\n", b"ab\nc"),
+    ],
+)
+def test_cut_of_short_journals(cells, cut):
+    assert output_digests.cut_journal(b"head\n" + cells) == b"head\n" + cut

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -7,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 
 from flowdse import runner
 from flowdse.cli import main
+from flowdse.designspace import enumerate_configurations
 from flowdse.kernel import derive_seed
 from flowdse.plant import PlantSimulation, RoutingFault
 from flowdse.runner import (
@@ -117,6 +121,39 @@ def run_explore(mini, out, **kw):
         **kw,
     )
     return explore(plan)
+
+
+def edited_record(line: bytes, cell=None, kpi=None) -> bytes:
+    """A journal line with its cell or its result's KPI replaced, newline included."""
+    entry = json.loads(line)
+    if cell is not None:
+        entry["cell"] = cell
+    if kpi is not None:
+        entry["result"]["kpi"] = kpi
+    return json.dumps(entry).encode() + b"\n"
+
+
+# records that parse but that no plan of one scenario and one replication can use
+UNUSABLE_RECORDS = [
+    pytest.param(lambda line: edited_record(line, kpi="x"), id="string-kpi"),
+    pytest.param(lambda line: edited_record(line, kpi=True), id="bool-kpi"),
+    pytest.param(lambda line: edited_record(line, cell=[0, 0, 0, 0]), id="four-coordinates"),
+    pytest.param(lambda line: edited_record(line, cell=[0, 1, 0]), id="scenario-out-of-range"),
+    pytest.param(lambda line: edited_record(line, cell=[0, 0, -1]), id="replication-out-of-range"),
+    pytest.param(lambda line: edited_record(line, cell=[0, 0, 0.0]), id="float-coordinate"),
+]
+
+
+def mini_designs(space, count, then=None):
+    """`count` configurations of the mini space, its two in turn under fresh
+    indices 0..count-1; then `then` is raised, if given, after a pause in which
+    a pool's task thread takes every batch fed so far and waits for more."""
+    real = list(enumerate_configurations(space))
+    for index in range(count):
+        yield dataclasses.replace(real[index % len(real)], index=index)
+    if then is not None:
+        time.sleep(0.2)
+        raise then
 
 
 class TestCellSeeds:
@@ -322,6 +359,7 @@ class TestExplore:
             pytest.param(lambda last: last[: len(last) // 2], id="torn"),
             pytest.param(lambda last: last, id="no-newline"),
             pytest.param(lambda last: b"{not json\n", id="unparsable"),
+            *UNUSABLE_RECORDS,
         ],
     )
     def test_bad_last_journal_line_is_dropped_and_its_cell_rerun(
@@ -459,6 +497,50 @@ class TestExplore:
         assert sum(round(value * 1000) for value in phases.values()) <= round(meta["wall_s"] * 1000)
 
 
+class TestUnusableJournalRecords:
+    """A resume through the command line refuses a journal record it cannot
+    use, before the last line, or of a design the plan does not run: exit 1
+    with a message, no traceback, and no output file written."""
+
+    def resume(self, mini, tmp_path, capsys, edit):
+        """Write a mini journal with its first record replaced by `edit`,
+        resume on it in a fresh directory, and return the exit code, stderr
+        and the directory."""
+        argv = ["explore", "--space", str(mini["space"]), "--scenario", str(mini["scenario"]),
+                "--seed", "42", "--out"]
+        assert main([*argv, str(tmp_path / "a")]) == 0
+        head, first, last = (tmp_path / "a" / "journal.jsonl").read_bytes().splitlines(True)
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / "journal.jsonl").write_bytes(head + edit(first) + last)
+        capsys.readouterr()
+        code = main([*argv, str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("edit", UNUSABLE_RECORDS)
+    def test_unusable_record_before_the_last_exits_1(self, mini, tmp_path, capsys, edit):
+        code, err, out = self.resume(mini, tmp_path, capsys, edit)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == f"error: {out / 'journal.jsonl'} is corrupt (bad line 2)\n"
+        assert sorted(path.name for path in out.iterdir()) == ["journal.jsonl"]
+
+    @pytest.mark.parametrize("cell", [[99999, 0, 0], [2, 0, 0], [-1, 0, 0]])
+    def test_record_of_a_design_the_plan_does_not_run_exits_1(
+        self, mini, tmp_path, capsys, cell
+    ):
+        code, err, out = self.resume(
+            mini, tmp_path, capsys, lambda line: edited_record(line, cell=cell)
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"error: {out / 'journal.jsonl'} records design {cell[0]}, which this plan "
+            "does not run; use a fresh --out directory or matching inputs"
+        )
+        assert sorted(path.name for path in out.iterdir()) == ["journal.jsonl"]
+
+
 class PoolRecorder:
     """Stands in for `multiprocessing.Pool`: records the processes asked for
     and runs the cells in this process, so that no worker is started."""
@@ -517,18 +599,135 @@ class TestOrphanedWorker:
         signal.signal(signal.SIGINT, handler)  # a worker's Ctrl-C setting, not this process's
         assert runner._WORKER["parent"] == os.getppid()
         cell = (next(runner.enumerate_configurations(runner._WORKER["space"])), 0, 0, 42)
-        assert runner._run_cell(cell)[0] == (0, 0, 0)
+        heads, _ = runner._run_cells([cell])
+        assert [key for key, _, _ in heads] == [(0, 0, 0)]
         ran = []
         monkeypatch.setattr(runner, "run_cell", lambda *args: ran.append(args))
         runner._WORKER["parent"] = os.getppid() + 1  # as if re-parented
         with pytest.raises(SystemExit):
-            runner._run_cell(cell)
+            runner._run_cells([cell])
         assert not ran
 
     def test_serial_explore_ignores_a_recorded_parent(self, mini, tmp_path, monkeypatch):
         monkeypatch.setitem(runner._WORKER, "parent", os.getppid() + 1)
         report = run_explore(mini, tmp_path / "out", jobs=1)
         assert report.cells_executed == 2
+
+
+class TestPipeline:
+    """The pool runs batches of cells while the parent enumerates, and each
+    batch comes back as its journal lines in one block."""
+
+    LOOKAHEAD = 2 * 4 * 64  # the cells the parent takes before a --jobs 2 pool starts
+
+    @pytest.fixture
+    def short(self, tmp_path):
+        """The mini inputs at a 90 s horizon, so that many cells run quickly."""
+        write_edited_inputs(tmp_path, ("scenario", "horizon_s", None, None, 90))
+        return {"space": tmp_path / "space.json", "scenario": tmp_path / "scenario.json"}
+
+    def test_block_is_the_journal_line_of_each_cell(self, mini, monkeypatch):
+        monkeypatch.setattr(runner, "_WORKER", {})
+        runner._init_worker(str(mini["space"]), (str(mini["scenario"]),), True)
+        space, scenario = runner._WORKER["space"], runner._WORKER["scenarios"][0]
+        batch = [(config, 0, r, 42)
+                 for config in runner.enumerate_configurations(space) for r in range(3)]
+        heads, block = runner._run_cells(batch)
+        expected = []
+        for config, _, r, seed in batch:
+            key = (config.index, 0, r)
+            record, _ = runner.run_cell(space, config, scenario, cell_seed(seed, *key), True)
+            expected.append((key, record["kpi"],
+                             json.dumps({"cell": list(key), "result": record}) + "\n"))
+        lines = block.splitlines(keepends=True)
+        assert lines == [line for _, _, line in expected]
+        assert heads == [(key, kpi, len(line)) for key, kpi, line in expected]
+
+    def test_cells_run_while_the_parent_enumerates(self, short, tmp_path, monkeypatch):
+        # the workers are forked after the patches, so they run the wrapped run_cell
+        started = tmp_path / "started"
+        real_run_cell = runner.run_cell
+        count = self.LOOKAHEAD + 64
+        seen = []
+
+        def marked(*args, **kw):
+            with open(started, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_run_cell(*args, **kw)
+
+        def enumerated(space):
+            for config in mini_designs(space, count):
+                if config.index == count - 1:  # wait for a worker before the last one
+                    deadline = time.monotonic() + 10
+                    while not started.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    seen.append(started.exists())
+                yield config
+
+        monkeypatch.setattr(runner, "run_cell", marked)
+        monkeypatch.setattr(runner, "enumerate_configurations", enumerated)
+        report = run_explore(short, tmp_path / "out", jobs=2)
+        assert seen == [True]
+        assert os.getpid() not in {int(pid) for pid in started.read_text().split()}
+        assert report.cells_executed == count
+
+    @pytest.mark.parametrize("cut", [70, 300])
+    def test_journal_cut_mid_block_resumes_to_the_uninterrupted_outputs(
+        self, short, tmp_path, cut
+    ):
+        # 600 cells: the resume of 530 streams too, that of 300 starts with all
+        reference = run_explore(short, tmp_path / "reference", jobs=2, replications=300)
+        head, *records = reference.files["journal"].read_bytes().splitlines(keepends=True)
+        assert len(records) == 600 > self.LOOKAHEAD
+        out = tmp_path / "resumed"
+        out.mkdir()
+        torn = records[cut][: len(records[cut]) // 2]
+        (out / "journal.jsonl").write_bytes(head + b"".join(records[:cut]) + torn)
+        resumed = run_explore(short, out, jobs=2, replications=300)
+        assert (resumed.cells_resumed, resumed.cells_executed) == (cut, 600 - cut)
+        for name in ("results", "plot", "pareto", "journal"):
+            assert resumed.files[name].read_bytes() == reference.files[name].read_bytes(), name
+
+    @staticmethod
+    def within(seconds, call):
+        """What `call()` returns or raises, run in a thread given `seconds`."""
+        outcome = []
+
+        def target():
+            try:
+                outcome.append(("returned", call()))
+            except BaseException as err:  # handed to the test, not swallowed
+                outcome.append(("raised", err))
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        assert not thread.is_alive(), f"still running after {seconds} s"
+        return outcome[0]
+
+    def test_failing_enumeration_stops_the_fed_pool(self, short, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            runner, "enumerate_configurations",
+            lambda space: mini_designs(space, self.LOOKAHEAD + 64, RuntimeError("enumeration broke")),
+        )
+        how, err = self.within(10, lambda: run_explore(short, tmp_path / "out", jobs=2))
+        assert how == "raised" and str(err) == "enumeration broke"
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_while_the_parent_feeds_the_pool_exits_130(
+        self, short, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            runner, "enumerate_configurations",
+            lambda space: mini_designs(space, self.LOOKAHEAD + 64, KeyboardInterrupt()),
+        )
+        argv = ["explore", "--space", str(short["space"]), "--scenario", str(short["scenario"]),
+                "--jobs", "2", "--out", str(tmp_path / "out")]
+        assert self.within(10, lambda: main(argv)) == ("returned", 130)
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "interrupted; the journal keeps the finished cells, and the same command resumes"
+        )
 
 
 class TestJobsDefault:
@@ -1268,7 +1467,8 @@ class TestRealInterrupt:
         assert explore_until(reference)[0] == 0
         total = (reference / "journal.jsonl").read_bytes().count(b"\n")
         assert total == 289  # the header and 288 cells
-        # workers hand back 16 cells at a time, so "all but one" may see all
+        # workers hand back their cells a batch at a time (here up to 36, an
+        # eighth of those left), so "all but one" may see all
         cases = [(signal.SIGKILL, 1), (signal.SIGKILL, total // 2),
                  (signal.SIGKILL, total - 1), (signal.SIGINT, total // 2)]
         for signum, lines in cases:
