@@ -11,12 +11,18 @@ checkout's `perfbench/workloads.make_inputs`, then runs `flowdse explore` on
 them with the plan's flags (seed, replications, --dedup) at --jobs 1 and at
 --jobs 2. It then resumes the --jobs 2 run from a copy of its journal cut to
 the header, half of its cell lines and half of the next line, as a kill can
-leave it. It also runs `flowdse simulate --trace` of case-study designs 37 and
-500 under the bundled scenario1 with seed 0. It prints one JSON object that maps
-each output file to its SHA-256: `<workload>/jobs<n>/<file>` and
-`<workload>/resumed/<file>` for results.csv, plot.csv, pareto.json and
-journal.jsonl, and `simulate/<trace file>` for the two traces. Everything it
-writes goes under --work.
+leave it. The same three runs follow with `--stop-first --min-attainment`, the
+threshold taken from the --jobs 1 run's results.csv (`stop_threshold`), so
+that the stop lands past the first batch of cells where the best design does
+(on seed 1, after 162 of case_study's 288 designs and 2603 of screening's
+9216; long_run's best is its first design).
+It also runs `flowdse simulate --trace` of case-study designs 37 and 500
+under the bundled scenario1 with seed 0. It prints one JSON object that maps
+each output file to its SHA-256: `<workload>/<run>/<file>` for results.csv,
+plot.csv, pareto.json and journal.jsonl, where <run> is jobs1, jobs2,
+resumed, stop_first_jobs1, stop_first_jobs2 or stop_first_resumed, and
+`simulate/<trace file>` for the two traces. Everything it writes goes under
+--work.
 
 --compare reads two such files, names every file whose digest differs or
 that only one of them has, and exits 1 if there is any; else it exits 0.
@@ -25,6 +31,7 @@ that only one of them has, and exits 1 if there is any; else it exits 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import json
@@ -72,6 +79,48 @@ def cut_journal(data: bytes) -> bytes:
     return head + b"".join(cells[:kept]) + torn
 
 
+def stop_threshold(results_csv: Path) -> str:
+    """A `--min-attainment` value for the first scenario in `results_csv`:
+    the highest mean KPI of a design, so that `--stop-first` stops at the
+    first design that reaches it. A mean adds its KPIs left to right, as
+    explore does."""
+    with open(results_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    scenario = rows[0]["scenario"]
+    kpis: dict[str, list[float]] = {}
+    for row in rows:
+        if row["scenario"] == scenario:
+            kpis.setdefault(row["design"], []).append(float(row["kpi"]))
+    means = []
+    for values in kpis.values():
+        total = 0
+        for value in values:
+            total += value
+        means.append(total / len(values))
+    return f"{scenario}={max(means)!r}"
+
+
+def explore_runs(checkout: Path, work: Path, name: str, flags: list[str]) -> dict[str, str]:
+    """Digests of `explore` with `flags` at --jobs 1 and 2, and of the --jobs 2
+    run resumed from its cut journal, under `work/<name>jobs<n>` and
+    `work/<name>resumed`."""
+    got = {}
+    for jobs in JOBS:
+        out = work / f"{name}jobs{jobs}"
+        flowdse(checkout, "explore", *flags, "--jobs", str(jobs), "--out", str(out))
+        for file in EXPLORE_FILES:
+            got[f"{out.parent.name}/{out.name}/{file}"] = sha256(out / file)
+    resumed = work / f"{name}resumed"
+    resumed.mkdir(parents=True, exist_ok=True)
+    (resumed / "journal.jsonl").write_bytes(
+        cut_journal((work / f"{name}jobs2" / "journal.jsonl").read_bytes())
+    )
+    flowdse(checkout, "explore", *flags, "--jobs", "2", "--out", str(resumed))
+    for file in EXPLORE_FILES:
+        got[f"{resumed.parent.name}/{resumed.name}/{file}"] = sha256(resumed / file)
+    return got
+
+
 def digests(checkout: Path, work: Path) -> dict[str, str]:
     """Each output file's SHA-256, keyed as the module doc says."""
     got = {}
@@ -84,18 +133,10 @@ def digests(checkout: Path, work: Path) -> dict[str, str]:
         flags += ["--scenario", *(str(inputs / name) for name in plan["scenarios"])]
         if plan["dedup"]:
             flags.append("--dedup")
-        for jobs in JOBS:
-            out = work / workload / f"jobs{jobs}"
-            flowdse(checkout, "explore", *flags, "--jobs", str(jobs), "--out", str(out))
-            for name in EXPLORE_FILES:
-                got[f"{workload}/jobs{jobs}/{name}"] = sha256(out / name)
-        resumed = work / workload / "resumed"
-        resumed.mkdir(parents=True, exist_ok=True)
-        cut = cut_journal((work / workload / "jobs2" / "journal.jsonl").read_bytes())
-        (resumed / "journal.jsonl").write_bytes(cut)
-        flowdse(checkout, "explore", *flags, "--jobs", "2", "--out", str(resumed))
-        for name in EXPLORE_FILES:
-            got[f"{workload}/resumed/{name}"] = sha256(resumed / name)
+        got.update(explore_runs(checkout, work / workload, "", flags))
+        threshold = stop_threshold(work / workload / "jobs1" / "results.csv")
+        stop_flags = [*flags, "--stop-first", "--min-attainment", threshold]
+        got.update(explore_runs(checkout, work / workload, "stop_first_", stop_flags))
     data = checkout / "src" / "flowdse" / "data"
     out = work / "simulate"
     for design in TRACED_DESIGNS:

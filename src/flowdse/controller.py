@@ -14,12 +14,13 @@ ladder shared by every controller of a scenario (`recipe_ladder`): per
 recipe, in priority order, its direct bins, its trim bins with their trim
 amounts, and the `BinAssignment` objects that strategies hand out. Each
 controller adds the design's half once, at construction: per recipe, the
-lanes that reach its destination and those of them that can trim. Their
-union is `read_lanes`, the lanes whose windows a walk reads; every other
-lane's strategy stays empty, and the plant's window on it holds nothing. A
-recompute then builds only what the live windows decide: one rate divisor
-per lane and the fresh strategy dicts, filled by a walk up the ladder that
-reads each window's bin counts directly.
+lanes that reach its destination and those of them that can trim, from the
+rungs each lane's tags reach (`rungs_reached`, kept per ladder and tag set).
+Their union is `read_lanes`, the lanes whose windows a walk reads; every
+other lane's strategy stays empty, and the plant's window on it holds
+nothing. A recompute then builds only what the live windows decide: one rate
+divisor per lane and the fresh strategy dicts, filled by a walk up the
+ladder that reads each window's bin counts directly.
 
 Most recomputes on a long horizon rebuild the strategy they already have, so
 each walk also leaves a certificate, and a recompute keeps the current
@@ -144,7 +145,7 @@ class Rung:
     repeats: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as `rungs_reached` keys on it
 class RecipeLadder:
     """Everything a strategy recompute needs that depends only on the recipes
     and the bin width: the default recipe's assignment, one rung per
@@ -222,33 +223,43 @@ def recipe_ladder(
     )
 
 
+@lru_cache(maxsize=4096)
+def rungs_reached(ladder: RecipeLadder, reachable: frozenset[str]) -> tuple[int, ...]:
+    """The positions of the ladder's rungs whose destination is in
+    `reachable`, a lane's destination tags; kept, as many lanes share a set."""
+    return tuple(
+        j for j, rung in enumerate(ladder.rungs) if rung.direct_assignment.destination in reachable
+    )
+
+
 class ProductionController:
     """Per-replication strategy builder: one strategy per lane, rebuilt from
     the lanes' windows at each recompute that its certificate cannot spare."""
 
     def __init__(
-        self, config: ControllerConfig, routes: RouteCatalog, recipes, windows, heaviest_g=math.inf
+        self, config: ControllerConfig, routes: RouteCatalog, ladder: RecipeLadder, windows
     ) -> None:
-        """`windows`: one per lane, in `routes`' lane order; `heaviest_g` bounds
-        every weight they will hold."""
+        """`ladder`: the recipes' ladder at `config.bin_width_g`
+        (`recipe_ladder`); `windows`: one per lane, in `routes`' lane order,
+        none holding a weight above the ladder's heaviest."""
         self.config = config
-        ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
         self.default_assignment = ladder.default_assignment
         self.watched = ladder.watched  # the bins whose presence flips the windows tally
         self.windows = dict(zip(routes.lanes, windows, strict=True))
         # the design-dependent half of the ladder: per rung, the positions (in
         # window order) of the lanes that reach its destination, and of those
-        # that can also trim; rungs no lane can serve are left out
-        names = list(self.windows)
-        self._rungs: list[tuple[Rung, tuple[int, ...], tuple[int, ...]]] = []
-        for rung in ladder.rungs:
-            destination = rung.direct_assignment.destination
-            lanes = tuple(
-                i for i, lane in enumerate(names) if destination in routes.reachable[lane]
-            )
-            if lanes:
-                trim_lanes = tuple(i for i in lanes if routes.has_trimmer[names[i]])
-                self._rungs.append((rung, lanes, trim_lanes))
+        # that can also trim, from the rungs each lane reaches; rungs no lane
+        # can serve are left out
+        lanes_of: list[tuple[list[int], list[int]]] = [([], []) for _ in ladder.rungs]
+        for i, lane in enumerate(self.windows):
+            for j in rungs_reached(ladder, routes.reachable[lane]):
+                lanes_of[j][0].append(i)
+                if routes.has_trimmer[lane]:
+                    lanes_of[j][1].append(i)
+        self._rungs: list[tuple[Rung, tuple[int, ...], tuple[int, ...]]] = [
+            (rung, tuple(lanes), tuple(trim_lanes))
+            for rung, (lanes, trim_lanes) in zip(ladder.rungs, lanes_of) if lanes
+        ]
         # the positions of the lanes some rung reads: no walk reads the others'
         # windows, so their strategies stay empty
         self.read_lanes = frozenset(i for _, lanes, _ in self._rungs for i in lanes)

@@ -13,7 +13,8 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable
 
 from flowdse.kernel import left_sum
 from flowdse.plant import RunTallies
@@ -48,17 +49,18 @@ def score(
         "band_violations": tallies.band_violations,
     }
     non_default = []
-    for recipe, absorbed in zip(scenario.recipes, tallies.recipe_counts, strict=True):
-        key = recipe.destination
+    for recipe, (absorbed_key, achieved_key, attainment_key), absorbed in zip(
+        scenario.recipes, scenario.recipe_columns, tallies.recipe_counts, strict=True
+    ):
         achieved = absorbed / minutes
-        record[f"absorbed_{key}"] = absorbed
-        record[f"achieved_per_min_{key}"] = round(achieved, 9)
-        if not recipe.is_default:
+        record[absorbed_key] = absorbed
+        record[achieved_key] = round(achieved, 9)
+        if attainment_key is not None:
             attainment = achieved / recipe.target_per_min
             if clamp:
                 attainment = min(attainment, 1.0)
             non_default.append(attainment)
-            record[f"attainment_{key}"] = round(attainment, 9)
+            record[attainment_key] = round(attainment, 9)
     if non_default:
         record["kpi"] = left_sum(non_default) / len(non_default)
     for tag, n in sorted(tallies.counts.items()):
@@ -120,44 +122,30 @@ class ParetoFront:
 
 def result_columns(scenarios: list[Scenario]) -> list[str]:
     """Stable CSV header covering every scenario's recipes and destinations."""
-    columns = [
-        "design",
-        "scenario",
-        "seed",
-        "kpi",
-        "injected",
-        "injected_mass_g",
-        "trim_mass_g",
-        "in_flight",
-        "band_violations",
-    ]
-    seen = set(columns)
-    for scenario in scenarios:
-        for r in scenario.recipes:
-            wanted = [
-                f"absorbed_{r.destination}",
-                f"achieved_per_min_{r.destination}",
-            ]
-            if not r.is_default:
-                wanted.append(f"attainment_{r.destination}")
-            for col in wanted:
-                if col not in seen:
-                    columns.append(col)
-                    seen.add(col)
+    columns = dict.fromkeys(["design", "scenario", "seed", "kpi", "injected", "injected_mass_g",
+                             "trim_mass_g", "in_flight", "band_violations"])
+    for scenario in scenarios:  # a name already listed keeps its place
+        for names in scenario.recipe_columns:
+            columns.update(dict.fromkeys(name for name in names if name is not None))
         for tag in sorted(scenario.destinations):
-            for col in (f"count_{tag}", f"mass_{tag}_g"):
-                if col not in seen:
-                    columns.append(col)
-                    seen.add(col)
-    return columns
+            columns.update(dict.fromkeys([f"count_{tag}", f"mass_{tag}_g"]))
+    return list(columns)
 
 
-def write_results_csv(path: Path, records: Iterable[dict], columns: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="", extrasaction="ignore")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record)
+def row_formatter(columns: list[str]) -> Callable[[dict], str]:
+    """The results.csv row of a record: its values under `columns`, "" where
+    it has none, as `csv.DictWriter(restval="", extrasaction="ignore")` writes
+    it. `writerow` returns what its file's `write` returns: here, the line."""
+    writerow = csv.writer(SimpleNamespace(write=str)).writerow
+    return lambda record: writerow([record.get(column, "") for column in columns])
+
+
+def write_results_csv(path: Path, rows: Iterable[bytes], columns: list[str]) -> None:
+    """results.csv: the header of `columns`, then `rows`, each a record's row
+    (`row_formatter`) in UTF-8."""
+    with open(path, "wb") as fh:
+        fh.write(row_formatter(columns)(dict(zip(columns, columns))).encode())
+        fh.writelines(rows)
 
 
 def write_plot_csv(path: Path, vectors: list[KpiVector], scenario_ids: list[str], front: ParetoFront) -> None:

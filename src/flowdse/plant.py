@@ -463,7 +463,7 @@ class PlantSimulation:
         self.catalog = design.catalog
         windows = [WindowView([]) for _ in self.catalog.lanes]
         self.controller = ProductionController(
-            scenario.controller, self.catalog, scenario.recipes, windows, scenario.heaviest_g
+            scenario.controller, self.catalog, scenario.ladder, windows
         )
         self.routes = design.routes
         default_tag = scenario.default_recipe.destination

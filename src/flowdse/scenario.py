@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from flowdse.controller import ControllerConfig
+from flowdse.controller import ControllerConfig, RecipeLadder, recipe_ladder
 
 log = logging.getLogger(__name__)
 
@@ -146,10 +146,25 @@ class Scenario:
     def default_recipe(self) -> Recipe:
         return next(r for r in self.recipes if r.is_default)
 
-    @property
+    @cached_property
     def heaviest_g(self) -> float:
         """The heaviest weight any lane's inflow can produce."""
         return max(lane.weights.heaviest_g for lane in self.inflow)
+
+    @cached_property
+    def recipe_columns(self) -> tuple[tuple[str, str, str | None], ...]:
+        """Per recipe, its record columns: absorbed, achieved per minute and,
+        but for the default recipe, attainment."""
+        return tuple(
+            (f"absorbed_{r.destination}", f"achieved_per_min_{r.destination}",
+             None if r.is_default else f"attainment_{r.destination}")
+            for r in self.recipes
+        )
+
+    @cached_property
+    def ladder(self) -> RecipeLadder:
+        """The recipes' ladder at the controller's bin width, up to `heaviest_g`."""
+        return recipe_ladder(tuple(self.recipes), self.controller.bin_width_g, self.heaviest_g)
 
     @property
     def destinations(self) -> set[str]:

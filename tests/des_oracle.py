@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from flowdse.controller import BinAssignment, ProductionController
+from flowdse.controller import BinAssignment, ProductionController, recipe_ladder
 from flowdse.designspace import (
     DesignConfiguration,
     DesignSpace,
@@ -172,7 +172,8 @@ class ReferenceController(ProductionController):
         windows = [
             LaneWindow(lane, config.window_size, config.bin_width_g) for lane in routes.lanes
         ]
-        super().__init__(config, routes, recipes, windows, heaviest_g)
+        ladder = recipe_ladder(tuple(recipes), config.bin_width_g, heaviest_g)
+        super().__init__(config, routes, ladder, windows)
         self.routes = routes
         self.recipes = list(recipes)
 

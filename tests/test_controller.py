@@ -769,7 +769,8 @@ def certificate_controller(run, windows=None):
         options = sums[epoch, i]
         targets.append(options[k % len(options)])
     windows = windows or PlantWindows(len(lanes), size)
-    controller = ProductionController(config, routes, recipes_with(targets), windows.windows)
+    ladder = recipe_ladder(tuple(recipes_with(targets)), binw)
+    controller = ProductionController(config, routes, ladder, windows.windows)
     return controller, windows
 
 
@@ -823,7 +824,7 @@ class TestCertificate:
         controller = ProductionController(
             ControllerConfig(window_size=100, bin_width_g=10.0, warmup_s=0.0),
             RouteCatalog({"a": frozenset({"d0", "strips"})}, {"a": True}),
-            [recipe("d0", 1, 3, 100, 200, 0), DEFAULT],
+            recipe_ladder((recipe("d0", 1, 3, 100, 200, 0), DEFAULT), 10.0),
             windows.windows,
         )
         windows.weigh([[(0.0, 10), (0.0, 11), (30.0, 10)]], controller.watched)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from flowdse.evaluator import (
     ParetoFront,
     dominates,
     result_columns,
+    row_formatter,
     score,
     write_pareto_json,
     write_plot_csv,
@@ -194,9 +196,15 @@ class TestWriters:
         assert "count_fillet_strips" in columns
         assert len(columns) == len(set(columns))
 
+    @staticmethod
+    def results_csv(path, records, columns):
+        """results.csv of `records`, each formatted by `row_formatter`."""
+        row = row_formatter(columns)
+        write_results_csv(path, [row(record).encode() for record in records], columns)
+
     def test_results_csv_blank_fills_missing_columns(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_results_csv(
+        self.results_csv(
             path,
             [{"design": 0, "scenario": "s", "kpi": 0.5}],
             ["design", "scenario", "kpi", "count_burger"],
@@ -207,9 +215,41 @@ class TestWriters:
 
     def test_results_csv_ignores_stray_keys(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_results_csv(path, [{"design": 0, "mystery": 9}], ["design"])
+        self.results_csv(path, [{"design": 0, "mystery": 9}], ["design"])
         with open(path, newline="") as fh:
             assert list(csv.DictReader(fh)) == [{"design": "0"}]
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=8, unique=True),
+        st.lists(
+            st.dictionaries(
+                st.text(max_size=8),
+                st.one_of(st.integers(), st.floats(), st.text(), st.none()),
+                max_size=10,
+            ),
+            max_size=4,
+        ),
+    )
+    def test_row_formatter_writes_what_dict_writer_writes(self, columns, records):
+        # the oracle: the writer results.csv was written with before the formatter
+        row = row_formatter(columns)
+        for record in records:
+            # some of the columns as well as stray keys
+            record = {**{c: record.get(c, 1.5) for c in columns[::2]}, **record}
+            expected = io.StringIO()
+            csv.DictWriter(expected, columns, restval="", extrasaction="ignore").writerow(record)
+            assert row(record) == expected.getvalue()
+
+    def test_row_formatter_quotes_a_scenario_id_with_a_comma_and_a_quote(self, tmp_path):
+        columns = ["design", "scenario", "kpi", "count_burger"]
+        record = {"design": 3, "scenario": 'north, "wet"', "kpi": 0.25, "mystery": 9}
+        assert row_formatter(columns)(record) == '3,"north, ""wet""",0.25,\r\n'
+        path = tmp_path / "results.csv"
+        self.results_csv(path, [record], columns)
+        with open(path, newline="") as fh:
+            assert list(csv.DictReader(fh)) == [
+                {"design": "3", "scenario": 'north, "wet"', "kpi": "0.25", "count_burger": ""}
+            ]
 
     def test_plot_csv_marks_front_membership(self, tmp_path):
         vectors = [vec(0, 1, 0), vec(1, 0.2, 0.2), vec(2, 0.5, 0.5)]

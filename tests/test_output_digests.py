@@ -69,3 +69,18 @@ def test_cut_keeps_the_header_half_the_cells_and_half_the_next_line():
 )
 def test_cut_of_short_journals(cells, cut):
     assert output_digests.cut_journal(b"head\n" + cells) == b"head\n" + cut
+
+
+def write_results(path, rows):
+    """A results.csv of (design, scenario, kpi) rows."""
+    path.write_text("design,scenario,kpi\n" + "".join(f"{d},{s},{k!r}\n" for d, s, k in rows))
+    return path
+
+
+def test_stop_threshold_is_the_best_mean_of_the_first_scenario(tmp_path):
+    # designs 5, 3, 8, 1 in evaluation order, two replications each; design
+    # 8's mean is the highest for scenario a, and scenario b is not read
+    rows = [(5, "a", 0.5), (5, "a", 0.1), (5, "b", 0.9), (3, "a", 0.2), (3, "a", 0.2),
+            (8, "a", 0.7), (8, "a", 0.1), (1, "a", 0.3), (1, "a", 0.3)]
+    path = write_results(tmp_path / "results.csv", rows)
+    assert output_digests.stop_threshold(path) == f"a={(0.7 + 0.1) / 2!r}"

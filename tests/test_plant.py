@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import importlib.util
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from des_oracle import PlantSimulation as CalendarPlant
 from flowdse import plant as plant_module
-from flowdse.controller import BinAssignment, ControllerConfig
+from flowdse.controller import BinAssignment, ControllerConfig, recipe_ladder
 from flowdse.designspace import (
     compile_design,
     enumerate_configurations,
@@ -34,6 +35,7 @@ from flowdse.scenario import (
 from strategy_oracle import LegacyStrategies
 
 DATA = Path(__file__).parent.parent / "src" / "flowdse" / "data"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +650,52 @@ class TestControllerInThePlant:
         sim.run()
         assert len(checked) == controller.recomputes == 116
         assert any(checked)  # the trim phase took part
+
+    @staticmethod
+    def scanned_design_half(routes, scenario, windows):
+        """`_rungs`, `read_lanes` and `_read` as a scan of every rung against
+        every lane builds them, over the ladder built from the scenario's
+        recipes: the controller's design half before the ladder kept the
+        rungs each set of tags reaches."""
+        heaviest_g = max(lane.weights.heaviest_g for lane in scenario.inflow)
+        ladder = recipe_ladder(tuple(scenario.recipes), scenario.controller.bin_width_g, heaviest_g)
+        names = routes.lanes
+        rungs = []
+        for rung in ladder.rungs:
+            destination = rung.direct_assignment.destination
+            lanes = tuple(
+                i for i, lane in enumerate(names) if destination in routes.reachable[lane]
+            )
+            if lanes:
+                trim_lanes = tuple(i for i in lanes if routes.has_trimmer[names[i]])
+                rungs.append((rung, lanes, trim_lanes))
+        read_lanes = frozenset(i for _, lanes, _ in rungs for i in lanes)
+        return rungs, read_lanes, [(i, windows[i]) for i in sorted(read_lanes)]
+
+    @pytest.mark.parametrize("workload", ["case_study", "screening"])
+    def test_design_half_equals_the_per_rung_scan_for_every_design(self, workload, tmp_path):
+        if workload == "case_study":
+            space = load_design_space(DATA / "case_study_space.json")
+            scenarios = [load_scenario(DATA / f"scenario{i}.json") for i in (1, 2)]
+        else:
+            spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            plan = workloads.make_inputs("screening", 1, tmp_path)
+            space = load_design_space(tmp_path / plan["space"])
+            scenarios = [load_scenario(tmp_path / name) for name in plan["scenarios"]]
+        designs = 0
+        for config in enumerate_configurations(space):
+            designs += 1
+            for scenario in scenarios:
+                sim = PlantSimulation(space, config, scenario, seed=1)
+                controller = sim.controller
+                windows = list(controller.windows.values())
+                rungs, read_lanes, read = self.scanned_design_half(sim.catalog, scenario, windows)
+                assert controller._rungs == rungs
+                assert controller.read_lanes == read_lanes
+                assert controller._read == read
+        assert designs == {"case_study": 1152, "screening": 9216}[workload]
 
 
 CASE_RAW = json.loads((DATA / "case_study_space.json").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -141,6 +142,12 @@ UNUSABLE_RECORDS = [
     pytest.param(lambda line: edited_record(line, cell=[0, 1, 0]), id="scenario-out-of-range"),
     pytest.param(lambda line: edited_record(line, cell=[0, 0, -1]), id="replication-out-of-range"),
     pytest.param(lambda line: edited_record(line, cell=[0, 0, 0.0]), id="float-coordinate"),
+    # a JSON escape can spell a lone surrogate, which results.csv cannot encode
+    pytest.param(
+        lambda line: line.rstrip(b"\n").replace(b'"scenario": "mini"', b'"scenario": "\\ud800"')
+        + b"\n",
+        id="unencodable-scenario",
+    ),
 ]
 
 
@@ -453,15 +460,15 @@ class TestExplore:
         assert all(v.multiplicity == 1 for v in report.vectors)
 
     def test_parent_memory_per_cell_is_small(self, tmp_path, monkeypatch):
-        # the records stay in the journal: the parent keeps a KPI and an offset per cell
+        # the rows wait in the row spool: the parent keeps a KPI and a spool offset per cell
         write_edited_inputs(tmp_path, ("scenario", "horizon_s", None, None, 90))
         files = {"space": tmp_path / "space.json", "scenario": tmp_path / "scenario.json"}
         real = runner.write_results_csv
         held = []
 
-        def measured(path, records, columns):
+        def measured(path, rows, columns):
             held.append(tracemalloc.get_traced_memory()[0])
-            real(path, records, columns)
+            real(path, rows, columns)
 
         monkeypatch.setattr(runner, "write_results_csv", measured)
         tracemalloc.start()
@@ -474,7 +481,7 @@ class TestExplore:
         assert growth_per_cell < 600
 
     def test_resume_from_a_shuffled_journal(self, mini, tmp_path):
-        # results.csv is read back from the journal by offset, in any line order
+        # results.csv takes each row from the spool by offset, in any line order
         first = run_explore(mini, tmp_path / "a", replications=4)
         head, *records = first.files["journal"].read_text().splitlines()
         random.Random(3).shuffle(records)
@@ -599,7 +606,7 @@ class TestOrphanedWorker:
         signal.signal(signal.SIGINT, handler)  # a worker's Ctrl-C setting, not this process's
         assert runner._WORKER["parent"] == os.getppid()
         cell = (next(runner.enumerate_configurations(runner._WORKER["space"])), 0, 0, 42)
-        heads, _ = runner._run_cells([cell])
+        heads, _, _ = runner._run_cells([cell])
         assert [key for key, _, _ in heads] == [(0, 0, 0)]
         ran = []
         monkeypatch.setattr(runner, "run_cell", lambda *args: ran.append(args))
@@ -616,7 +623,8 @@ class TestOrphanedWorker:
 
 class TestPipeline:
     """The pool runs batches of cells while the parent enumerates, and each
-    batch comes back as its journal lines in one block."""
+    batch comes back as its journal lines in one block and its results.csv
+    rows in another."""
 
     LOOKAHEAD = 2 * 4 * 64  # the cells the parent takes before a --jobs 2 pool starts
 
@@ -632,16 +640,24 @@ class TestPipeline:
         space, scenario = runner._WORKER["space"], runner._WORKER["scenarios"][0]
         batch = [(config, 0, r, 42)
                  for config in runner.enumerate_configurations(space) for r in range(3)]
-        heads, block = runner._run_cells(batch)
+        heads, block, rows = runner._run_cells(batch)
+        columns = runner.result_columns([scenario])
         expected = []
         for config, _, r, seed in batch:
             key = (config.index, 0, r)
             record, _ = runner.run_cell(space, config, scenario, cell_seed(seed, *key), True)
+            row = io.StringIO()
+            csv.DictWriter(row, columns, restval="", extrasaction="ignore").writerow(record)
             expected.append((key, record["kpi"],
-                             json.dumps({"cell": list(key), "result": record}) + "\n"))
+                             json.dumps({"cell": list(key), "result": record}) + "\n",
+                             row.getvalue().encode()))
         lines = block.splitlines(keepends=True)
-        assert lines == [line for _, _, line in expected]
-        assert heads == [(key, kpi, len(line)) for key, kpi, line in expected]
+        assert lines == [line for _, _, line, _ in expected]
+        # each row is spooled after its length in 4 bytes
+        spooled = [len(row).to_bytes(4, "little") + row for *_, row in expected]
+        assert rows == b"".join(spooled)
+        assert heads == [(key, kpi, len(entry))
+                         for (key, kpi, _, _), entry in zip(expected, spooled)]
 
     def test_cells_run_while_the_parent_enumerates(self, short, tmp_path, monkeypatch):
         # the workers are forked after the patches, so they run the wrapped run_cell
@@ -687,6 +703,30 @@ class TestPipeline:
         assert (resumed.cells_resumed, resumed.cells_executed) == (cut, 600 - cut)
         for name in ("results", "plot", "pareto", "journal"):
             assert resumed.files[name].read_bytes() == reference.files[name].read_bytes(), name
+
+    def test_outputs_are_the_same_under_a_20_hz_timer_signal(self, short, tmp_path):
+        # the benchmark times explore under SIGALRM every 50 ms, whose handler
+        # runs interpreter work in the parent (perfbench/round.py, SpeedProbe)
+        # while it writes the journal and the row spool and copies the rows
+        ticks = []
+
+        def tick(signum, frame):
+            ticks.append(signum)
+            table = {}
+            for i in range(2000):
+                table[i % 97] = table.get(i % 97, 0) + i * i % 7
+
+        previous = signal.signal(signal.SIGALRM, tick)
+        signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+        try:
+            probed = run_explore(short, tmp_path / "probed", jobs=2, replications=300)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        plain = run_explore(short, tmp_path / "plain", jobs=2, replications=300)
+        assert ticks
+        for name in ("results", "plot", "pareto", "journal"):
+            assert probed.files[name].read_bytes() == plain.files[name].read_bytes(), name
 
     @staticmethod
     def within(seconds, call):
