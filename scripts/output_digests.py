@@ -22,7 +22,11 @@ each output file to its SHA-256: `<workload>/<run>/<file>` for results.csv,
 plot.csv, pareto.json and journal.jsonl, where <run> is jobs1, jobs2,
 resumed, stop_first_jobs1, stop_first_jobs2 or stop_first_resumed, and
 `simulate/<trace file>` for the two traces. Everything it writes goes under
---work.
+--work. No output may depend on the worker count or on an interruption, so
+each file of a workload's jobs2 and resumed runs must be that of its jobs1
+run, and each of its stop_first_jobs2 and stop_first_resumed runs that of
+stop_first_jobs1. After printing the digests, the script names on stderr
+every file that is not, and then exits 1; else it exits 0.
 
 --compare reads two such files, names every file whose digest differs or
 that only one of them has, and exits 1 if there is any; else it exits 0.
@@ -36,6 +40,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +153,18 @@ def digests(checkout: Path, work: Path) -> dict[str, str]:
     return got
 
 
+def mismatched(got: dict[str, str]) -> list[str]:
+    """The files of a jobs2 or resumed run whose digests are not those of the
+    same workload's jobs1 run (stop_first_ runs against stop_first_jobs1), in
+    order."""
+    names = []
+    for name in sorted(got):
+        match = re.fullmatch(r"(.+/(?:stop_first_)?)(?:jobs2|resumed)(/.+)", name)
+        if match and got[name] != got.get(f"{match[1]}jobs1{match[2]}"):
+            names.append(name)
+    return names
+
+
 def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
     """The files whose digests differ, or that only one side has, in order."""
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
@@ -169,8 +186,12 @@ def main(argv=None) -> int:
         return 1 if names else 0
     if args.work is None:
         parser.error("--work is required unless --compare is given")
-    print(json.dumps(digests(args.checkout.resolve(), args.work.resolve()), indent=1))
-    return 0
+    got = digests(args.checkout.resolve(), args.work.resolve())
+    print(json.dumps(got, indent=1))
+    names = mismatched(got)
+    for name in names:
+        print(f"not as at --jobs 1: {name}", file=sys.stderr)
+    return 1 if names else 0
 
 
 if __name__ == "__main__":

@@ -157,11 +157,10 @@ class RecipeLadder:
     watched: range
 
 
-@lru_cache(maxsize=64, typed=True)
 def recipe_ladder(
     recipes: tuple, bin_width_g: float, heaviest_g: float = math.inf
 ) -> RecipeLadder:
-    """Build (or fetch) the ladder for one scenario's recipes and bin width.
+    """The ladder of one scenario's recipes and bin width (`Scenario.ladder`).
 
     The bin arithmetic is exactly the loop conditions of a strategy walk, so a
     walk over the ladder visits the same bins with the same trim amounts.

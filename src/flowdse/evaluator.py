@@ -1,10 +1,10 @@
 """Scoring and multi-objective comparison of simulated designs.
 
 score() turns one cell's raw tallies into its record: per-recipe attainment
-ratios and a scalar KPI (mean attainment over the non-default recipes), in the
-flat form that the journal and results.csv store. KpiVector collects one KPI
-per scenario for a design; ParetoFront keeps the vectors not dominated by any
-other, maximizing every component.
+ratios and a scalar KPI (mean attainment over the non-default recipes), in
+the flat form of its results.csv row (`row_formatter`), the row the journal
+holds. KpiVector collects one KPI per scenario for a design; ParetoFront
+keeps the vectors not dominated by any other, maximizing every component.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def score(
     attainment = achieved / target, clamped to 1.0 unless disabled; the KPI is
     the mean over non-default recipes, so an unservable recipe pulls it down
     with an attainment of 0 and overshooting one recipe cannot mask another.
-    The record is flat and JSON-friendly: the journal and the CSV writer take
-    it as it is. The default recipe has no attainment column.
+    The record is flat: `row_formatter` writes it as it is. The default recipe
+    has no attainment column.
     """
     minutes = scenario.horizon_s / 60.0
     record = {

@@ -9,16 +9,15 @@ the parent is still enumerating: each cell carries its design's
 configuration, and a worker loads only the space and the scenarios, compiling
 each distinct lane wiring once (`compile_design`). Batches hold up to 64
 cells and shrink toward the end of the run, so that no worker is left with a
-long last batch while the others idle (guided self-scheduling). Every cell's
-record is appended to a journal file before anything else happens with it,
-which makes interrupted batches resumable without recomputation. A worker
-hands back its batch as two blocks, the batch's journal lines and their
-results.csv rows, formatted where the records are. The parent writes the
-lines to the journal, appends the rows to a row spool (an unnamed temporary
-file, which also takes the rows of resumed cells as the journal is read) and
-keeps only each cell's KPI and row offset; results.csv is copied from the
-spool by offset. Results are keyed and sorted by cell, so the output files
-are identical for any worker count.
+long last batch while the others idle (guided self-scheduling). The journal
+is the record store: every cell's line is appended to it before anything
+else happens with the cell, which makes interrupted batches resumable
+without recomputation. A line holds the cell, its KPI and its results.csv
+row, formatted once, in the worker that ran the cell. A worker hands back its
+batch's lines as one block; the parent writes it to the journal and keeps
+only each cell's KPI and the offset of its line, and results.csv is copied
+from the journal by offset. Results are keyed and sorted by cell, so the
+output files are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import hashlib
 import json
 import os
 import signal
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -170,32 +168,27 @@ def run_cell(
     return record, sim.trace_rows
 
 
-def _spooled(row: str) -> bytes:
-    """A results.csv row as the spool holds it: its length, then its UTF-8."""
-    data = row.encode()
-    return len(data).to_bytes(4, "little") + data
-
-
-def _unspooled(spool, offsets: Iterable[int]) -> Iterator[bytes]:
-    """The rows spooled at `offsets`, read back one at a time."""
+def _journal_rows(journal, offsets: Iterable[int]) -> Iterator[bytes]:
+    """The results.csv rows of the journal lines at `offsets`, in UTF-8, read
+    back one at a time."""
     for offset in offsets:
-        spool.seek(offset)
-        yield spool.read(int.from_bytes(spool.read(4), "little"))
+        journal.seek(offset)
+        yield json.loads(journal.readline().decode())["row"].encode()
 
 
 def _run_cells(
     batch: list[tuple[DesignConfiguration, int, int, int]]
-) -> tuple[list[tuple[tuple[int, int, int], float, int]], str, bytes]:
-    """A batch of `explore`'s cells: per cell its key, its KPI and the size of
-    its spooled row, then the journal lines and the spooled rows, each in one
-    block. A pool worker whose parent died exits before its next cell, as no
-    journal takes its records any more: the pool catches only `Exception`,
-    so `SystemExit` ends it."""
+) -> tuple[list[tuple[tuple[int, int, int], float, int]], str]:
+    """A batch of `explore`'s cells: per cell its key, its KPI and the length
+    of its journal line, then the lines in one block. A line is ASCII
+    (`json.dumps` escapes the rest), so its length is its size in bytes. A
+    pool worker whose parent died exits before its next cell, as no journal
+    takes its records any more: the pool catches only `Exception`, so
+    `SystemExit` ends it."""
     parent = _WORKER.get("parent")
     row_of = _WORKER["row"]
     heads = []
     lines = []
-    rows = []
     for config, scenario_index, replication, base_seed in batch:
         if parent is not None and os.getppid() != parent:
             raise SystemExit(f"worker {os.getpid()}: parent {parent} is gone")
@@ -204,13 +197,10 @@ def _run_cells(
             _WORKER["space"], config, _WORKER["scenarios"][scenario_index], seed, _WORKER["clamp"]
         )
         key = (config.index, scenario_index, replication)
-        # byte for byte what json.dumps({"cell": list(key), "result": record}) gives
-        line = '{"cell": ' + json.dumps(list(key)) + ', "result": ' + json.dumps(record) + "}\n"
-        row = _spooled(row_of(record))
-        heads.append((key, record["kpi"], len(row)))
+        line = json.dumps({"cell": key, "kpi": record["kpi"], "row": row_of(record)}) + "\n"
+        heads.append((key, record["kpi"], len(line)))
         lines.append(line)
-        rows.append(row)
-    return heads, "".join(lines), b"".join(rows)
+    return heads, "".join(lines)
 
 
 def simulate_single(
@@ -269,39 +259,42 @@ def progress_line(done: int, total: int, executed: int, left: int, elapsed_s: fl
 
 
 def _load_journal(
-    path: Path, fingerprint: dict, row_of, spool
+    path: Path, fingerprint: dict, columns: list[str]
 ) -> tuple[dict[tuple[int, int, int], tuple[float, int]], int]:
-    """The cells a journal records, each as its KPI and the offset in `spool`
-    of its results.csv row, which it formats (`row_of`) and appends there, and
-    the byte length of the journal's intact part.
+    """The cells a journal records, each as its KPI and the offset of its
+    line, and the byte length of the journal's intact part.
 
     Records are written in blocks of whole lines, each block flushed, so a
     kill mid-write can only tear the last line. A record counts only if its
     cell is three ints, with the scenario and the replication inside the
-    fingerprint's counts, its KPI is a number and its row encodes to UTF-8
-    (JSON escapes can spell a lone surrogate). A last line that is torn
-    (no newline), does not parse or does not count is dropped: its cell runs
-    again, and the caller truncates the file to the intact length before
-    appending. A header that is torn before its newline leaves nothing to keep
-    (length 0). Any other bad line is corruption and a `PlanError`. Whether
-    the plan runs each design index is left to the caller.
+    fingerprint's counts, its KPI is a number and its row is a string that
+    ends a CSV line and encodes to UTF-8 (JSON escapes can spell a lone
+    surrogate). A last line that is torn (no newline), does not parse or does
+    not count is dropped: its cell runs again, and the caller truncates the
+    file to the intact length before appending. A header that is torn before
+    its newline leaves nothing to keep (length 0). Any other bad line is
+    corruption and a `PlanError`, and so is a header whose columns are not
+    `columns`. Whether the plan runs each design index is left to the caller.
     """
     scenario_count = len(fingerprint["scenarios_sha256"])
     replications = fingerprint["replications"]
 
-    def entry_of(line: bytes) -> tuple[tuple[int, int, int], float, bytes]:
-        entry = json.loads(line)
+    def entry_of(line: bytes) -> tuple[tuple[int, int, int], float]:
+        entry = json.loads(line.decode())  # strict UTF-8, and faster than loads(bytes)
         cell = tuple(entry["cell"])
-        kpi = entry["result"]["kpi"]
+        kpi, row = entry["kpi"], entry["row"]
         if not (
             len(cell) == 3
             and all(type(i) is int for i in cell)
             and 0 <= cell[1] < scenario_count
             and 0 <= cell[2] < replications
             and type(kpi) in (int, float)
+            and type(row) is str
+            and row.endswith("\r\n")
         ):
             raise ValueError(f"unusable record {line!r}")
-        return cell, kpi, _spooled(row_of(entry["result"]))
+        row.encode()  # a UnicodeEncodeError is a ValueError
+        return cell, kpi
 
     completed: dict[tuple[int, int, int], tuple[float, int]] = {}
     if not path.exists():
@@ -327,15 +320,19 @@ def _load_journal(
                 f"{path} was written by a different plan; "
                 f"use a fresh --out directory or matching inputs"
             )
+        if head.get("columns") != columns:  # none: written before journals held rows
+            raise PlanError(
+                f"{path} holds no results.csv rows of this plan's columns; "
+                f"start afresh: use a fresh --out directory or remove the journal"
+            )
         intact = len(header)
         for number, line in enumerate(fh, start=2):
             if not line.endswith(b"\n"):
                 break  # torn
             try:
                 if line.strip():
-                    cell, kpi, row = entry_of(line)
-                    completed[cell] = (kpi, spool.tell())
-                    spool.write(row)
+                    cell, kpi = entry_of(line)
+                    completed[cell] = (kpi, intact)
             except (ValueError, KeyError, TypeError):
                 if not fh.read(1):
                     break  # an unparsable last line: drop it like a torn one
@@ -392,182 +389,182 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     journal_path = out_dir / "journal.jsonl"
     fingerprint = plan.fingerprint(scenarios)
     columns = result_columns(scenarios)
-    with tempfile.TemporaryFile() as spool:  # the rows of results.csv; unnamed
-        completed, intact = _load_journal(journal_path, fingerprint, row_formatter(columns), spool)
+    completed, intact = _load_journal(journal_path, fingerprint, columns)
 
-        # a cell carries its configuration, so that no worker enumerates the space
-        configs: list[DesignConfiguration] = []
-        if plan.dedup:  # dedup needs the whole space first
-            configs.extend(enumerate_configurations(space))
-            ends["enumerate"] = time.perf_counter()
-            distinct = deduplicate(space, configs)
-            designs: Iterable[DesignConfiguration] = [rep for rep, _ in distinct]
-            ends["dedup"] = time.perf_counter()
-        else:
+    # a cell carries its configuration, so that no worker enumerates the space
+    configs: list[DesignConfiguration] = []
+    if plan.dedup:  # dedup needs the whole space first
+        configs.extend(enumerate_configurations(space))
+        ends["enumerate"] = time.perf_counter()
+        distinct = deduplicate(space, configs)
+        designs: Iterable[DesignConfiguration] = [rep for rep, _ in distinct]
+        ends["dedup"] = time.perf_counter()
+    else:
 
-            def enumerated() -> Iterator[DesignConfiguration]:
-                for config in enumerate_configurations(space):
-                    configs.append(config)
-                    yield config
+        def enumerated() -> Iterator[DesignConfiguration]:
+            for config in enumerate_configurations(space):
+                configs.append(config)
+                yield config
 
-            designs = enumerated()
-        pending = (
-            (config, s, r, plan.base_seed)
-            for config in designs
+        designs = enumerated()
+    pending = (
+        (config, s, r, plan.base_seed)
+        for config in designs
+        for s in range(len(scenarios))
+        for r in range(plan.replications)
+        if (config.index, s, r) not in completed
+    )
+
+    # the journal keeps the records; the parent keeps each cell's KPI and line offset
+    collected: dict[tuple[int, int, int], tuple[float, int]] = dict(completed)
+    stopped_at = None
+
+    def design_done(d: int) -> bool:
+        return all(
+            (d, s, r) in collected
             for s in range(len(scenarios))
             for r in range(plan.replications)
-            if (config.index, s, r) not in completed
         )
 
-        # the journal keeps the records and the spool their rows; the parent keeps
-        # each cell's KPI and row offset
-        collected: dict[tuple[int, int, int], tuple[float, int]] = dict(completed)
-        stopped_at = None
+    def mean_kpi(d: int, s: int) -> float:
+        kpis = [collected[(d, s, r)][0] for r in range(plan.replications)]
+        return left_sum(kpis) / len(kpis)
 
-        def design_done(d: int) -> bool:
-            return all(
-                (d, s, r) in collected
-                for s in range(len(scenarios))
-                for r in range(plan.replications)
+    def meets_thresholds(d: int) -> bool:
+        for sid, minimum in thresholds.items():
+            if mean_kpi(d, scenario_ids.index(sid)) < minimum:
+                return False
+        return True
+
+    # The parent holds up to `lookahead` cells and hands the pool batches from
+    # their front while it enumerates. It takes the first ones before the pool
+    # starts, so that the pool has no more workers than cells to run.
+    lookahead = plan.jobs * 4 * 64
+    buffer = deque(islice(pending, lookahead))
+    jobs = min(plan.jobs, len(buffer))
+    feed: SimpleQueue = SimpleQueue()  # batches, then None
+    queued = executed = 0
+    journal = pool = None
+    loop_started = time.perf_counter()
+    try:
+        if jobs <= 1:
+            _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
+            stream = map(_run_cells, iter(feed.get, None))
+        else:
+            pool = Pool(
+                processes=jobs,
+                initializer=_init_pool_worker,
+                initargs=(plan.space_path, plan.scenario_paths, plan.clamp),
             )
+            stream = pool.imap(_run_cells, iter(feed.get, None))
 
-        def mean_kpi(d: int, s: int) -> float:
-            kpis = [collected[(d, s, r)][0] for r in range(plan.replications)]
-            return left_sum(kpis) / len(kpis)
+        def put_batch() -> int:
+            # 64 cells while the look-ahead is full, then fewer, down to one at
+            # the end; one under --stop-first, to keep the journal aligned with
+            # evaluation order
+            size = 1 if plan.stop_first else min(64, max(1, len(buffer) // (jobs * 4)))
+            feed.put([buffer.popleft() for _ in range(size)])
+            return size
 
-        def meets_thresholds(d: int) -> bool:
-            for sid, minimum in thresholds.items():
-                if mean_kpi(d, scenario_ids.index(sid)) < minimum:
-                    return False
-            return True
-
-        # The parent holds up to `lookahead` cells and hands the pool batches from
-        # their front while it enumerates. It takes the first ones before the pool
-        # starts, so that the pool has no more workers than cells to run.
-        lookahead = plan.jobs * 4 * 64
-        buffer = deque(islice(pending, lookahead))
-        jobs = min(plan.jobs, len(buffer))
-        feed: SimpleQueue = SimpleQueue()  # batches, then None
-        queued = executed = 0
-        journal = pool = None
-        loop_started = time.perf_counter()
-        try:
-            if jobs <= 1:
-                _init_worker(plan.space_path, plan.scenario_paths, plan.clamp)
-                stream = map(_run_cells, iter(feed.get, None))
-            else:
-                pool = Pool(
-                    processes=jobs,
-                    initializer=_init_pool_worker,
-                    initargs=(plan.space_path, plan.scenario_paths, plan.clamp),
-                )
-                stream = pool.imap(_run_cells, iter(feed.get, None))
-
-            def put_batch() -> int:
-                # 64 cells while the look-ahead is full, then fewer, down to one at
-                # the end; one under --stop-first, to keep the journal aligned with
-                # evaluation order
-                size = 1 if plan.stop_first else min(64, max(1, len(buffer) // (jobs * 4)))
-                feed.put([buffer.popleft() for _ in range(size)])
-                return size
-
-            for cell in pending:
-                if len(buffer) >= lookahead:
-                    queued += put_batch()
-                buffer.append(cell)
-            while buffer:
+        for cell in pending:
+            if len(buffer) >= lookahead:
                 queued += put_batch()
-            feed.put(None)
-            if not plan.dedup:
-                ends["enumerate"] = ends["dedup"] = time.perf_counter()
+            buffer.append(cell)
+        while buffer:
+            queued += put_batch()
+        feed.put(None)
+        if not plan.dedup:
+            ends["enumerate"] = ends["dedup"] = time.perf_counter()
 
-            say(f"{space.space_id}: {len(configs)} configurations")
-            if plan.dedup:
-                design_indices = [config.index for config in designs]
-                multiplicity = {rep.index: mult for rep, mult in distinct}
-                say(f"deduplicated to {len(distinct)} distinct designs")
-            else:
-                design_indices = list(range(len(configs)))
-                multiplicity = dict.fromkeys(design_indices, 1)
-            strays = {d for d, _, _ in completed}.difference(design_indices)
-            if strays:
-                raise PlanError(
-                    f"{journal_path} records design {min(strays)}, which this plan does not run; "
-                    f"use a fresh --out directory or matching inputs"
-                )
-            if completed:
-                say(f"journal: {len(completed)} cells already done")
-            per_design = len(scenarios) * plan.replications
-            cells_total = len(design_indices) * per_design
+        say(f"{space.space_id}: {len(configs)} configurations")
+        if plan.dedup:
+            design_indices = [config.index for config in designs]
+            multiplicity = {rep.index: mult for rep, mult in distinct}
+            say(f"deduplicated to {len(distinct)} distinct designs")
+        else:
+            design_indices = list(range(len(configs)))
+            multiplicity = dict.fromkeys(design_indices, 1)
+        strays = {d for d, _, _ in completed}.difference(design_indices)
+        if strays:
+            raise PlanError(
+                f"{journal_path} records design {min(strays)}, which this plan does not run; "
+                f"use a fresh --out directory or matching inputs"
+            )
+        if completed:
+            say(f"journal: {len(completed)} cells already done")
+        per_design = len(scenarios) * plan.replications
+        cells_total = len(design_indices) * per_design
 
-            journal = open(journal_path, "a", encoding="utf-8", newline="")
-            journal.truncate(intact)  # drop a torn last line so the next record starts clean
-            if not intact:
-                journal.write(json.dumps({"plan": fingerprint}) + "\n")
-                journal.flush()
+        journal = open(journal_path, "a", encoding="utf-8", newline="")
+        journal.truncate(intact)  # drop a torn last line so the next record starts clean
+        offset = intact
+        if not intact:
+            header = json.dumps({"plan": fingerprint, "columns": columns}) + "\n"
+            journal.write(header)
+            journal.flush()
+            offset = len(header)  # ASCII, as every journal line
 
-            every = per_design * 64  # cells between progress lines
-            offset = spool.tell()
-            for heads, block, rows in stream:
-                journal.write(block)
-                journal.flush()
-                spool.write(rows)
-                for key, kpi, size in heads:
-                    collected[key] = (kpi, offset)
-                    offset += size
-                executed += len(heads)
-                if executed // every > (executed - len(heads)) // every or executed == queued:
-                    say(progress_line(len(collected), cells_total, executed,
-                                      queued - executed, time.perf_counter() - loop_started))
-                if plan.stop_first:
-                    d = heads[0][0][0]  # batches of one
-                    if design_done(d) and meets_thresholds(d):
-                        stopped_at = d
-                        break
-        finally:
-            feed.put(None)  # else the pool's task thread waits on the feed, and terminate() on it
-            if journal is not None:
-                journal.close()
-            if pool is not None:
-                # every cell wanted is in, or stop-first stopped, or something raised
-                pool.terminate()
-                pool.join()
-        ends["simulate"] = time.perf_counter()
-
-        if plan.stop_first and stopped_at is None:
-            # honor journal-resumed qualifiers from an interrupted earlier run
-            for d in design_indices:
+        every = per_design * 64  # cells between progress lines
+        for heads, block in stream:
+            journal.write(block)
+            journal.flush()
+            for key, kpi, size in heads:
+                collected[key] = (kpi, offset)
+                offset += size
+            executed += len(heads)
+            if executed // every > (executed - len(heads)) // every or executed == queued:
+                say(progress_line(len(collected), cells_total, executed,
+                                  queued - executed, time.perf_counter() - loop_started))
+            if plan.stop_first:
+                d = heads[0][0][0]  # batches of one
                 if design_done(d) and meets_thresholds(d):
                     stopped_at = d
                     break
+    finally:
+        feed.put(None)  # else the pool's task thread waits on the feed, and terminate() on it
+        if journal is not None:
+            journal.close()
+        if pool is not None:
+            # every cell wanted is in, or stop-first stopped, or something raised
+            pool.terminate()
+            pool.join()
+    ends["simulate"] = time.perf_counter()
 
-        candidates = design_indices
-        if plan.stop_first and stopped_at is not None:
-            # truncate in evaluation order; under dedup the representative indices
-            # are not necessarily ascending
-            candidates = design_indices[: design_indices.index(stopped_at) + 1]
-        evaluated = [d for d in candidates if design_done(d)]
+    if plan.stop_first and stopped_at is None:
+        # honor journal-resumed qualifiers from an interrupted earlier run
+        for d in design_indices:
+            if design_done(d) and meets_thresholds(d):
+                stopped_at = d
+                break
 
-        vectors = [
-            KpiVector(d, tuple(mean_kpi(d, s) for s in range(len(scenarios))), multiplicity[d])
-            for d in evaluated
-        ]
-        front = ParetoFront.from_vectors(vectors)
+    candidates = design_indices
+    if plan.stop_first and stopped_at is not None:
+        # truncate in evaluation order; under dedup the representative indices
+        # are not necessarily ascending
+        candidates = design_indices[: design_indices.index(stopped_at) + 1]
+    evaluated = [d for d in candidates if design_done(d)]
 
-        offsets = (
-            collected[(d, s, r)][1]
-            for d in evaluated
-            for s in range(len(scenarios))
-            for r in range(plan.replications)
-        )
-        files = {
-            "results": out_dir / "results.csv",
-            "pareto": out_dir / "pareto.json",
-            "plot": out_dir / "plot.csv",
-            "journal": journal_path,
-            "meta": out_dir / "meta.json",
-        }
-        write_results_csv(files["results"], _unspooled(spool, offsets), columns)
+    vectors = [
+        KpiVector(d, tuple(mean_kpi(d, s) for s in range(len(scenarios))), multiplicity[d])
+        for d in evaluated
+    ]
+    front = ParetoFront.from_vectors(vectors)
+
+    offsets = (
+        collected[(d, s, r)][1]
+        for d in evaluated
+        for s in range(len(scenarios))
+        for r in range(plan.replications)
+    )
+    files = {
+        "results": out_dir / "results.csv",
+        "pareto": out_dir / "pareto.json",
+        "plot": out_dir / "plot.csv",
+        "journal": journal_path,
+        "meta": out_dir / "meta.json",
+    }
+    with open(journal_path, "rb") as journal:
+        write_results_csv(files["results"], _journal_rows(journal, offsets), columns)
     wiring = {d: configs[d].chosen for d in front.design_indices()}
     write_pareto_json(files["pareto"], front, scenario_ids, wiring)
     write_plot_csv(files["plot"], vectors, scenario_ids, front)

@@ -2,7 +2,7 @@
 
 Each cell is one replication. Three digests are kept per cell: the repr of its
 `RunTallies` (every float to the last bit, dicts in insertion order), the JSON
-of its scored record as the journal writes it, and its trace as
+of its scored record (`json.dumps`, each float as its repr), and its trace as
 `flowdse simulate --trace` writes the CSV. The cells cover case-study designs
 of several behaviour classes under both bundled scenarios, deterministic and
 Poisson arrivals, empirical weights, weighs and assigns landing exactly on a

@@ -1,7 +1,9 @@
 """`scripts/output_digests.py`: `--compare` on synthetic digest files names
 every file whose digest differs or that only one file lists, and exits 1 when
-there is any, else 0; the journal cut of the resumed runs keeps the header,
-half of the cell lines and half of the next line."""
+there is any, else 0; within one set of digests, the jobs2 and resumed runs
+must match the jobs1 run of their workload and kind; the journal cut of the
+resumed runs keeps the header, half of the cell lines and half of the next
+line."""
 
 import importlib.util
 import json
@@ -50,6 +52,33 @@ def test_every_differing_file_is_named_and_exits_1(tmp_path, capsys):
         "differs: simulate/trace_design37_scenario1_seed0.csv",
         "3 of 4 files differ",
     ]
+
+
+def runs(**digests):
+    """Digests of one file in a workload's six explore runs: `digests` maps a
+    run to its digest, and every other run has the digest "a"."""
+    names = ("jobs1", "jobs2", "resumed", "stop_first_jobs1", "stop_first_jobs2",
+             "stop_first_resumed")
+    return {f"screening/{run}/journal.jsonl": digests.get(run, "a") for run in names}
+
+
+@pytest.mark.parametrize(
+    "digests, names",
+    [
+        ({**runs(), "simulate/trace_design37_scenario1_seed0.csv": "c"}, []),
+        # stop-first runs match their own jobs1 run, not the plain one
+        (runs(stop_first_jobs1="b", stop_first_jobs2="b", stop_first_resumed="b"), []),
+        (runs(jobs2="b"), ["screening/jobs2/journal.jsonl"]),
+        (runs(jobs1="b"), ["screening/jobs2/journal.jsonl", "screening/resumed/journal.jsonl"]),
+        (runs(stop_first_resumed="b"), ["screening/stop_first_resumed/journal.jsonl"]),
+        (runs(stop_first_jobs1="b", jobs2="c"),
+         ["screening/jobs2/journal.jsonl", "screening/stop_first_jobs2/journal.jsonl",
+          "screening/stop_first_resumed/journal.jsonl"]),
+    ],
+    ids=["all-match", "stop-first-apart", "jobs2", "jobs1", "stop-first-resumed", "two"],
+)
+def test_runs_that_differ_from_their_jobs1_run_are_named(digests, names):
+    assert output_digests.mismatched(digests) == names
 
 
 def test_cut_keeps_the_header_half_the_cells_and_half_the_next_line():

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import json
 import multiprocessing
 import os
@@ -124,13 +123,15 @@ def run_explore(mini, out, **kw):
     return explore(plan)
 
 
-def edited_record(line: bytes, cell=None, kpi=None) -> bytes:
-    """A journal line with its cell or its result's KPI replaced, newline included."""
+def edited_record(line: bytes, cell=None, kpi=None, row=None) -> bytes:
+    """A journal line with its cell, its KPI or its row replaced, newline included."""
     entry = json.loads(line)
     if cell is not None:
         entry["cell"] = cell
     if kpi is not None:
-        entry["result"]["kpi"] = kpi
+        entry["kpi"] = kpi
+    if row is not None:
+        entry["row"] = row
     return json.dumps(entry).encode() + b"\n"
 
 
@@ -142,12 +143,12 @@ UNUSABLE_RECORDS = [
     pytest.param(lambda line: edited_record(line, cell=[0, 1, 0]), id="scenario-out-of-range"),
     pytest.param(lambda line: edited_record(line, cell=[0, 0, -1]), id="replication-out-of-range"),
     pytest.param(lambda line: edited_record(line, cell=[0, 0, 0.0]), id="float-coordinate"),
-    # a JSON escape can spell a lone surrogate, which results.csv cannot encode
+    pytest.param(lambda line: edited_record(line, row=7), id="number-row"),
     pytest.param(
-        lambda line: line.rstrip(b"\n").replace(b'"scenario": "mini"', b'"scenario": "\\ud800"')
-        + b"\n",
-        id="unencodable-scenario",
+        lambda line: edited_record(line, row=json.loads(line)["row"][:-2]), id="row-without-crlf"
     ),
+    # a JSON escape can spell a lone surrogate, which results.csv cannot encode
+    pytest.param(lambda line: line.replace(b",mini,", b",\\ud800,"), id="unencodable-scenario"),
 ]
 
 
@@ -225,9 +226,10 @@ class TestExplore:
         assert [r["design"] for r in rows] == ["0", "1"]
 
     def test_results_agree_with_single_cell_runs(self, mini, tmp_path):
-        # every journal record, replication 1 included, is simulate's record
+        # every journal line, replication 1 included, holds simulate's KPI and row
         report = run_explore(mini, tmp_path / "out", replications=2)
-        _, *lines = report.files["journal"].read_text().splitlines()
+        head, *lines = report.files["journal"].read_text().splitlines()
+        row_of = runner.row_formatter(json.loads(head)["columns"])
         entries = [json.loads(line) for line in lines]
         assert [tuple(e["cell"]) for e in entries] == [
             (d, 0, r) for d in (0, 1) for r in (0, 1)
@@ -238,7 +240,7 @@ class TestExplore:
             single, _ = simulate_single(
                 str(mini["space"]), design, str(mini["scenario"]), seed=seed
             )
-            assert entry["result"] == single
+            assert (entry["kpi"], entry["row"]) == (single["kpi"], row_of(single))
 
     def test_parallel_run_writes_identical_files(self, mini, tmp_path):
         serial = run_explore(mini, tmp_path / "serial", jobs=1)
@@ -460,7 +462,7 @@ class TestExplore:
         assert all(v.multiplicity == 1 for v in report.vectors)
 
     def test_parent_memory_per_cell_is_small(self, tmp_path, monkeypatch):
-        # the rows wait in the row spool: the parent keeps a KPI and a spool offset per cell
+        # the journal holds the rows: the parent keeps a KPI and a line offset per cell
         write_edited_inputs(tmp_path, ("scenario", "horizon_s", None, None, 90))
         files = {"space": tmp_path / "space.json", "scenario": tmp_path / "scenario.json"}
         real = runner.write_results_csv
@@ -481,7 +483,7 @@ class TestExplore:
         assert growth_per_cell < 600
 
     def test_resume_from_a_shuffled_journal(self, mini, tmp_path):
-        # results.csv takes each row from the spool by offset, in any line order
+        # results.csv takes each row from the journal by offset, in any line order
         first = run_explore(mini, tmp_path / "a", replications=4)
         head, *records = first.files["journal"].read_text().splitlines()
         random.Random(3).shuffle(records)
@@ -513,13 +515,21 @@ class TestUnusableJournalRecords:
         """Write a mini journal with its first record replaced by `edit`,
         resume on it in a fresh directory, and return the exit code, stderr
         and the directory."""
+        return self.rewrite_and_resume(
+            mini, tmp_path, capsys, lambda head, first, last: head + edit(first) + last
+        )
+
+    def rewrite_and_resume(self, mini, tmp_path, capsys, rewrite):
+        """Write the mini journal as `rewrite(header, first record, last
+        record)` gives it, resume on it in a fresh directory, and return the
+        exit code, stderr and the directory."""
         argv = ["explore", "--space", str(mini["space"]), "--scenario", str(mini["scenario"]),
                 "--seed", "42", "--out"]
         assert main([*argv, str(tmp_path / "a")]) == 0
-        head, first, last = (tmp_path / "a" / "journal.jsonl").read_bytes().splitlines(True)
+        lines = (tmp_path / "a" / "journal.jsonl").read_bytes().splitlines(True)
         out = tmp_path / "b"
         out.mkdir()
-        (out / "journal.jsonl").write_bytes(head + edit(first) + last)
+        (out / "journal.jsonl").write_bytes(rewrite(*lines))
         capsys.readouterr()
         code = main([*argv, str(out)])
         return code, capsys.readouterr().err, out
@@ -544,6 +554,35 @@ class TestUnusableJournalRecords:
         assert err.splitlines()[-1] == (
             f"error: {out / 'journal.jsonl'} records design {cell[0]}, which this plan "
             "does not run; use a fresh --out directory or matching inputs"
+        )
+        assert sorted(path.name for path in out.iterdir()) == ["journal.jsonl"]
+
+    @pytest.mark.parametrize("journal", ["whole-records", "a-column-short"])
+    def test_journal_without_rows_of_the_plans_columns_exits_1(
+        self, mini, tmp_path, capsys, journal
+    ):
+        def rewrite(head, *records):
+            head = json.loads(head)
+            if journal == "a-column-short":
+                head["columns"].remove("seed")
+                return json.dumps(head).encode() + b"\n" + b"".join(records)
+            # as journals were written before they held rows: the plan alone in
+            # the header, and each cell's whole record
+            lines = [{"plan": head["plan"]}]
+            for record in records:
+                d, s, r = json.loads(record)["cell"]
+                result, _ = simulate_single(
+                    str(mini["space"]), d, str(mini["scenario"]), seed=cell_seed(42, d, s, r)
+                )
+                lines.append({"cell": [d, s, r], "result": result})
+            return "".join(json.dumps(line) + "\n" for line in lines).encode()
+
+        code, err, out = self.rewrite_and_resume(mini, tmp_path, capsys, rewrite)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err == (
+            f"error: {out / 'journal.jsonl'} holds no results.csv rows of this plan's columns; "
+            "start afresh: use a fresh --out directory or remove the journal\n"
         )
         assert sorted(path.name for path in out.iterdir()) == ["journal.jsonl"]
 
@@ -606,7 +645,7 @@ class TestOrphanedWorker:
         signal.signal(signal.SIGINT, handler)  # a worker's Ctrl-C setting, not this process's
         assert runner._WORKER["parent"] == os.getppid()
         cell = (next(runner.enumerate_configurations(runner._WORKER["space"])), 0, 0, 42)
-        heads, _, _ = runner._run_cells([cell])
+        heads, _ = runner._run_cells([cell])
         assert [key for key, _, _ in heads] == [(0, 0, 0)]
         ran = []
         monkeypatch.setattr(runner, "run_cell", lambda *args: ran.append(args))
@@ -623,8 +662,7 @@ class TestOrphanedWorker:
 
 class TestPipeline:
     """The pool runs batches of cells while the parent enumerates, and each
-    batch comes back as its journal lines in one block and its results.csv
-    rows in another."""
+    batch comes back as its journal lines in one block."""
 
     LOOKAHEAD = 2 * 4 * 64  # the cells the parent takes before a --jobs 2 pool starts
 
@@ -640,24 +678,17 @@ class TestPipeline:
         space, scenario = runner._WORKER["space"], runner._WORKER["scenarios"][0]
         batch = [(config, 0, r, 42)
                  for config in runner.enumerate_configurations(space) for r in range(3)]
-        heads, block, rows = runner._run_cells(batch)
-        columns = runner.result_columns([scenario])
+        heads, block = runner._run_cells(batch)
+        row_of = runner.row_formatter(runner.result_columns([scenario]))
         expected = []
         for config, _, r, seed in batch:
             key = (config.index, 0, r)
             record, _ = runner.run_cell(space, config, scenario, cell_seed(seed, *key), True)
-            row = io.StringIO()
-            csv.DictWriter(row, columns, restval="", extrasaction="ignore").writerow(record)
-            expected.append((key, record["kpi"],
-                             json.dumps({"cell": list(key), "result": record}) + "\n",
-                             row.getvalue().encode()))
-        lines = block.splitlines(keepends=True)
-        assert lines == [line for _, _, line, _ in expected]
-        # each row is spooled after its length in 4 bytes
-        spooled = [len(row).to_bytes(4, "little") + row for *_, row in expected]
-        assert rows == b"".join(spooled)
-        assert heads == [(key, kpi, len(entry))
-                         for (key, kpi, _, _), entry in zip(expected, spooled)]
+            line = json.dumps({"cell": list(key), "kpi": record["kpi"], "row": row_of(record)})
+            expected.append((key, record["kpi"], line + "\n"))
+        assert block.splitlines(keepends=True) == [line for *_, line in expected]
+        assert block.isascii()  # so a line's length is its size in the journal
+        assert heads == [(key, kpi, len(line)) for key, kpi, line in expected]
 
     def test_cells_run_while_the_parent_enumerates(self, short, tmp_path, monkeypatch):
         # the workers are forked after the patches, so they run the wrapped run_cell
@@ -707,7 +738,7 @@ class TestPipeline:
     def test_outputs_are_the_same_under_a_20_hz_timer_signal(self, short, tmp_path):
         # the benchmark times explore under SIGALRM every 50 ms, whose handler
         # runs interpreter work in the parent (perfbench/round.py, SpeedProbe)
-        # while it writes the journal and the row spool and copies the rows
+        # while it writes the journal and copies the rows from it
         ticks = []
 
         def tick(signum, frame):
