@@ -179,6 +179,18 @@ def _field(raw: dict, key: str, where: str, default, valid, wanted: str):
     value = raw.get(key, default)
     if not valid(value):
         raise DesignSpaceError(f"{where}.{key}: must be {wanted}, got {value!r:.40}")
+    return _utf8(value, f"{where}.{key}")
+
+
+def _utf8(value, where: str):
+    """value, unless it is a string, or a list holding one, that UTF-8 cannot
+    encode: a JSON escape can spell a lone surrogate, which no output file can hold."""
+    for text in value if isinstance(value, list) else [value]:
+        if isinstance(text, str):
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise DesignSpaceError(f"{where}: holds a lone surrogate, {text!r:.40}") from None
     return value
 
 
@@ -208,6 +220,7 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
             raise DesignSpaceError(f"{where}: unknown kind {m.get('kind')!r}") from None
         if not isinstance(module_id, str):
             raise DesignSpaceError(f"{where}.id: must be a string, got {module_id!r:.40}")
+        _utf8(module_id, f"{where}.id")
         try:
             latency_s = float(m.get("latency_s", 1.0))
         except (TypeError, ValueError):
@@ -243,7 +256,7 @@ def parse_design_space(raw: dict, fallback_id: str = "space") -> DesignSpace:
             raise DesignSpaceError(
                 f"allowed[{i}]: must be an [out-port, in-port] pair, got {pair!r:.60}"
             )
-        allowed.append(tuple(pair))
+        allowed.append(tuple(_utf8(pair, f"allowed[{i}]")))
     space = DesignSpace(space_id, tuple(modules), tuple(allowed))
     problems = space_problems(space)
     if problems:

@@ -18,6 +18,13 @@ batch's lines as one block; the parent writes it to the journal and keeps
 only each cell's KPI and the offset of its line, and results.csv is copied
 from the journal by offset. Results are keyed and sorted by cell, so the
 output files are identical for any worker count.
+
+One table, design index -> multiplicity in evaluation order (enumeration
+order, or deduplicate's representatives), says which designs a plan runs.
+Under `--stop-first` the result is the first design in that order whose cells
+are all in, run now or read from the journal, and whose mean KPI meets every
+threshold; running stops there, and the outputs hold the designs up to it, so
+a resume stops where a fresh run with the same thresholds stops.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
@@ -103,11 +110,9 @@ class ExplorationReport:
     cells_executed: int
     cells_resumed: int
     front: ParetoFront
-    vectors: list[KpiVector]
     stopped_at_design: int | None
     wall_s: float
-    out_dir: Path
-    files: dict[str, Path] = field(default_factory=dict)
+    files: dict[str, Path]
 
 
 def _sha256(path) -> str:
@@ -391,55 +396,60 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
     columns = result_columns(scenarios)
     completed, intact = _load_journal(journal_path, fingerprint, columns)
 
-    # a cell carries its configuration, so that no worker enumerates the space
+    # design index -> multiplicity, in evaluation order, filled as the designs
+    # are enumerated: each design once, or deduplicate's representatives; a
+    # cell carries its configuration, so that no worker enumerates the space
     configs: list[DesignConfiguration] = []
+    multiplicity: dict[int, int] = {}
     if plan.dedup:  # dedup needs the whole space first
         configs.extend(enumerate_configurations(space))
         ends["enumerate"] = time.perf_counter()
-        distinct = deduplicate(space, configs)
-        designs: Iterable[DesignConfiguration] = [rep for rep, _ in distinct]
+        multiplicity.update((rep.index, mult) for rep, mult in deduplicate(space, configs))
         ends["dedup"] = time.perf_counter()
+        designs: Iterator[int] = iter(multiplicity)
     else:
 
-        def enumerated() -> Iterator[DesignConfiguration]:
+        def enumerated() -> Iterator[int]:
             for config in enumerate_configurations(space):
                 configs.append(config)
-                yield config
+                multiplicity[config.index] = 1
+                yield config.index
 
         designs = enumerated()
-    pending = (
-        (config, s, r, plan.base_seed)
-        for config in designs
-        for s in range(len(scenarios))
-        for r in range(plan.replications)
-        if (config.index, s, r) not in completed
-    )
+    cells = [(s, r) for s in range(len(scenarios)) for r in range(plan.replications)]
+    minimums = [(scenario_ids.index(sid), minimum) for sid, minimum in thresholds.items()]
+
+    def mean_kpis(d: int, records: dict) -> tuple[float, ...] | None:
+        """Design d's mean KPI per scenario, or None while `records` lacks a cell of it."""
+        try:
+            kpis = [records[(d, s, r)][0] for s, r in cells]
+        except KeyError:
+            return None
+        reps = plan.replications
+        return tuple(left_sum(kpis[i:i + reps]) / reps for i in range(0, len(kpis), reps))
+
+    def qualifies(means: tuple[float, ...] | None) -> bool:
+        """The stop rule: every cell in, and no mean below its minimum."""
+        return means is not None and not any(means[s] < minimum for s, minimum in minimums)
+
+    def pending_cells() -> Iterator[tuple[DesignConfiguration, int, int, int]]:
+        for d in designs:
+            for s, r in cells:
+                if (d, s, r) not in completed:
+                    yield configs[d], s, r, plan.base_seed
+            if plan.stop_first and qualifies(mean_kpis(d, completed)):
+                break  # the journal already holds the design the run stops at
+        for _ in designs:  # the configuration count and the strays check need every design
+            pass
 
     # the journal keeps the records; the parent keeps each cell's KPI and line offset
     collected: dict[tuple[int, int, int], tuple[float, int]] = dict(completed)
-    stopped_at = None
-
-    def design_done(d: int) -> bool:
-        return all(
-            (d, s, r) in collected
-            for s in range(len(scenarios))
-            for r in range(plan.replications)
-        )
-
-    def mean_kpi(d: int, s: int) -> float:
-        kpis = [collected[(d, s, r)][0] for r in range(plan.replications)]
-        return left_sum(kpis) / len(kpis)
-
-    def meets_thresholds(d: int) -> bool:
-        for sid, minimum in thresholds.items():
-            if mean_kpi(d, scenario_ids.index(sid)) < minimum:
-                return False
-        return True
 
     # The parent holds up to `lookahead` cells and hands the pool batches from
     # their front while it enumerates. It takes the first ones before the pool
     # starts, so that the pool has no more workers than cells to run.
     lookahead = plan.jobs * 4 * 64
+    pending = pending_cells()
     buffer = deque(islice(pending, lookahead))
     jobs = min(plan.jobs, len(buffer))
     feed: SimpleQueue = SimpleQueue()  # batches, then None
@@ -478,13 +488,8 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
 
         say(f"{space.space_id}: {len(configs)} configurations")
         if plan.dedup:
-            design_indices = [config.index for config in designs]
-            multiplicity = {rep.index: mult for rep, mult in distinct}
-            say(f"deduplicated to {len(distinct)} distinct designs")
-        else:
-            design_indices = list(range(len(configs)))
-            multiplicity = dict.fromkeys(design_indices, 1)
-        strays = {d for d, _, _ in completed}.difference(design_indices)
+            say(f"deduplicated to {len(multiplicity)} distinct designs")
+        strays = {d for d, _, _ in completed}.difference(multiplicity)
         if strays:
             raise PlanError(
                 f"{journal_path} records design {min(strays)}, which this plan does not run; "
@@ -492,8 +497,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             )
         if completed:
             say(f"journal: {len(completed)} cells already done")
-        per_design = len(scenarios) * plan.replications
-        cells_total = len(design_indices) * per_design
+        cells_total = len(multiplicity) * len(cells)
 
         journal = open(journal_path, "a", encoding="utf-8", newline="")
         journal.truncate(intact)  # drop a torn last line so the next record starts clean
@@ -504,7 +508,7 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             journal.flush()
             offset = len(header)  # ASCII, as every journal line
 
-        every = per_design * 64  # cells between progress lines
+        every = len(cells) * 64  # cells between progress lines
         for heads, block in stream:
             journal.write(block)
             journal.flush()
@@ -515,11 +519,9 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             if executed // every > (executed - len(heads)) // every or executed == queued:
                 say(progress_line(len(collected), cells_total, executed,
                                   queued - executed, time.perf_counter() - loop_started))
-            if plan.stop_first:
-                d = heads[0][0][0]  # batches of one
-                if design_done(d) and meets_thresholds(d):
-                    stopped_at = d
-                    break
+            # batches of one under --stop-first, which arrive in evaluation order
+            if plan.stop_first and qualifies(mean_kpis(heads[0][0][0], collected)):
+                break
     finally:
         feed.put(None)  # else the pool's task thread waits on the feed, and terminate() on it
         if journal is not None:
@@ -530,39 +532,19 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
             pool.join()
     ends["simulate"] = time.perf_counter()
 
-    if plan.stop_first and stopped_at is None:
-        # honor journal-resumed qualifiers from an interrupted earlier run
-        for d in design_indices:
-            if design_done(d) and meets_thresholds(d):
-                stopped_at = d
-                break
+    # each design whose cells are all in: its mean KPI per scenario, in evaluation order
+    means = {d: m for d in multiplicity if (m := mean_kpis(d, collected)) is not None}
+    stopped_at = next((d for d, m in means.items() if plan.stop_first and qualifies(m)), None)
+    evaluated = list(means)
+    if stopped_at is not None:  # dedup's representatives need not ascend: cut by position
+        del evaluated[evaluated.index(stopped_at) + 1:]
 
-    candidates = design_indices
-    if plan.stop_first and stopped_at is not None:
-        # truncate in evaluation order; under dedup the representative indices
-        # are not necessarily ascending
-        candidates = design_indices[: design_indices.index(stopped_at) + 1]
-    evaluated = [d for d in candidates if design_done(d)]
-
-    vectors = [
-        KpiVector(d, tuple(mean_kpi(d, s) for s in range(len(scenarios))), multiplicity[d])
-        for d in evaluated
-    ]
+    vectors = [KpiVector(d, means[d], multiplicity[d]) for d in evaluated]
     front = ParetoFront.from_vectors(vectors)
 
-    offsets = (
-        collected[(d, s, r)][1]
-        for d in evaluated
-        for s in range(len(scenarios))
-        for r in range(plan.replications)
-    )
-    files = {
-        "results": out_dir / "results.csv",
-        "pareto": out_dir / "pareto.json",
-        "plot": out_dir / "plot.csv",
-        "journal": journal_path,
-        "meta": out_dir / "meta.json",
-    }
+    names = ("results.csv", "pareto.json", "plot.csv", "journal.jsonl", "meta.json")
+    files = {name.partition(".")[0]: out_dir / name for name in names}
+    offsets = (collected[(d, s, r)][1] for d in evaluated for s, r in cells)
     with open(journal_path, "rb") as journal:
         write_results_csv(files["results"], _journal_rows(journal, offsets), columns)
     wiring = {d: configs[d].chosen for d in front.design_indices()}
@@ -593,10 +575,8 @@ def explore(plan: RunPlan, echo=None) -> ExplorationReport:
         cells_executed=executed,
         cells_resumed=len(completed),
         front=front,
-        vectors=vectors,
         stopped_at_design=stopped_at,
         wall_s=wall,
-        out_dir=out_dir,
         files=files,
     )
 

@@ -189,6 +189,10 @@ def _object(raw, where: str) -> None:
 def _string(raw, where: str) -> None:
     if not isinstance(raw, str):
         raise ScenarioError(f"{where}: must be a string, got {raw!r:.40}")
+    try:
+        raw.encode()  # a JSON escape can spell a lone surrogate, which no output file can hold
+    except UnicodeEncodeError:
+        raise ScenarioError(f"{where}: holds a lone surrogate, {raw!r:.40}") from None
 
 
 def _array(raw, where: str) -> None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flowdse import runner
 from flowdse.cli import main
-from test_input_fuzz import POOL, edited, field_paths
+from test_input_fuzz import POOL, edited, field_paths, string_paths, value_at
 from test_runner_cli import MINI_SCENARIO, MINI_SPACE
 
 SECONDS_PER_EXAMPLE = 10
@@ -111,3 +111,24 @@ def test_a_name_no_file_can_take_exits_1_and_names_the_field(
     assert field in out.getvalue() + err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert not ran
+
+
+STRING_EDITS = [(which, path) for which, doc in DOCS.items() for path in string_paths(doc)]
+
+
+@pytest.mark.parametrize(
+    "which, path",
+    STRING_EDITS,
+    ids=[f"{which}:{'.'.join(map(str, path))}" for which, path in STRING_EDITS],
+)
+def test_a_lone_surrogate_in_any_string_exits_1(which, path, tmp_path):
+    value = value_at(DOCS[which], path) + "\ud800"  # UTF-8 cannot encode a lone surrogate
+    docs = dict(DOCS, **{which: edited(DOCS[which], path, value)})
+    for doc_name, doc in docs.items():
+        (tmp_path / f"{doc_name}.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command("explore", tmp_path))
+    assert code == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not (tmp_path / "out").exists()

@@ -18,8 +18,11 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "flowdse" / "data"
 
 DELETE = object()
 # "a\0b" and "a/b" cannot be part of a file name: the scenario id names the
-# trace file and `weights.file` names a weight file
-POOL = [None, True, -1, 1.5, 2**70, 1e308, "", "x", "nan", "a\0b", "a/b", [], {}, [1], DELETE]
+# trace file and `weights.file` names a weight file; UTF-8 cannot encode a lone
+# surrogate, which a JSON escape can spell
+SURROGATES = ["\ud800", "a\udfffb"]
+POOL = [None, True, -1, 1.5, 2**70, 1e308, "", "x", "nan", "a\0b", "a/b", *SURROGATES,
+        [], {}, [1], DELETE]
 SECONDS_PER_EXAMPLE = 5
 
 
@@ -32,6 +35,21 @@ def field_paths(doc, prefix=()):
         items = enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
         yield from field_paths(value, prefix + (key,))
+
+
+def string_paths(doc):
+    """The path of every string value in a JSON document that its parser
+    reads: a "comment" it skips."""
+    return [
+        path for path in field_paths(doc)
+        if isinstance(value_at(doc, path), str) and path[-1] != "comment"
+    ]
+
+
+def value_at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
 
 
 def edited(doc, path, value):
@@ -97,3 +115,14 @@ def test_one_bad_field_is_an_input_error(document):
                 pass
 
     one_field()
+
+
+@pytest.mark.parametrize("document", sorted(CASES))
+def test_a_lone_surrogate_in_any_string_is_an_input_error(document):
+    doc, parse, error = CASES[document]
+    paths = string_paths(doc)
+    assert paths
+    for path in paths:
+        for surrogate in SURROGATES:
+            with pytest.raises(error):
+                parse(edited(doc, path, value_at(doc, path) + surrogate))

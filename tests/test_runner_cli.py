@@ -430,6 +430,55 @@ class TestExplore:
         assert report.stopped_at_design is None
         assert report.designs_evaluated == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stop_first_resume_stops_where_a_fresh_run_stops(self, mini, tmp_path, jobs):
+        # thresholds are not part of the plan, so a journal written under one
+        # threshold resumes under another; design 0 then qualifies from the journal
+        strict, loose = (("mini", 0.9),), (("mini", 0.0),)
+        run_explore(mini, tmp_path / "resumed", jobs=jobs, stop_first=True, min_attainment=strict)
+        resumed = run_explore(
+            mini, tmp_path / "resumed", jobs=jobs, stop_first=True, min_attainment=loose
+        )
+        fresh = run_explore(
+            mini, tmp_path / "fresh", jobs=jobs, stop_first=True, min_attainment=loose
+        )
+        assert (resumed.stopped_at_design, resumed.cells_executed) == (0, 0)
+        assert fresh.stopped_at_design == 0
+        for name in ("results", "plot", "pareto"):
+            assert resumed.files[name].read_bytes() == fresh.files[name].read_bytes(), name
+
+    def test_stop_first_resume_of_a_complete_journal_enumerates_every_design(self, mini, tmp_path):
+        # the stop is at design 0, yet the journal's design 1 is one the plan runs
+        plain = run_explore(mini, tmp_path / "out")
+        resumed = run_explore(
+            mini, tmp_path / "out", stop_first=True, min_attainment=(("mini", 0.9),)
+        )
+        assert (resumed.stopped_at_design, resumed.cells_executed) == (0, 0)
+        meta = [json.loads(report.files["meta"].read_text()) for report in (plain, resumed)]
+        assert meta[0]["configurations"] == meta[1]["configurations"] == 2
+
+    def test_dedup_stop_first_keeps_the_evaluation_order_prefix(self, tmp_path):
+        # the case-study space, deduplicated, under scenario 1 cut to 120 s
+        scenario = json.loads((DATA / "scenario1.json").read_text())
+        (tmp_path / "scenario.json").write_text(json.dumps(dict(scenario, horizon_s=120)))
+        files = {"space": DATA / "case_study_space.json", "scenario": tmp_path / "scenario.json"}
+        space = runner.load_design_space(files["space"])
+        configs = list(enumerate_configurations(space))
+        order = [rep.index for rep, _ in runner.deduplicate(space, configs)]
+        assert order[55:57] == [115, 104]  # representatives do not ascend
+        # a fresh run, and the resume of a journal that holds every design
+        run_explore(files, tmp_path / "resumed", seed=7, dedup=True)
+        for out in ("fresh", "resumed"):
+            report = run_explore(
+                files, tmp_path / out, seed=7, dedup=True, stop_first=True,
+                min_attainment=(("scenario1", 0.275),),
+            )
+            stop = order.index(report.stopped_at_design)
+            assert stop > 56
+            with open(report.files["results"], newline="") as fh:
+                designs = [int(row["design"]) for row in csv.DictReader(fh)]
+            assert designs == order[:stop + 1], out
+
     def test_stop_first_requires_a_threshold(self, mini, tmp_path):
         with pytest.raises(PlanError, match="min-attainment"):
             run_explore(mini, tmp_path / "out", stop_first=True)
@@ -459,7 +508,8 @@ class TestExplore:
     def test_dedup_flag_keeps_singleton_classes(self, mini, tmp_path):
         report = run_explore(mini, tmp_path / "out", dedup=True)
         assert report.designs_evaluated == 2
-        assert all(v.multiplicity == 1 for v in report.vectors)
+        with open(report.files["plot"], newline="") as fh:
+            assert [row["multiplicity"] for row in csv.DictReader(fh)] == ["1", "1"]
 
     def test_parent_memory_per_cell_is_small(self, tmp_path, monkeypatch):
         # the journal holds the rows: the parent keeps a KPI and a line offset per cell
@@ -1319,6 +1369,18 @@ class TestCli:
                 "scenario.id: must be a string, got [1]",
                 id="scenario-id-not-a-string",
             ),
+            # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+            pytest.param(
+                ("scenario", "id", None, None, "mini\udc80"),
+                "scenario.id: holds a lone surrogate, 'mini\\udc80'",
+                id="scenario-id-a-lone-surrogate",
+            ),
+            pytest.param(
+                [("space", "modules", 5, "destination_tag", "batching2\ud800"),
+                 ("scenario", "recipes", 0, "destination", "batching2\ud800")],
+                "modules[5].destination_tag: holds a lone surrogate, 'batching2\\ud800'",
+                id="destination-tag-a-lone-surrogate",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "explore"])
@@ -1333,6 +1395,7 @@ class TestCli:
         assert code == 1
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["validate", "simulate"])
