@@ -24,7 +24,9 @@ Compiling a configuration (`compile_design`) walks its wiring once and gives
 every routing fact a plant and its controller need: per lane, the weighing
 and assignment modules with their offsets, the reachable destination tags,
 whether the lane can trim, and one route per tag. Lanes are compiled once
-per distinct wiring reachable from their origin and kept on the space.
+per distinct wiring reachable from their origin and kept on the space, and
+found again without a walk, by the in-ports chosen at the out-ports that the
+matrix lets them reach.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from flowdse.controller import RouteCatalog
 # compiled lanes a space keeps (`compile_design`); past this many distinct lane
 # wirings, further lanes are compiled afresh each time
 LANE_CACHE_ENTRIES = 4096
+# port keys a space keeps per compiled lane it keeps (`compile_design`): one
+# wiring has many port keys where designs vary modules the matrix lets a lane
+# reach but the lane does not, and those keys recur little
+LANE_PORT_KEYS = 2
 
 
 class DesignSpaceError(ValueError):
@@ -144,8 +150,32 @@ class DesignSpace:
         return {m.module_id: tuple(m.port_key(p) for p in m.out_ports) for m in self.modules}
 
     @cached_property
+    def lane_ports(self) -> dict[str, tuple[str, ...]]:
+        """Origin id -> the out-port keys of every module the origin can reach
+        through the allowed matrix, in first-reached order: all of a wiring that
+        a lane's walk can read, whatever the design."""
+        table = {}
+        for origin in self.origins:
+            ports, seen, todo = [], {origin.module_id}, [origin.module_id]
+            while todo:
+                for out_port in self.out_port_keys[todo.pop()]:
+                    ports.append(out_port)
+                    for in_port in self.choices[out_port]:
+                        target = self.port_owner[in_port].module_id
+                        if target not in seen:
+                            seen.add(target)
+                            todo.append(target)
+            table[origin.module_id] = tuple(ports)
+        return table
+
+    @cached_property
     def lane_cache(self) -> dict[tuple, CompiledLane]:
         """Compiled lanes by wiring key, filled by `compile_design` in this process."""
+        return {}
+
+    @cached_property
+    def lane_port_cache(self) -> dict[tuple, CompiledLane]:
+        """Compiled lanes of `lane_cache` by port key, filled by `compile_design`."""
         return {}
 
 
@@ -550,18 +580,39 @@ def compile_design(space: DesignSpace, config: DesignConfiguration) -> CompiledD
     space (`DesignSpace.lane_cache`, up to LANE_CACHE_ENTRIES of them) under
     its `_lane_key`; a lane that cannot be built is never kept, and raises
     again for every design that contains it.
+
+    A kept lane is found again without a walk, by its port key: its origin,
+    then the in-port chosen (or None) at each of `DesignSpace.lane_ports`, the
+    out-ports the matrix lets it reach. Where the in-ports chosen there are
+    all allowed, the walk reads no other out-port, so equal port keys mean
+    equal wirings; only such a port key is kept
+    (`DesignSpace.lane_port_cache`), for a lane kept in `lane_cache`, so that
+    equal wirings stay one object, and at most LANE_PORT_KEYS of them per
+    lane kept.
     """
     edge_map = config.edge_map
-    cache = space.lane_cache
+    get = edge_map.get
+    ports_of, choices = space.lane_ports, space.choices
+    cache, by_ports = space.lane_cache, space.lane_port_cache
     lanes: dict[str, CompiledLane] = {}
     for origin in space.origins:
-        key = _lane_key(space, edge_map, origin.module_id)
-        compiled = cache.get(key)
+        lane = origin.module_id
+        ports = (lane, *map(get, ports_of[lane]))
+        compiled = by_ports.get(ports)
         if compiled is None:
-            compiled = _compile_lane(space, edge_map, origin)
-            if len(cache) < LANE_CACHE_ENTRIES:
-                cache[key] = compiled
-        lanes[origin.module_id] = compiled
+            key = _lane_key(space, edge_map, lane)
+            compiled = cache.get(key)
+            if compiled is None:
+                compiled = _compile_lane(space, edge_map, origin)
+                if len(cache) < LANE_CACHE_ENTRIES:
+                    cache[key] = compiled
+            if (
+                key in cache
+                and len(by_ports) < LANE_PORT_KEYS * len(cache)
+                and all(p is None or p in choices[q] for q, p in zip(ports_of[lane], ports[1:]))
+            ):
+                by_ports[ports] = compiled
+        lanes[lane] = compiled
     return CompiledDesign(lanes)
 
 

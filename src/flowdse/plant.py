@@ -42,17 +42,19 @@ which the controller's window on the lane reads (`WindowView`) where a rung
 reads the lane (below); and the assign group, assign times, weights and
 fillet ids. At the start of each run the replay appends each lane's arrivals
 in the run to its lists, computing their weigh and assign times and drawing
-their weights and bins (a lane's weight stream feeds only that lane, in
-arrival order, so drawing ahead draws the same values), and adds their
-weights to the injected mass in calendar order.
+their weights and, on a lane that a rung reads, their bins (a lane's weight
+stream feeds only that lane, in arrival order, so drawing ahead draws the same
+values), and adds their weights to the injected mass in calendar order. Bins
+are computed in integer arithmetic where the bin width is a whole number of
+grams (`weight_bins`).
 Then at each stop it weighs the fillets due (`weigh`), and at a recompute
 stop recomputes the strategies, which reads the windows. It assigns the
 fillets due and adds the masses due (`assign`, `flush`) only at a recompute
 that replaces the strategies, which a recompute does only when their content
 changes, at each DRAIN_EVERY stop, which bounds the lists, and at the end.
 The offsets are constants, so a lane weighs, and assigns, in arrival order:
-the window's end and an assign cursor mark how far each has got. Each
-fillet's bin is computed once; the weigh moves the window over it
+the window's end and an assign cursor mark how far each has got. A read
+lane's fillet has its bin computed once; the weigh moves the window over it
 (`WindowView.slide`, which also tallies what the controller's certificate
 reads) and the assign looks it up in the lane's strategy, inline. The assign
 group is dropped up to the assign cursor, and the window group up to the
@@ -61,9 +63,11 @@ part to drop holds DRAIN_EVERY fillets.
 
 Where no bin can be claimed, the sweep skips the control work. On a lane that
 no rung reads (`ProductionController.read_lanes`: it reaches no non-default
-recipe's destination) the weigh moves only the cursor, and the window holds
-nothing; no walk reads that window, so it reaches neither a strategy nor a
-certificate, and the lane's strategy stays empty. An assign pass under an
+recipe's destination) no bin is computed, the weigh moves only the cursor,
+and the window holds nothing; no walk reads that window, so it reaches neither
+a strategy nor a certificate, and the lane's strategy stays empty. A strategy
+handed to such a lane all the same (by a replaced `compute_strategies`) has no
+bins to look up, and raises RoutingFault. An assign pass under an
 empty strategy (on such a lane, on every lane before the first walk, and on a
 lane a walk left empty) sends every fillet due to the default route in one
 block, since every bin looks up the default there: the absorb times are the
@@ -440,6 +444,19 @@ def _recorded(key: tuple, runs):
     CALENDARS[key] = tuple(record)
 
 
+def weight_bins(weights: list[float], bin_width: float, heaviest_g: float) -> list[int]:
+    """The bins of `weights`, none above `heaviest_g`: `int(g // bin_width)`
+    each. Where the width is a whole number n of grams and every weight is
+    below 2**53 g, they are computed as `floor(g) // n`, in integer
+    arithmetic, which is cheaper and equal: floor(g / n) == floor(floor(g) / n)
+    for a positive integer n, and float `//` gives that exact floor while
+    n * floor(g / n), at most g, is a float."""
+    if float(bin_width).is_integer() and heaviest_g < 2.0**53:
+        n, floor = int(bin_width), math.floor
+        return [floor(g) // n for g in weights]
+    return [int(g // bin_width) for g in weights]
+
+
 class PlantSimulation:
     """One replication: controller + resolved routes + tallies."""
 
@@ -500,7 +517,7 @@ class PlantSimulation:
         horizon = scenario.horizon_s
         inf = math.inf
         controller = self.controller
-        bin_width = controller.config.bin_width_g
+        bin_width, heaviest = controller.config.bin_width_g, scenario.heaviest_g
         drain_every = DRAIN_EVERY
         t = self.tallies
         recipe_counts = t.recipe_counts
@@ -605,6 +622,10 @@ class PlantSimulation:
                         recipe_counts[default.recipe_index] += k
                     live.extend(zip(lane_ids[stop:end], lane_weights[stop:end]))
                 else:
+                    if not reads[i]:  # its bins were never computed
+                        raise RoutingFault(
+                            f"lane {lane_id} is read by no rung but was handed a strategy"
+                        )
                     lookup = strategy.get
                     for s, weight, b, weighed, fid in zip(
                         lane_assigns[start:end], lane_weights[start:end],
@@ -695,9 +716,10 @@ class PlantSimulation:
         else:
             e, a1, e1, a2 = horizon, inf, inf, inf
 
-        def take_in(flow: tuple, ids, times) -> list[float]:
+        def take_in(flow: tuple, read: bool, ids, times) -> list[float]:
             """Add a lane's fillets `ids`, arriving at `times`, to its lists
-            (`flow`); their weights."""
+            (`flow`), with their bins if some rung reads the lane (`read`);
+            their weights."""
             lane, _, _, lane_weighs, lane_bins, lane_assigns, lane_weights, lane_ids = flow
             lane_ids += ids
             offset = lane.weigh_offset_s
@@ -707,7 +729,8 @@ class PlantSimulation:
             lane_assigns += [w + offset for w in weigh]
             drawn = lane.sampler.draw(lane.weights_rng, len(ids))
             lane_weights += drawn
-            lane_bins += [int(g // bin_width) for g in drawn]
+            if read:
+                lane_bins += weight_bins(drawn, bin_width, heaviest)
             return drawn
 
         fid = recomputes = 0
@@ -715,7 +738,8 @@ class PlantSimulation:
         for run in arrival_calendar(lanes, scenario):
             # take the run's arrivals in, each lane's following on from its last
             # run's, and read their weights back per lane
-            nexts = [iter(drawn).__next__ for drawn in map(take_in, flows, run.ids, run.times)]
+            taken = map(take_in, flows, reads, run.ids, run.times)
+            nexts = [iter(weights).__next__ for weights in taken]
             for i in run.order:  # added in calendar order, as the arrivals ran
                 injected_mass += nexts[i]()
             for fid, now, recompute in zip(run.fids, run.at, run.recomputes):
@@ -778,7 +802,8 @@ class PlantSimulation:
             times = [at for run in runs for at in run.times[i]]
             lasts = [last for last, _ in log]
             weights = lane.sampler.draw(lane.weights_rng, len(ids))
-            for fid, at, weight in zip(ids, times, weights):
+            bins = weight_bins(weights, bin_width, self.scenario.heaviest_g)
+            for fid, at, weight, b in zip(ids, times, weights, bins):
                 shown = round(weight, 6)
                 weighed = at + lane.weigh_offset_s
                 rows.append((round(at, 9), lane.lane, fid, shown, "arrive"))
@@ -787,7 +812,7 @@ class PlantSimulation:
                 if not lasts or fid > lasts[-1]:
                     continue  # not assigned by the horizon
                 strategy = log[bisect_left(lasts, fid)][1]
-                assignment = (strategy or {}).get(int(weight // bin_width), default)
+                assignment = (strategy or {}).get(b, default)
                 route, cut = self.routes[lane.lane][assignment.destination], assignment.trim_g
                 s = weighed + lane.assign_offset_s
                 rows.append((round(s, 9), lane.assign_module, fid, shown, "assign"))

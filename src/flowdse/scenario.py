@@ -71,25 +71,37 @@ class TruncatedNormalWeights:
         """`n` weights: `rng.gauss(mean_g, stddev_g)` variates, each drawn
         again while outside [lower_g, upper_g].
 
-        The normal variates are made as `random.Random.gauss` makes them, in
-        half the time: Box-Muller pairs from two `random()` calls, the second
-        of each pair kept in `rng.gauss_next` for the next variate, so that
-        `draw` and `rng.gauss` share one stream. `tests/test_scenario.py::TestDraw`
-        holds `draw` to the weight-at-a-time `tests/des_oracle.py::sample`.
+        The normal variates are made as `random.Random.gauss` makes them, with
+        the same operations in the same order, in under half the time: a
+        Box-Muller pair from two `random()` calls per iteration, its cosine
+        variate first. A spare left in `rng.gauss_next` is taken first, and
+        the sine variate is kept there only when the cosine one was the last
+        taken, so that `draw` and `rng.gauss` share one stream.
+        `tests/test_scenario.py::TestDraw` holds `draw` to the weight-at-a-time
+        `tests/des_oracle.py::sample`.
         """
         uniform, spare = rng.random, rng.gauss_next
+        log, sqrt, cos, sin, two_pi = math.log, math.sqrt, math.cos, math.sin, TWO_PI
         mean, stddev, lower, upper = self.mean_g, self.stddev_g, self.lower_g, self.upper_g
         out = []
-        while len(out) < n:
-            if spare is None:
-                angle = uniform() * TWO_PI
-                radius = math.sqrt(-2.0 * math.log(1.0 - uniform()))
-                z, spare = math.cos(angle) * radius, math.sin(angle) * radius
-            else:
-                z, spare = spare, None
-            w = mean + z * stddev
+        append = out.append
+        if spare is not None and n > 0:
+            w = mean + spare * stddev
+            spare = None
             if lower <= w <= upper:
-                out.append(w)
+                append(w)
+        while len(out) < n:
+            angle = uniform() * two_pi
+            radius = sqrt(-2.0 * log(1.0 - uniform()))
+            w = mean + cos(angle) * radius * stddev
+            if lower <= w <= upper:
+                append(w)
+                if len(out) == n:
+                    spare = sin(angle) * radius
+                    break
+            w = mean + sin(angle) * radius * stddev
+            if lower <= w <= upper:
+                append(w)
         rng.gauss_next = spare
         return out
 

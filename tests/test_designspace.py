@@ -484,50 +484,12 @@ class TestConfigurationAudit:
         assert any("required module free_dist1" in p for p in problems)
 
     def test_cycle_detected(self):
-        space = parse_design_space(
-            {
-                "id": "loopable",
-                "modules": [
-                    module("o", "origin"),
-                    module("w", "weighing"),
-                    module("a", "assignment"),
-                    module("d1", "distribution"),
-                    module("d2", "distribution"),
-                    module("strips", "destination", destination_tag="fillet_strips"),
-                ],
-                "allowed": [
-                    ["o.out", "w.in"],
-                    ["w.out", "a.in"],
-                    ["a.out", "d1.in"],
-                    ["d1.out1", "d2.in"],
-                    ["d1.out2", "strips.in"],
-                    ["d2.out1", "d1.in"],
-                    ["d2.out1", "strips.in"],
-                    ["d2.out2", "strips.in"],
-                ],
-            }
-        )
+        space = loopable_space()
         # enumeration refuses the back edge (d1.in already fed)
         for c in enumerate_configurations(space):
             assert ("d2.out1", "d1.in") not in c.chosen
         # a hand-built cyclic wiring is flagged
-        cyclic = DesignConfiguration(
-            index=-1,
-            chosen=tuple(
-                sorted(
-                    [
-                        ("o.out", "w.in"),
-                        ("w.out", "a.in"),
-                        ("a.out", "d1.in"),
-                        ("d1.out1", "d2.in"),
-                        ("d1.out2", "strips.in"),
-                        ("d2.out1", "d1.in"),
-                        ("d2.out2", "strips.in"),
-                    ]
-                )
-            ),
-        )
-        problems = validate_configuration(space, cyclic)
+        problems = validate_configuration(space, LOOPED)
         assert any("cycle" in p for p in problems)
         assert any("fed by 2" in p for p in problems)
 
@@ -749,6 +711,52 @@ class TestCompileDesign:
 
 
 
+def loopable_space():
+    """A space whose matrix allows a loop, d1 -> d2 -> d1."""
+    return parse_design_space(
+        {
+            "id": "loopable",
+            "modules": [
+                module("o", "origin"),
+                module("w", "weighing"),
+                module("a", "assignment"),
+                module("d1", "distribution"),
+                module("d2", "distribution"),
+                module("strips", "destination", destination_tag="fillet_strips"),
+            ],
+            "allowed": [
+                ["o.out", "w.in"],
+                ["w.out", "a.in"],
+                ["a.out", "d1.in"],
+                ["d1.out1", "d2.in"],
+                ["d1.out2", "strips.in"],
+                ["d2.out1", "d1.in"],
+                ["d2.out1", "strips.in"],
+                ["d2.out2", "strips.in"],
+            ],
+        }
+    )
+
+
+# a hand-built wiring of `loopable_space` that takes the loop
+LOOPED = DesignConfiguration(
+    index=-1,
+    chosen=tuple(
+        sorted(
+            [
+                ("o.out", "w.in"),
+                ("w.out", "a.in"),
+                ("a.out", "d1.in"),
+                ("d1.out1", "d2.in"),
+                ("d1.out2", "strips.in"),
+                ("d2.out1", "d1.in"),
+                ("d2.out2", "strips.in"),
+            ]
+        )
+    ),
+)
+
+
 def shared_lanes_space(bypass_weighing=False):
     """Two lanes, each with its own distributor, competing for one trimmer and one
     burger line: every lane wiring recurs in many designs. With bypass_weighing,
@@ -797,6 +805,18 @@ def compile_afresh(space, config):
     return compile_design(fresh, config)
 
 
+def assert_port_keys_interned(space):
+    """Every port key names a lane of the space's lane cache, as the object
+    kept there, and begins with that lane's origin; there are at most
+    LANE_PORT_KEYS of them per lane kept."""
+    assert len(space.lane_port_cache) <= designspace.LANE_PORT_KEYS * len(space.lane_cache)
+    interned = {id(compiled): key for key, compiled in space.lane_cache.items()}
+    for ports, compiled in space.lane_port_cache.items():
+        assert id(compiled) in interned
+        assert ports[0] == interned[id(compiled)][0]
+        assert len(ports) == 1 + len(space.lane_ports[ports[0]])
+
+
 class TestLaneCache:
     """compile_design through one warm cache equals compiling every design afresh."""
 
@@ -813,6 +833,7 @@ class TestLaneCache:
         for config in configs:
             assert compile_design(space, config).lanes == case_afresh[config.index].lanes
         assert len(space.lane_cache) == 324  # distinct lane wirings among 4 x 1152 lanes
+        assert_port_keys_interned(space)
 
     @pytest.mark.parametrize("bound", [LANE_CACHE_ENTRIES, 3])
     def test_designs_sharing_lane_wirings(self, monkeypatch, bound):
@@ -828,6 +849,7 @@ class TestLaneCache:
         # 39 designs x 2 lanes, 20 distinct lane wirings
         assert len(configs) == 39
         assert len(space.lane_cache) == min(bound, 20)
+        assert_port_keys_interned(space)
 
     def test_a_lane_that_cannot_be_built_raises_every_time(self):
         space = shared_lanes_space(bypass_weighing=True)
@@ -844,3 +866,53 @@ class TestLaneCache:
         # lane o1 of the designs that failed was compiled and kept; o2's bypass never is
         assert {key[1] for key in space.lane_cache if key[0] == "o2"} == {"w2.in"}
         assert any(key[0] == "o1" for key in space.lane_cache)
+        assert_port_keys_interned(space)
+
+    def test_a_lane_is_walked_only_when_its_port_key_is_not_kept(self, monkeypatch):
+        space = shared_lanes_space()
+        walks = []
+        lane_key = designspace._lane_key
+        monkeypatch.setattr(
+            designspace, "_lane_key", lambda *args: walks.append(args[2]) or lane_key(*args)
+        )
+        configs = list(enumerate_configurations(space))
+        for config in configs:
+            compile_design(space, config)
+        # through the shared trimmer a lane may reach the other lane's
+        # distributor, whose wiring its port key then holds: all 78 port keys
+        # differ, and 2 per kept lane are kept
+        assert len(walks) == 78 and len(space.lane_port_cache) == 2 * len(space.lane_cache) == 40
+        walks.clear()
+        for config in configs:
+            compile_design(space, config)
+        assert len(walks) == 78 - 40
+
+    def test_a_space_whose_matrix_loops(self):
+        space = loopable_space()
+        # each out-port the matrix lets the lane reach, once, though d1 and d2
+        # reach each other
+        assert space.lane_ports == {
+            "o": ("o.out", "w.out", "a.out", "d1.out1", "d1.out2", "d2.out1", "d2.out2")
+        }
+        configs = list(enumerate_configurations(space))
+        for config in configs + configs:
+            assert compile_design(space, config).lanes == compile_afresh(space, config).lanes
+        assert len(space.lane_cache) == len(space.lane_port_cache) == len(configs) == 1
+        assert_port_keys_interned(space)
+        # the looped wiring's key ends, with d1 expanded once
+        assert designspace._lane_key(space, LOOPED.edge_map, "o") == (
+            "o", "w.in", "a.in", "d1.in", "d2.in", "strips.in", "d1.in", "strips.in"
+        )
+
+    def test_a_wiring_the_matrix_does_not_allow_is_never_keyed_by_ports(self):
+        # o -> w -> a -> strips is not allowed: the walk reads no port of d1,
+        # so its port key would miss what the wiring routes; it is keyed by
+        # its walk alone, every time
+        space = loopable_space()
+        allowed = next(iter(enumerate_configurations(space)))
+        outside = DesignConfiguration(-1, (("a.out", "strips.in"), ("o.out", "w.in"),
+                                           ("w.out", "a.in")))
+        for config in (allowed, outside, outside):
+            assert compile_design(space, config).lanes == compile_afresh(space, config).lanes
+        assert len(space.lane_cache) == 2
+        assert list(space.lane_port_cache.values()) == [compile_design(space, allowed).lanes["o"]]

@@ -23,8 +23,9 @@ from flowdse.designspace import (
     load_design_space,
     parse_design_space,
 )
-from flowdse.plant import PlantBuildError, PlantSimulation, RoutingFault
+from flowdse.plant import PlantBuildError, PlantSimulation, RoutingFault, weight_bins
 from flowdse.scenario import (
+    MAX_WEIGHT_BINS,
     EmpiricalWeights,
     LaneInflow,
     Recipe,
@@ -386,6 +387,44 @@ class TestRoutingFaults:
     def test_trim_larger_than_the_fillet(self):
         sim = self._sim(BinAssignment(0, "batching2", 500.0))
         with pytest.raises(RoutingFault, match="trim instruction"):
+            sim.run()
+
+    def test_strategy_on_a_lane_no_rung_reads(self):
+        # lane origin2 reaches only the default's destination, so no rung reads
+        # it and its fillets get no bins: a strategy handed to it has nothing
+        # to look up, and raises rather than pairing weights with no bins
+        space = parse_design_space({
+            "id": "unread",
+            "modules": [
+                {"id": f"{name}{i}", "kind": kind, "in_ports": [] if kind == "origin" else ["in"],
+                 "out_ports": ["out1", "out2"] if kind == "distribution" else ["out"]}
+                for i in (1, 2) for name, kind in (
+                    ("origin", "origin"), ("weigh", "weighing"), ("assign", "assignment"),
+                ) + (("dist", "distribution"),) * (i == 1)
+            ] + [
+                {"id": "dest_a", "kind": "destination", "in_ports": ["in"],
+                 "destination_tag": "batching2", "latency_s": 0.0},
+                {"id": "dest_strips", "kind": "destination", "in_ports": ["in"],
+                 "destination_tag": "fillet_strips", "latency_s": 0.0, "merge_allowed": True},
+            ],
+            "allowed": [
+                ["origin1.out", "weigh1.in"], ["weigh1.out", "assign1.in"],
+                ["assign1.out", "dist1.in"], ["dist1.out1", "dest_a.in"],
+                ["dist1.out2", "dest_strips.in"], ["origin2.out", "weigh2.in"],
+                ["weigh2.out", "assign2.in"], ["assign2.out", "dest_strips.in"],
+            ],
+        })
+        inflow = [LaneInflow(f"lane{i}", 30.0, narrow(170.0)) for i in (1, 2)]
+        scenario = make_scenario(
+            [BAND, STRIPS], inflow, horizon=30.0, controller=ControllerConfig(warmup_s=0.0)
+        )
+        sim = PlantSimulation(space, only_config(space), scenario, seed=13)
+        assert sim.controller.read_lanes == {0}
+        assert PlantSimulation(space, only_config(space), scenario, seed=13).run().injected == 30
+        default = BinAssignment(len(scenario.recipes) - 1, "fillet_strips", None)
+        every_bin = dict.fromkeys(range(100), default)
+        sim.controller.compute_strategies = lambda: dict.fromkeys(sim.routes, every_bin)
+        with pytest.raises(RoutingFault, match="lane origin2 is read by no rung"):
             sim.run()
 
 
@@ -868,6 +907,51 @@ class TestSweepMatchesCalendar:
         assert {row[0] % 1.0 for row in sweep.trace_rows if row[4] == "assign"} == {0.0}
         assert repr(got) == repr(expected)
         assert sweep.trace_rows == calendar.trace_rows
+
+
+class TestWeightBins:
+    """`weight_bins`, in integer arithmetic where the bin width is whole,
+    against `int(g // width)`, as the event calendar computes bins."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.one_of(st.integers(1, 100), st.integers(1, 2**40)).map(float),
+        shares=st.lists(st.floats(0.0, 1.0), max_size=40),
+    )
+    def test_whole_widths_across_the_weight_range(self, width, shares):
+        # the parser's range: weights from 0 up to MAX_WEIGHT_BINS bins
+        heaviest = width * MAX_WEIGHT_BINS
+        weights = [share * heaviest for share in shares]
+        want = [int(g // width) for g in weights]
+        assert weight_bins(weights, width, heaviest) == want
+        assert weight_bins(weights, width, max(weights, default=0.0)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.one_of(st.integers(1, 100), st.integers(1, 10**6)),
+        k=st.integers(0, int(MAX_WEIGHT_BINS)),
+    )
+    def test_multiples_of_the_width_and_their_neighbours(self, width, k):
+        exact = float(k * width)
+        weights = [math.nextafter(exact, -math.inf), exact, math.nextafter(exact, math.inf)]
+        got = weight_bins(weights, float(width), weights[-1])
+        assert got == [int(g // width) for g in weights]
+        assert got[1:] == [k, k]
+
+    @pytest.mark.parametrize("bin_width", [2.5, 10.0])
+    def test_sweep_and_trace_against_the_calendar(self, bin_width):
+        # 2.5 g is no whole number: the sweep and the trace replay take the
+        # float division there, and integer arithmetic at 10 g
+        space, config, scenario, seed, _, _ = skewed_lanes_cell(*[[1.0, 0.0, 1.0, 1.0, 1.0]] * 2)
+        controller = dataclasses.replace(scenario.controller, bin_width_g=bin_width)
+        scenario = dataclasses.replace(scenario, controller=controller)
+        calendar = CalendarPlant(space, config, scenario, seed, trace=True)
+        expected = calendar.run()
+        sweep = PlantSimulation(space, config, scenario, seed, trace=True)
+        got = sweep.run()
+        assert repr(got) == repr(expected)
+        assert sweep.trace_rows == calendar.trace_rows
+        assert got.walks > 1 and got.trim_mass_g > 0
 
 
 class TestTraceReplay:
